@@ -253,7 +253,7 @@ def run(argv) -> tuple[dict, int]:
         report["verdict"] = "error"
         report["error"] = str(err)
         code = EXIT_USAGE
-    except MsatError as err:
+    except (MsatError, RecursionError) as err:
         report["verdict"] = "error"
         report["error"] = f"{type(err).__name__}: {err}"
         code = EXIT_USAGE

@@ -4,15 +4,16 @@ A DiagramOnTruncation stores finite value sets for every object up to
 the object bound and transition tables for the generating morphisms.
 Tables may be partial (truncated representables drop images that leave
 the enumerated fragment); checks and solvers only constrain where a
-table is defined.
+table is defined.  Natural transformations into a functor are the
+solutions of one constraint per defined table entry (`search.solve`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
 
 from .errors import InvalidParameter
+from .search import solve
 from .signature import Doctrine, print_term
 from .theory_cat import (
     TheoryMorphism,
@@ -240,86 +241,23 @@ def coproduct_diagram(doctrine: Doctrine, summands, object_bound: int,
 # -- natural transformations --------------------------------------------
 
 
-def natural_transformations(X: DiagramOnTruncation, Y, limit: int | None = None):
+def natural_transformations(X: DiagramOnTruncation, Y):
     """All families eta_obj: X(obj) -> Y(obj) natural for every defined
-    arrow entry of X.  Y must expose value(obj) and morphism_map(m)
-    (total on its values).  Backtracking with arc consistency; the
-    result order is deterministic."""
-    objs = X.objects()
-    unknowns = []
-    for obj in objs:
-        for x in X.value(obj):
-            unknowns.append((obj, x))
+    arrow entry of X, in lexicographic order of the unknowns eta_obj(x).
+    Y must expose value(obj) and morphism_map(m) (total on its values).
+    Each arrow entry x -> y of X(m) is the constraint
+    eta(y) = Y(m)(eta(x)) for `search.solve`."""
+    unknowns = [(obj, x) for obj in X.objects() for x in X.value(obj)]
     index = {u: i for i, u in enumerate(unknowns)}
-    domains = [list(Y.value(obj)) for (obj, x) in unknowns]
-    cons = []
+    constraints = []
     for m, table in X.arrows.items():
         if not table:
             continue
-        fmap = Y.morphism_map(m)
+        image = Y.morphism_map(m).__getitem__
         for x, ximg in table.items():
-            cons.append((index[(m.source, x)], index[(m.target, ximg)], fmap))
-    adjacency = defaultdict(list)
-    for ci, (iu, iv, _) in enumerate(cons):
-        adjacency[iu].append(ci)
-        adjacency[iv].append(ci)
-
-    def propagate(doms, dirty):
-        queue = deque(dirty)
-        queued = set(dirty)
-        while queue:
-            ci = queue.popleft()
-            queued.discard(ci)
-            iu, iv, f = cons[ci]
-            dv_set = set(doms[iv])
-            du = [a for a in doms[iu] if f[a] in dv_set]
-            du_images = {f[a] for a in du}
-            dv = [b for b in doms[iv] if b in du_images]
-            if len(du) != len(doms[iu]):
-                doms[iu] = du
-                if not du:
-                    return False
-                for cj in adjacency[iu]:
-                    if cj not in queued:
-                        queue.append(cj)
-                        queued.add(cj)
-            if len(dv) != len(doms[iv]):
-                doms[iv] = dv
-                if not dv:
-                    return False
-                for cj in adjacency[iv]:
-                    if cj not in queued:
-                        queue.append(cj)
-                        queued.add(cj)
-        return True
-
-    solutions = []
-
-    def search(doms):
-        if limit is not None and len(solutions) >= limit:
-            return
-        branch = None
-        for i, d in enumerate(doms):
-            if len(d) == 0:
-                return
-            if len(d) > 1:
-                branch = i
-                break
-        if branch is None:
-            solutions.append({u: doms[i][0] for i, u in enumerate(unknowns)})
-            return
-        for choice in doms[branch]:
-            child = list(doms)
-            child[branch] = [choice]
-            if propagate(child, adjacency[branch]):
-                search(child)
-            if limit is not None and len(solutions) >= limit:
-                return
-
-    if not propagate(domains, range(len(cons))):
-        return []
-    search(domains)
-    return solutions
+            constraints.append((image, (index[(m.source, x)],), index[(m.target, ximg)]))
+    domains = [Y.value(obj) for obj, _ in unknowns]
+    return [dict(zip(unknowns, values)) for values in solve(domains, constraints)]
 
 
 # -- serialization -------------------------------------------------------

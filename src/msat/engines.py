@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import SortMismatch, UnknownSymbol, UnsupportedDoctrine
+from .search import UnionFind
 from .signature import (
     App,
     Context,
@@ -758,36 +759,20 @@ class BoundedGenericEngine(Engine):
                 add(ri)
             pairs.extend(new_pairs)
 
-        parent: dict[Term, Term] = {}
-
-        def find(t):
-            root = t
-            while parent.get(root, root) is not root:
-                root = parent[root]
-            while parent.get(t, t) is not t:
-                parent[t], t = root, parent[t]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra is not rb:
-                parent[ra] = rb
-                return True
-            return False
-
+        uf = UnionFind()
         for li, ri in pairs:
             if li in seen and ri in seen:
-                union(li, ri)
+                uf.union(li, ri)
         apps = [t for t in pool if isinstance(t, App)]
         changed = True
         while changed:
             changed = False
             sig: dict[tuple, Term] = {}
             for t in apps:
-                key = (t.op.name, tuple(find(a) for a in t.args))
+                key = (t.op.name, tuple(uf.find(a) for a in t.args))
                 if key in sig:
-                    if union(t, sig[key]):
+                    if uf.union(t, sig[key]):
                         changed = True
                 else:
                     sig[key] = t
-        return EqResult.EQUAL if find(t1) is find(t2) else EqResult.UNKNOWN
+        return EqResult.EQUAL if uf.find(t1) == uf.find(t2) else EqResult.UNKNOWN

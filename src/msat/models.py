@@ -4,7 +4,9 @@ A FiniteAlgebra is a carrier per sort plus a total operation table per
 symbol.  Checks: the defining equations (exhaustively), the two
 structure-map laws (evaluation factors through normal forms), strict
 product preservation of the induced functor, and the per-sort
-free/forgetful adjunction bijection.
+free/forgetful adjunction bijection.  Homomorphisms are enumerated by
+propagating operation tables as constraints (`search.solve`), not by
+walking every family of carrier maps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     UnboundVariable,
 )
 from .presentations import AlgebraPresentation, free_presentation, homs_into
+from .search import solve
 from .signature import (
     Context,
     Doctrine,
@@ -154,10 +157,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
                 failures.append({"law": "unit", "sort": s.name, "element": e})
     inner: dict[Sort, list[Term]] = {}
     for s in alg.doctrine.sorts:
-        try:
-            inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
-        except Exception:
-            inner[s] = []
+        inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
     slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
     for shape in slot_shapes:
@@ -236,35 +236,36 @@ def check_product_preservation(X: DiagramOnTruncation):
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Homomorphism]:
+    """All homomorphisms A -> B, in lexicographic order of their images
+    (sorts by name, elements in carrier order).  Each operation entry
+    op(args) = a of A is the constraint h(a) = op_B(h(args)) for
+    `search.solve`."""
     if A.doctrine is not B.doctrine and A.doctrine.name != B.doctrine.name:
         raise DoctrineMismatch("homomorphisms need a common doctrine")
     sorts = sorted(A.carriers, key=lambda s: s.name)
-    spaces = []
-    for s in sorts:
-        dom, cod = A.carriers[s], B.carriers[s]
-        maps = [dict(zip(dom, image)) for image in itertools.product(cod, repeat=len(dom))]
-        spaces.append(maps)
-    out = []
-    for family in itertools.product(*spaces):
-        comp = dict(zip(sorts, family))
-        if _is_hom(A, B, comp):
-            out.append(
-                Homomorphism(A, B, tuple(
-                    (s, tuple(sorted(comp[s].items(), key=lambda p: str(p[0]))))
-                    for s in sorts
-                ))
-            )
-    return out
-
-
-def _is_hom(A, B, comp):
+    unknowns = [(s, a) for s in sorts for a in A.carriers[s]]
+    index = {u: i for i, u in enumerate(unknowns)}
+    domains = [B.carriers[s] for s, _ in unknowns]
+    constraints = []
     for op in A.doctrine.ops:
+        def op_b(*image, table=B.tables[op.name]):
+            return table[image]
+
         for args in itertools.product(*(A.carriers[s] for s in op.domain)):
-            lhs = comp[op.codomain][A.tables[op.name][args]]
-            mapped = tuple(comp[s][a] for s, a in zip(op.domain, args))
-            if lhs != B.tables[op.name][mapped]:
-                return False
-    return True
+            constraints.append((
+                op_b,
+                tuple(index[(s, x)] for s, x in zip(op.domain, args)),
+                index[(op.codomain, A.tables[op.name][args])],
+            ))
+    out = []
+    for values in solve(domains, constraints):
+        image = dict(zip(unknowns, values))
+        out.append(Homomorphism(A, B, tuple(
+            (s, tuple(sorted(((a, image[(s, a)]) for a in A.carriers[s]),
+                             key=lambda p: str(p[0]))))
+            for s in sorts
+        )))
+    return out
 
 
 def identity_hom(A: FiniteAlgebra) -> Homomorphism:

@@ -2,15 +2,16 @@
 
 Free presentations (no relations) support exact enumeration through the
 doctrine's engine; presented algebras are probed against finite models,
-where the hom set is computed by constraint propagation over the
-relation list.
+where the hom set is the solution list of the relations as constraints
+(`search.solve`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedDoctrine
+from .errors import SortMismatch, UnboundVariable, UnknownSymbol, UnsupportedDoctrine
+from .search import solve
 from .signature import (
     Context,
     Doctrine,
@@ -46,7 +47,7 @@ class AlgebraPresentation:
         try:
             typecheck(term, self.context(), self.doctrine)
             return True
-        except Exception:
+        except (UnboundVariable, SortMismatch, UnknownSymbol):
             return False
 
     def equal(self, t1: Term, t2: Term) -> EqResult:
@@ -79,73 +80,38 @@ def free_presentation(doctrine: Doctrine, generators: dict, name: str = "") -> A
     return AlgebraPresentation(doctrine, gens, (), name)
 
 
-def homs_into(P: AlgebraPresentation, alg, limit: int | None = None) -> list[dict]:
+def homs_into(P: AlgebraPresentation, alg) -> list[dict]:
     """All generator assignments into a finite algebra satisfying every
-    relation.  Assignments map generator names to carrier elements.
+    relation, in lexicographic order of the generators' values.
+    Assignments map generator names to carrier elements.
 
-    Backtracking with unit propagation: a relation with one side fully
-    evaluated and the other a bare unassigned generator forces a value.
+    A relation with a bare generator on one side forces that generator
+    from the other side's value; any other relation is checked once its
+    generators are fixed (`search.solve`).
     """
     from .models import evaluate
 
-    ctx = P.context()
-    gens = list(ctx.vars)
-    rels = list(P.relations)
-    rel_vars = [set(term_vars(l)) | set(term_vars(r)) for l, r in
-                ((l, r) for l, r in rels)]
-    rel_varnames = [
-        set(term_vars(l).keys()) | set(term_vars(r).keys()) for l, r in rels
-    ]
+    gens = P.context().vars
+    index = {g.name: i for i, g in enumerate(gens)}
 
-    def try_eval(term, assign):
-        names = term_vars(term).keys()
-        if any(n not in assign for n in names):
-            return None, False
-        return evaluate(alg, term, assign), True
+    def relation(lhs, rhs):
+        if not isinstance(rhs, Var):
+            lhs, rhs = rhs, lhs
+        if isinstance(rhs, Var):
+            names = tuple(term_vars(lhs))
 
-    def propagate(assign):
-        changed = True
-        while changed:
-            changed = False
-            for (lhs, rhs), names in zip(rels, rel_varnames):
-                unassigned = [n for n in names if n not in assign]
-                if not unassigned:
-                    lv, _ = try_eval(lhs, assign)
-                    rv, _ = try_eval(rhs, assign)
-                    if lv != rv:
-                        return False
-                    continue
-                if len(unassigned) == 1:
-                    for bare, other in ((lhs, rhs), (rhs, lhs)):
-                        if isinstance(bare, Var) and bare.name == unassigned[0]:
-                            val, ok = try_eval(other, assign)
-                            if ok:
-                                if val not in alg.carrier(bare.sort):
-                                    return False
-                                assign[bare.name] = val
-                                changed = True
-                            break
-        return True
+            def value(*vals):
+                return evaluate(alg, lhs, dict(zip(names, vals)))
 
-    solutions: list[dict] = []
+            return value, tuple(index[n] for n in names), index[rhs.name]
+        names = tuple({**term_vars(lhs), **term_vars(rhs)})
 
-    def search(assign):
-        if limit is not None and len(solutions) >= limit:
-            return
-        pending = [g for g in gens if g.name not in assign]
-        if not pending:
-            solutions.append(dict(assign))
-            return
-        g = pending[0]
-        for val in alg.carrier(g.sort):
-            child = dict(assign)
-            child[g.name] = val
-            if propagate(child):
-                search(child)
-            if limit is not None and len(solutions) >= limit:
-                return
+        def holds(*vals):
+            env = dict(zip(names, vals))
+            return evaluate(alg, lhs, env) == evaluate(alg, rhs, env)
 
-    seed: dict = {}
-    if propagate(seed):
-        search(seed)
-    return solutions
+        return holds, tuple(index[n] for n in names), None
+
+    constraints = [relation(lhs, rhs) for lhs, rhs in P.relations]
+    domains = [alg.carrier(g.sort) for g in gens]
+    return [dict(zip(index, values)) for values in solve(domains, constraints)]

@@ -25,6 +25,7 @@ from .diagram import (
 from .errors import BudgetExhausted, HomEnumerationIncomplete, InvalidParameter, NotFunctorial
 from .models import AlgebraFunctor
 from .presentations import AlgebraPresentation, homs_into
+from .search import UnionFind
 from .signature import Doctrine, Sort, Var, substitute
 from .theory_cat import (
     TERMINAL,
@@ -124,29 +125,6 @@ class StepResult:
     sizes: dict = field(default_factory=dict)
 
 
-class _Quotient:
-    """Union-find over tagged elements, one family per object."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, key):
-        self.parent.setdefault(key, key)
-
-    def find(self, key):
-        root = key
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[key] != key:
-            self.parent[key], key = root, self.parent[key]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _finish_step(X, kind, p, membership, uf, member_image, approximate):
     """Collapse union-find classes into a fresh diagram with integer
     elements, rebuild arrow tables, and record the unit map.  Union-find
@@ -220,10 +198,7 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
         + [("b", zi, b) for zi in range(len(tuples)) for b in rep_values[obj]]
         for obj in X.objects()
     }
-    uf = _Quotient()
-    for obj in X.objects():
-        for key in membership[obj]:
-            uf.add((obj, key))
+    uf = UnionFind()
     for zi, z in enumerate(tuples):
         for i, factor in enumerate(factors):
             for obj in X.objects():
@@ -274,10 +249,7 @@ def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
         if all(u in t and v in t and t[u] == t[v] for t in proj_tables):
             pairs.append((u, v))
     membership = {obj: [("x", x) for x in X.value(obj)] for obj in X.objects()}
-    uf = _Quotient()
-    for obj in X.objects():
-        for key in membership[obj]:
-            uf.add((obj, key))
+    uf = UnionFind()
     from_target = [
         (m, table) for m, table in closure.items() if m.source == p.target
     ]

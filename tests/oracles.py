@@ -102,3 +102,29 @@ def trivial_homset(src_size: int, tgt_size: int) -> list[tuple]:
     if src_size == 0:
         return []
     return list(itertools.product(range(1, src_size + 1), repeat=tgt_size))
+
+
+def brute_force_homs(A, B) -> list[tuple]:
+    """Homomorphisms A -> B of finite algebras by walking every family of
+    carrier maps, prod_s |B_s|^|A_s| of them in product order, and keeping
+    those that commute with every operation.  Each is returned in the shape
+    of `Homomorphism.components`: (sort, sorted (element, image) pairs) per
+    sort, sorts by name."""
+    sorts = sorted(A.carriers, key=lambda s: s.name)
+    spaces = []
+    for s in sorts:
+        dom, cod = A.carriers[s], B.carriers[s]
+        spaces.append([dict(zip(dom, image)) for image in itertools.product(cod, repeat=len(dom))])
+    out = []
+    for family in itertools.product(*spaces):
+        comp = dict(zip(sorts, family))
+        if all(
+            comp[op.codomain][A.tables[op.name][args]]
+            == B.tables[op.name][tuple(comp[s][a] for s, a in zip(op.domain, args))]
+            for op in A.doctrine.ops
+            for args in itertools.product(*(A.carriers[s] for s in op.domain))
+        ):
+            out.append(tuple(
+                (s, tuple(sorted(comp[s].items(), key=lambda p: str(p[0])))) for s in sorts
+            ))
+    return out

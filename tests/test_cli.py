@@ -131,6 +131,36 @@ def test_monad_laws_verb(z2_file, faulted_file):
     assert code == 1 and report["counterexamples"]
 
 
+def test_monad_laws_on_dsl_theory_reports_error(tmp_path, monoid):
+    """The associativity law needs free-algebra enumeration, which a
+    DSL theory's generic engine does not support: the check must fail
+    loudly rather than pass over no terms."""
+    from msat.dsl import parse_model, parse_theory
+    from msat.errors import UnsupportedDoctrine
+    from msat.models import check_monad_laws
+
+    theory = tmp_path / "monoid.msat"
+    theory.write_text(print_theory(monoid))
+    model = tmp_path / "bad.model"
+    bad = next(a for a, _ in faulted_catalog() if a.name == "max2-bad-unit")
+    model.write_text(print_model(bad))
+    doc = parse_theory(theory.read_text())
+    with pytest.raises(UnsupportedDoctrine):
+        check_monad_laws(parse_model(model.read_text(), doc), 3)
+    report, code = run(["monad-laws", "--theory", str(theory), "--model", str(model)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"].startswith("UnsupportedDoctrine: ")
+
+
+def test_deep_term_reports_recursion_error():
+    term = "inv(" * 3000 + "a" + ")" * 3000
+    report, code = run([
+        "normalize", "--theory", "builtin:group", "--context", "a:G", "--term", term,
+    ])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"].startswith("RecursionError: ")
+
+
 def test_free_verb():
     report, code = run([
         "free", "--theory", "builtin:group", "--sort", "G",

@@ -11,6 +11,7 @@ from msat.catalog import (
     models_for,
     monoid_model,
     trivial_model,
+    valid_catalog,
 )
 from msat.diagram import natural_transformations, representable_diagram
 from msat.errors import ElementNotInCarrier, UnboundVariable
@@ -28,6 +29,8 @@ from msat.models import (
 )
 from msat.signature import App, Context, Var, print_term
 from msat.theory_cat import TERMINAL, TheoryMorphism, TheoryObject, hom_enumerate
+
+from oracles import brute_force_homs
 
 
 class TestEvaluate:
@@ -190,6 +193,28 @@ class TestHoms:
         z3 = cyclic_group(group, 3)
         homs = enumerate_homs(z3, z3)
         assert identity_hom(z3) in homs
+
+    def test_matches_brute_force_in_order(self, group):
+        """Every same-doctrine pair of catalog models (faulted ones and the
+        groups up to order 6 included) whose brute-force space is at most
+        3e5 families, compared as ordered lists; the ocat models have
+        empty carriers."""
+        catalog = valid_catalog() + [a for a, _ in faulted_catalog()] + [
+            a for a in models_for(group, 6) if a.name in ("Z4", "Z6", "S3")]
+        compared = 0
+        for A in catalog:
+            for B in catalog:
+                if A.doctrine.name != B.doctrine.name:
+                    continue
+                families = 1
+                for s, dom in A.carriers.items():
+                    families *= len(B.carriers[s]) ** len(dom)
+                if families > 3 * 10**5:
+                    continue
+                got = [h.components for h in enumerate_homs(A, B)]
+                assert got == brute_force_homs(A, B), (A.name, B.name)
+                compared += 1
+        assert compared >= 88  # the same-doctrine pairs of valid_catalog() alone
 
 
 class TestFreeAlgebra:

@@ -439,3 +439,21 @@ def test_congruence_closure_agrees_with_engine(group, monoid):
                     assert doc.engine.equal(t1, t2) is EqResult.EQUAL
                     confirmed += 1
         assert proved == confirmed and proved > 0
+
+
+@pytest.mark.parametrize("ident", ["monoid", "group"])
+@pytest.mark.parametrize("lhs,rhs", [
+    ("mul(mul(a,b),e)", "mul(a,b)"),
+    ("mul(e,mul(a,b))", "mul(a,b)"),
+    ("mul(mul(b,a),e)", "mul(b,a)"),
+])
+def test_generic_engine_unit_law_with_compound_operand(ident, lhs, rhs):
+    """Instances of a unit law whose operand is itself an application are
+    found by the congruence-closure engine on a DSL-parsed theory."""
+    from msat.dsl import parse_context_text, parse_term_text, parse_theory, print_theory
+
+    doc = parse_theory(print_theory(builtin_doctrine(ident)))
+    sort = doc.sorts[0].name
+    ctx = parse_context_text(f"a:{sort}, b:{sort}", doc)
+    t1, t2 = parse_term_text(lhs, ctx, doc), parse_term_text(rhs, ctx, doc)
+    assert doc.engine.equal(t1, t2) is EqResult.EQUAL

@@ -2,7 +2,8 @@
 the engine, and emit deterministic JSON or one-line text reports.
 
 Exit codes: 0 verdict pass, 1 verdict fail (counterexample in the
-report), 2 usage or parse error, 3 budget exhausted / unknown.
+report), 2 usage, parse or any other error (reported with its type),
+3 budget exhausted / unknown.
 The MSAT_SEED environment variable fixes all fuzzing seeds.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 
 from . import __version__
 from .builtins import resolve_builtin
@@ -136,6 +138,13 @@ def emit_report_str(report: dict, fmt: str = "json") -> str:
     return out.decode("utf-8") if isinstance(out, bytes) else out
 
 
+def _bound(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bound must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="msat",
@@ -154,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--diagram", required=True)
         if sdiagram:
             p.add_argument("--diagram", required=True, help="simplicial diagram JSON")
-        p.add_argument("--size", type=int, default=2, help="term size bound")
-        p.add_argument("--object-bound", type=int, default=2)
-        p.add_argument("--dim-cap", type=int, default=3)
-        p.add_argument("--model-bound", type=int, default=3)
-        p.add_argument("--budget", type=int, default=8)
+        p.add_argument("--size", type=_bound, default=2, help="term size bound")
+        p.add_argument("--object-bound", type=_bound, default=2)
+        p.add_argument("--dim-cap", type=_bound, default=3)
+        p.add_argument("--model-bound", type=_bound, default=3)
+        p.add_argument("--budget", type=_bound, default=8)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None)
 
@@ -253,7 +262,11 @@ def run(argv) -> tuple[dict, int]:
         report["verdict"] = "error"
         report["error"] = str(err)
         code = EXIT_USAGE
-    except (MsatError, RecursionError) as err:
+    except Exception as err:
+        # last resort: internal faults (RecursionError on deep terms, a
+        # stray ValueError or KeyError) still end in a typed report
+        if not isinstance(err, MsatError):
+            traceback.print_exc()
         report["verdict"] = "error"
         report["error"] = f"{type(err).__name__}: {err}"
         code = EXIT_USAGE

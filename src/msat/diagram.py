@@ -64,10 +64,6 @@ class DiagramOnTruncation:
         return problems
 
     def morphism_size(self, m: TheoryMorphism) -> int:
-        if not self.doctrine.exact:
-            from .signature import term_size
-
-            return max((term_size(t) for t in m.terms), default=0)
         return max((self.doctrine.engine.size(t) for t in m.terms), default=0)
 
     def arrow_closure(self):

@@ -1,10 +1,12 @@
 """Normal-form engines for the built-in doctrines.
 
-Each exact engine converts terms to a semantic value (reduced word,
-polynomial, labeled tree, edge path), where equality is literal, and
-renders the value back as a canonical term.  Enumeration produces all
-normal forms below a size bound in a fixed order, so every hom-level
-API downstream is deterministic.
+Each exact engine implements the three hooks of `signature.Engine`:
+`value` maps a term to a semantic value (reduced word, polynomial,
+labeled tree, edge path) where equality is literal, `render` maps the
+value back to its canonical term, and `value_size` measures it.  The
+base class derives normalize, size, equal and substitution from them.
+Enumeration produces all normal forms below a size bound in a fixed
+order, so every hom-level API downstream is deterministic.
 """
 
 from __future__ import annotations
@@ -26,26 +28,26 @@ from .signature import (
 
 LEAF = ("leaf",)
 
-
-def _exact_equal(engine, t1, t2):
-    return EqResult.EQUAL if engine.normalize(t1) == engine.normalize(t2) else EqResult.DISTINCT
+# perfbench's tracer wraps `normalize` on each exact engine class's own
+# __dict__, so every class below names the derived method once more.
 
 
 class TrivialEngine(Engine):
     """No operations: every term is a variable and already normal."""
 
     exact = True
+    normalize = Engine.normalize
 
-    def normalize(self, term: Term) -> Term:
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
-            return term
+            return term if env is None else env[term.name]
         raise UnknownSymbol(f"trivial doctrine has no op {term.op.name!r}")
 
-    def size(self, term: Term) -> int:
-        return 0
+    def render(self, value, sort: Sort) -> Term:
+        return value
 
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
+    def value_size(self, value, sort: Sort) -> int:
+        return 0
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         return [v for v in context.vars if v.sort == sort]
@@ -55,26 +57,26 @@ class WordEngine(Engine):
     """Flattened (monoid) or reduced (group) words in one sort."""
 
     exact = True
+    normalize = Engine.normalize
 
     def __init__(self, sort: Sort, mul: OpSymbol, unit: OpSymbol, inv: OpSymbol | None = None):
         self.sort = sort
         self.mul = mul
         self.unit = unit
         self.inv = inv
-        self._vcache: dict = {}
         self._tcache: dict = {}
 
     # words are tuples of (Var, +1|-1) letters; monoids only use +1
-    def to_word(self, term: Term):
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
-            return ((term, 1),)
+            return ((term, 1),) if env is None else env[term.name]
         name = term.op.name
         if name == self.unit.name:
             return ()
         if name == self.mul.name:
-            return self._reduce(self.to_word(term.args[0]) + self.to_word(term.args[1]))
+            return self._reduce(self.value(term.args[0], env) + self.value(term.args[1], env))
         if self.inv is not None and name == self.inv.name:
-            return tuple((v, -e) for v, e in reversed(self.to_word(term.args[0])))
+            return tuple((v, -e) for v, e in reversed(self.value(term.args[0], env)))
         raise UnknownSymbol(f"unknown op {name!r} in word engine")
 
     def _reduce(self, word):
@@ -92,7 +94,7 @@ class WordEngine(Engine):
         v, e = letter
         return v if e == 1 else App(self.inv, (v,))
 
-    def from_word(self, word) -> Term:
+    def render(self, word, sort: Sort) -> Term:
         # canonical terms are interned: equal words give identical objects
         cached = self._tcache.get(word)
         if cached is not None:
@@ -106,41 +108,8 @@ class WordEngine(Engine):
         self._tcache[word] = term
         return term
 
-    def normalize(self, term: Term) -> Term:
-        return self.from_word(self.to_word(term))
-
-    def size(self, term: Term) -> int:
-        return len(self.to_word(term))
-
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
-
-    # value-level substitution: composition-heavy callers avoid building
-    # intermediate syntax trees
-    def word_of(self, term: Term):
-        w = self._vcache.get(term)
-        if w is None:
-            w = self.to_word(term)
-            self._vcache[term] = w
-        return w
-
-    def subst_word(self, term: Term, env: dict):
-        if isinstance(term, Var):
-            return env[term.name]
-        name = term.op.name
-        if name == self.unit.name:
-            return ()
-        if name == self.mul.name:
-            return self._reduce(
-                self.subst_word(term.args[0], env) + self.subst_word(term.args[1], env)
-            )
-        if self.inv is not None and name == self.inv.name:
-            return tuple((v, -e) for v, e in reversed(self.subst_word(term.args[0], env)))
-        raise UnknownSymbol(f"unknown op {name!r} in word engine")
-
-    def compose_tuple(self, gterms, fterms):
-        env = {f"v{i+1}": self.word_of(t) for i, t in enumerate(fterms)}
-        return tuple(self.from_word(self.subst_word(t, env)) for t in gterms)
+    def value_size(self, word, sort: Sort) -> int:
+        return len(word)
 
     def words(self, context: Context, bound: int):
         letters = []
@@ -166,79 +135,44 @@ class WordEngine(Engine):
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         if sort != self.sort:
             return []
-        return [self.from_word(w) for w in self.words(context, bound)]
+        return [self.render(w, sort) for w in self.words(context, bound)]
 
 
 class GroupActionEngine(Engine):
     """Reduced group words acting on point variables: the value of an
-    action-sort term is a (reduced word, point) pair."""
+    action-sort term is a (reduced word, point) pair, the value of a
+    group-sort term its reduced word."""
 
     exact = True
+    normalize = Engine.normalize
 
     def __init__(self, word_engine: WordEngine, x_sort: Sort, act: OpSymbol):
         self.wordeng = word_engine
         self.x_sort = x_sort
         self.act = act
-        self._vcache: dict = {}
 
-    def to_pair(self, term: Term):
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
-            return ((), term)
+            if env is not None:
+                return env[term.name]
+            return ((term, 1),) if term.sort == self.wordeng.sort else ((), term)
         if term.op.name == self.act.name:
-            word = self.wordeng.to_word(term.args[0])
-            inner_word, point = self.to_pair(term.args[1])
-            return (self.wordeng._reduce(word + inner_word), point)
-        raise UnknownSymbol(f"unknown action-sort op {term.op.name!r}")
+            word = self.wordeng.value(term.args[0], env)
+            inner, point = self.value(term.args[1], env)
+            return (self.wordeng._reduce(word + inner), point)
+        return self.wordeng.value(term, env)
 
-    def from_pair(self, pair) -> Term:
-        word, point = pair
+    def render(self, value, sort: Sort) -> Term:
+        if sort == self.wordeng.sort:
+            return self.wordeng.render(value, sort)
+        word, point = value
         term = point
         for letter in reversed(word):
             term = App(self.act, (self.wordeng.letter_term(letter), term))
         return term
 
-    def normalize(self, term: Term) -> Term:
-        sort = term.sort if isinstance(term, Var) else term.op.codomain
-        if sort == self.x_sort:
-            return self.from_pair(self.to_pair(term))
-        return self.wordeng.normalize(term)
-
-    def size(self, term: Term) -> int:
-        sort = term.sort if isinstance(term, Var) else term.op.codomain
-        if sort == self.x_sort:
-            return len(self.to_pair(term)[0])
-        return self.wordeng.size(term)
-
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
-
-    def _value_of(self, term: Term):
-        v = self._vcache.get(term)
-        if v is None:
-            sort = term.sort if isinstance(term, Var) else term.op.codomain
-            v = self.to_pair(term) if sort == self.x_sort else self.wordeng.to_word(term)
-            self._vcache[term] = v
-        return v
-
-    def _subst_value(self, term: Term, env: dict):
-        if isinstance(term, Var):
-            return env[term.name]
-        if term.op.name == self.act.name:
-            word = self.wordeng.subst_word(term.args[0], env)
-            inner, point = self._subst_value(term.args[1], env)
-            return (self.wordeng._reduce(word + inner), point)
-        return self.wordeng.subst_word(term, env)
-
-    def compose_tuple(self, gterms, fterms):
-        env = {f"v{i+1}": self._value_of(t) for i, t in enumerate(fterms)}
-        out = []
-        for t in gterms:
-            sort = t.sort if isinstance(t, Var) else t.op.codomain
-            if sort == self.x_sort:
-                out.append(self.from_pair(self._subst_value(t, env)))
-            else:
-                out.append(self.wordeng.from_word(self.wordeng.subst_word(t, env)))
-        return tuple(out)
+    def value_size(self, value, sort: Sort) -> int:
+        return len(value) if sort == self.wordeng.sort else len(value[0])
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         if sort == self.wordeng.sort:
@@ -247,7 +181,7 @@ class GroupActionEngine(Engine):
             return []
         points = [v for v in context.vars if v.sort == self.x_sort]
         words = self.wordeng.words(context, bound)
-        return [self.from_pair((w, p)) for p in points for w in words]
+        return [self.render((w, p), sort) for p in points for w in words]
 
 
 class RingModuleEngine(Engine):
@@ -260,28 +194,44 @@ class RingModuleEngine(Engine):
     """
 
     exact = True
+    normalize = Engine.normalize
 
     def __init__(self, r_sort, m_sort, add, mul, neg, zero, one, madd, mneg, mzero, smul):
         self.r_sort, self.m_sort = r_sort, m_sort
         self.add, self.mul, self.neg, self.zero, self.one = add, mul, neg, zero, one
         self.madd, self.mneg, self.mzero, self.smul = madd, mneg, mzero, smul
 
-    # -- ring values ---------------------------------------------------
-    def to_poly(self, term: Term) -> dict:
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
-            return {((term, 1),): 1}
+            if env is not None:
+                return env[term.name]
+            return {((term, 1),): 1} if term.sort == self.r_sort else {((), term): 1}
         name = term.op.name
-        if name == self.zero.name:
+        args = term.args
+        if name == self.zero.name or name == self.mzero.name:
             return {}
         if name == self.one.name:
             return {(): 1}
-        if name == self.add.name:
-            return _poly_add(self.to_poly(term.args[0]), self.to_poly(term.args[1]))
-        if name == self.neg.name:
-            return {m: -c for m, c in self.to_poly(term.args[0]).items()}
+        if name == self.add.name or name == self.madd.name:
+            return _poly_add(self.value(args[0], env), self.value(args[1], env))
+        if name == self.neg.name or name == self.mneg.name:
+            return {k: -c for k, c in self.value(args[0], env).items()}
         if name == self.mul.name:
-            return _poly_mul(self.to_poly(term.args[0]), self.to_poly(term.args[1]))
-        raise UnknownSymbol(f"unknown ring op {name!r}")
+            return _poly_mul(self.value(args[0], env), self.value(args[1], env))
+        if name == self.smul.name:
+            poly = self.value(args[0], env)
+            mod = self.value(args[1], env)
+            out: dict = {}
+            for pm, pc in poly.items():
+                for (mm, pt), mc in mod.items():
+                    key = (_mono_mul(pm, mm), pt)
+                    c = out.get(key, 0) + pc * mc
+                    if c:
+                        out[key] = c
+                    else:
+                        out.pop(key, None)
+            return out
+        raise UnknownSymbol(f"unknown ring-module op {name!r}")
 
     def _mono_base_term(self, mono) -> Term:
         letters = []
@@ -313,32 +263,6 @@ class RingModuleEngine(Engine):
             term = App(self.add, (p, term))
         return term
 
-    # -- module values -------------------------------------------------
-    def to_mod(self, term: Term) -> dict:
-        if isinstance(term, Var):
-            return {((), term): 1}
-        name = term.op.name
-        if name == self.mzero.name:
-            return {}
-        if name == self.madd.name:
-            return _poly_add(self.to_mod(term.args[0]), self.to_mod(term.args[1]))
-        if name == self.mneg.name:
-            return {k: -c for k, c in self.to_mod(term.args[0]).items()}
-        if name == self.smul.name:
-            poly = self.to_poly(term.args[0])
-            mod = self.to_mod(term.args[1])
-            out: dict = {}
-            for pm, pc in poly.items():
-                for (mm, pt), mc in mod.items():
-                    key = (_mono_mul(pm, mm), pt)
-                    c = out.get(key, 0) + pc * mc
-                    if c:
-                        out[key] = c
-                    else:
-                        out.pop(key, None)
-            return out
-        raise UnknownSymbol(f"unknown module op {name!r}")
-
     def from_mod(self, val: dict) -> Term:
         if not val:
             return App(self.mzero)
@@ -355,22 +279,17 @@ class RingModuleEngine(Engine):
             term = App(self.madd, (p, term))
         return term
 
-    def normalize(self, term: Term) -> Term:
-        sort = term.sort if isinstance(term, Var) else term.op.codomain
+    def render(self, value, sort: Sort) -> Term:
         if sort == self.r_sort:
-            return self.from_poly(self.to_poly(term))
+            return self.from_poly(value)
         if sort == self.m_sort:
-            return self.from_mod(self.to_mod(term))
+            return self.from_mod(value)
         raise SortMismatch(f"term of unknown sort {sort.name}")
 
-    def size(self, term: Term) -> int:
-        sort = term.sort if isinstance(term, Var) else term.op.codomain
+    def value_size(self, value, sort: Sort) -> int:
         if sort == self.r_sort:
-            return sum(abs(c) + _mono_deg(m) for m, c in self.to_poly(term).items())
-        return sum(abs(c) + _mono_deg(m) for (m, _), c in self.to_mod(term).items())
-
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
+            return sum(abs(c) + _mono_deg(m) for m, c in value.items())
+        return sum(abs(c) + _mono_deg(m) for (m, _), c in value.items())
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         rvars = [v for v in context.vars if v.sort == self.r_sort]
@@ -469,6 +388,7 @@ class OperadEngine(Engine):
     """
 
     exact = True
+    normalize = Engine.normalize
 
     def __init__(self, symmetric: bool, level_cap: int, sorts_by_level: dict,
                  unit: OpSymbol, gammas: dict, perms: dict):
@@ -482,23 +402,22 @@ class OperadEngine(Engine):
         self._perm_by_name = {op.name: key for key, op in perms.items()}
         self._gamma_by_name = {op.name: key for key, op in gammas.items()}
 
-    def level_of_value(self, val):
-        return len(val[1])
-
-    def to_value(self, term: Term):
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
+            if env is not None:
+                return env[term.name]
             k = term.sort.level
             return (("node", term, (LEAF,) * k), tuple(range(1, k + 1)))
         name = term.op.name
         if name == self.unit.name:
             return (LEAF, (1,))
         if name in self._gamma_by_name:
-            p = self.to_value(term.args[0])
-            qs = [self.to_value(a) for a in term.args[1:]]
+            p = self.value(term.args[0], env)
+            qs = [self.value(a, env) for a in term.args[1:]]
             return self.graft(p, qs)
         if name in self._perm_by_name:
             _, sigma = self._perm_by_name[name]
-            tree, labels = self.to_value(term.args[0])
+            tree, labels = self.value(term.args[0], env)
             return (tree, tuple(sigma[l - 1] for l in labels))
         raise UnknownSymbol(f"unknown operad op {name!r}")
 
@@ -540,22 +459,16 @@ class OperadEngine(Engine):
             )
         return App(gamma, (gen, *(self._tree_term(c) for c in children)))
 
-    def from_value(self, val) -> Term:
-        tree, labels = val
+    def render(self, value, sort: Sort) -> Term:
+        tree, labels = value
         term = self._tree_term(tree)
         k = len(labels)
         if self.symmetric and labels != tuple(range(1, k + 1)):
             return App(self.perms[(k, labels)], (term,))
         return term
 
-    def normalize(self, term: Term) -> Term:
-        return self.from_value(self.to_value(term))
-
-    def size(self, term: Term) -> int:
-        return _tree_nodes(self.to_value(term)[0])
-
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
+    def value_size(self, value, sort: Sort) -> int:
+        return _tree_nodes(value[0])
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         level = sort.level
@@ -570,7 +483,7 @@ class OperadEngine(Engine):
             else:
                 vals.append((tree, tuple(range(1, n + 1))))
         vals.sort(key=lambda v: (_tree_nodes(v[0]), _tree_key(v[0]), v[1]))
-        return [self.from_value(v) for v in vals]
+        return [self.render(v, sort) for v in vals]
 
 
 def _tree_leaves(tree) -> int:
@@ -631,6 +544,7 @@ class PathEngine(Engine):
     """Composable edge paths: the free category on context edges."""
 
     exact = True
+    normalize = Engine.normalize
 
     def __init__(self, pair_of_sort: dict, comp_ops: dict, id_ops: dict):
         # pair_of_sort: Sort -> (x, y);  comp_ops: (x, y, z) -> OpSymbol;
@@ -641,21 +555,23 @@ class PathEngine(Engine):
         self._id_by_name = {op.name: x for x, op in id_ops.items()}
         self._comp_by_name = {op.name: key for key, op in comp_ops.items()}
 
-    def to_path(self, term: Term):
+    def value(self, term: Term, env=None):
         if isinstance(term, Var):
+            if env is not None:
+                return env[term.name]
             return (self.pair_of_sort[term.sort], (term,))
         name = term.op.name
         if name in self._id_by_name:
             x = self._id_by_name[name]
             return ((x, x), ())
         if name in self._comp_by_name:
-            (x1, _), e1 = self.to_path(term.args[0])
-            (_, y2), e2 = self.to_path(term.args[1])
+            (x1, _), e1 = self.value(term.args[0], env)
+            (_, y2), e2 = self.value(term.args[1], env)
             return ((x1, y2), e1 + e2)
         raise UnknownSymbol(f"unknown path op {name!r}")
 
-    def from_path(self, path) -> Term:
-        (x, y), edges = path
+    def render(self, value, sort: Sort) -> Term:
+        (x, y), edges = value
         if not edges:
             return App(self.id_ops[x])
         term = edges[-1]
@@ -667,14 +583,8 @@ class PathEngine(Engine):
             term = App(self.comp_ops[(ex, ey, ty)], (e, term))
         return term
 
-    def normalize(self, term: Term) -> Term:
-        return self.from_path(self.to_path(term))
-
-    def size(self, term: Term) -> int:
-        return len(self.to_path(term)[1])
-
-    def equal(self, t1, t2, budget=2):
-        return _exact_equal(self, t1, t2)
+    def value_size(self, value, sort: Sort) -> int:
+        return len(value[1])
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         x, y = self.pair_of_sort[sort]
@@ -697,7 +607,7 @@ class PathEngine(Engine):
 
         extend(x, [])
         paths.sort(key=lambda p: (len(p), tuple(e.name for e in p)))
-        return [self.from_path(((x, y), p)) for p in paths]
+        return [self.render(((x, y), p), sort) for p in paths]
 
 
 class BoundedGenericEngine(Engine):

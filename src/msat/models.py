@@ -31,9 +31,7 @@ from .signature import (
     Var,
     enumerate_raw_terms,
     enumerate_terms,
-    normalize,
     print_term,
-    substitute,
 )
 from .theory_cat import TheoryMorphism, TheoryObject, generating_morphisms, objects_up_to
 
@@ -167,7 +165,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
             for outer in outers:
                 for combo in itertools.product(*(inner[s] for s in shape)):
                     asg = {f"w{i+1}": t for i, t in enumerate(combo)}
-                    flattened = normalize(substitute(outer, asg), alg.doctrine)
+                    flattened = alg.doctrine.engine.substitute((outer,), asg)[0]
                     lhs = evaluate(alg, flattened, env)
                     outer_env = {
                         f"w{i+1}": evaluate(alg, t, env) for i, t in enumerate(combo)

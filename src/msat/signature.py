@@ -223,22 +223,58 @@ class Engine:
     """Normal-form engine interface.
 
     Exact engines decide equality in the free algebra: two terms are
-    equal iff their normal forms coincide.  The generic engine only
-    proves equalities (congruence closure up to a budget) and never
-    separates terms.
+    equal iff their normal forms coincide.  An exact engine supplies
+    three hooks: `value` maps a term to its semantic value, `render`
+    maps a value back to its canonical term, and `value_size` measures
+    a value.  Normalization, size, equality and substitution are
+    derived from them here.  The generic engine only proves equalities
+    (congruence closure up to a budget) and never separates terms.
     """
 
     exact = False
+    _vcache: dict | None = None  # term -> value, for `substitute`
 
-    def normalize(self, term: Term) -> Term:
+    def value(self, term: Term, env: Mapping | None = None):
+        """The semantic value of `term`.  A variable reads its value
+        from `env` (name -> value); without `env` it is its own atom."""
         raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
 
+    def render(self, value, sort: Sort) -> Term:
+        """The canonical term of a value of `sort`."""
+        raise NotImplementedError
+
+    def value_size(self, value, sort: Sort) -> int:
+        """The size of a value of `sort` (word length, node count, ...)."""
+        raise NotImplementedError
+
+    def normalize(self, term: Term) -> Term:
+        return self.render(self.value(term), term.sort)
+
     def size(self, term: Term) -> int:
-        """Size of the term's normal form (word length, node count, ...)."""
-        return term_size(term)
+        """Size of the term's normal form (word length, node count, ...);
+        the syntactic size for engines without values."""
+        if not self.exact:
+            return term_size(term)
+        return self.value_size(self.value(term), term.sort)
 
     def equal(self, t1: Term, t2: Term, budget: int = 2) -> EqResult:
-        raise NotImplementedError
+        return EqResult.EQUAL if self.normalize(t1) == self.normalize(t2) else EqResult.DISTINCT
+
+    def substitute(self, terms, assignment: Mapping[str, Term]) -> tuple:
+        """Normal forms of `terms` after simultaneous substitution,
+        computed on values without building the substituted syntax.
+        Values of the assigned terms are cached per engine."""
+        cache = self._vcache
+        if cache is None:
+            cache = self._vcache = {}
+        value, render = self.value, self.render
+        env = {}
+        for name, t in assignment.items():
+            v = cache.get(t)
+            if v is None:
+                v = cache[t] = value(t)
+            env[name] = v
+        return tuple([render(value(t, env), t.sort) for t in terms])
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         raise UnsupportedDoctrine("doctrine does not support exact enumeration")

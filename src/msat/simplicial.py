@@ -16,7 +16,7 @@ from .diagram import DiagramOnTruncation, product_comparison
 from .errors import InvalidParameter
 from .models import FiniteAlgebra
 from .presentations import AlgebraPresentation, free_presentation
-from .signature import Context, Doctrine, Sort, Term, Var, normalize, substitute
+from .signature import Context, Doctrine, Sort, Term, Var, normalize
 from .theory_cat import TheoryObject, objects_up_to
 
 DEFAULT_DIM_CAP = 3
@@ -611,11 +611,11 @@ class DegreewiseFreeDiagram:
 
     def face_on_term(self, k: int, i: int, term: Term) -> Term:
         ren = self._rename(k, self.Y.faces[(k, i)], k - 1)
-        return normalize(substitute(term, ren), self.doctrine)
+        return self.doctrine.engine.substitute((term,), ren)[0]
 
     def degeneracy_on_term(self, k: int, j: int, term: Term) -> Term:
         ren = self._rename(k, self.Y.degeneracies[(k, j)], k + 1)
-        return normalize(substitute(term, ren), self.doctrine)
+        return self.doctrine.engine.substitute((term,), ren)[0]
 
     def enumerate_value(self, k: int, obj: TheoryObject, bound: int) -> list[tuple]:
         from .signature import enumerate_terms

@@ -128,13 +128,11 @@ def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryM
     """g after f: substitute f's terms into g's variables and normalize."""
     if f.target != g.source:
         raise ObjectMismatch(f"cannot compose: {f.target} != {g.source}")
-    engine = doctrine.engine
-    if doctrine.exact and hasattr(engine, "compose_tuple"):
-        return TheoryMorphism(f.source, g.target, engine.compose_tuple(g.terms, f.terms))
     asg = {f"v{i+1}": t for i, t in enumerate(f.terms)}
-    terms = tuple(substitute(t, asg) for t in g.terms)
     if doctrine.exact:
-        terms = tuple(doctrine.engine.normalize(t) for t in terms)
+        terms = doctrine.engine.substitute(g.terms, asg)
+    else:
+        terms = tuple(substitute(t, asg) for t in g.terms)
     return TheoryMorphism(f.source, g.target, terms)
 
 

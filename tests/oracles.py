@@ -128,3 +128,13 @@ def brute_force_homs(A, B) -> list[tuple]:
                 (s, tuple(sorted(comp[s].items(), key=lambda p: str(p[0])))) for s in sorts
             ))
     return out
+
+
+def compose_by_substitution(doctrine, g, f) -> tuple:
+    """g after f on syntax: substitute f's terms for g's variables, then
+    normalize each component.  Returns (substituted, normal forms)."""
+    from msat.signature import normalize, substitute
+
+    asg = {f"v{i+1}": t for i, t in enumerate(f.terms)}
+    raw = tuple(substitute(t, asg) for t in g.terms)
+    return raw, tuple(normalize(t, doctrine) for t in raw)

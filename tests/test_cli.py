@@ -161,6 +161,33 @@ def test_deep_term_reports_recursion_error():
     assert report["error"].startswith("RecursionError: ")
 
 
+@pytest.mark.parametrize("argv, diagram, error", [
+    (["hom", "--theory", "builtin:operad-nonsigma:x", "--from", "O1", "--to", "O1"],
+     None, "ValueError: "),
+    (["rigidify", "--theory", "builtin:trivial"], "", "JSONDecodeError: "),
+    (["rigidify", "--theory", "builtin:trivial"], "{}", "KeyError: "),
+])
+def test_stray_exception_reports_its_type(tmp_path, argv, diagram, error):
+    if diagram is not None:
+        path = tmp_path / "diagram.json"
+        path.write_text(diagram)
+        argv = argv + ["--diagram", str(path)]
+    report, code = run(argv)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"].startswith(error)
+
+
+@pytest.mark.parametrize("flag", ["--size", "--object-bound", "--dim-cap", "--model-bound",
+                                  "--budget"])
+def test_negative_bound_is_usage_error(flag):
+    report, code = run(["hom", "--theory", "builtin:group", "--from", "G", "--to", "G",
+                        flag, "-1"])
+    assert code == 2 and report == {"verb": "hom", "verdict": "error", "error": "usage"}
+    report, code = run(["hom", "--theory", "builtin:group", "--from", "G", "--to", "G",
+                        flag, "0"])
+    assert code == 0
+
+
 def test_free_verb():
     report, code = run([
         "free", "--theory", "builtin:group", "--sort", "G",

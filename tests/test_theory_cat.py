@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msat.builtins import builtin_doctrine
 from msat.errors import IndexOutOfRange, ObjectMismatch, SourceMismatch
-from msat.signature import App, Var, print_term
+from msat.signature import App, EqResult, Var, print_term
 from msat.theory_cat import (
     TERMINAL,
     TheoryObject,
@@ -20,7 +22,7 @@ from msat.theory_cat import (
     variable_morphisms,
 )
 
-from oracles import count_reduced_strings, trivial_homset
+from oracles import compose_by_substitution, count_reduced_strings, trivial_homset
 
 
 def test_object_canonical_order(action):
@@ -229,3 +231,60 @@ def test_tuple_mixed_sorts_tracks_positions(action):
     # stable order: f1's G slot, then f2's G slot, then f1's X slot
     assert compose(action, projection(paired.target, [1, 3]), paired) == f1
     assert compose(action, projection(paired.target, [2]), paired) == f2
+
+
+BUILTINS = [
+    ("trivial", {}),
+    ("monoid", {}),
+    ("group", {}),
+    ("group-action", {}),
+    ("ring-module", {}),
+    ("operad-nonsigma", {"level_cap": 3}),
+    ("operad-symmetric", {"level_cap": 3}),
+    ("ocat", {"objects": ("x", "y"), "edges": (("f", "x", "y"), ("g", "y", "x"))}),
+]
+
+
+def _composable_pairs(doctrine, budget=20000, seed=0):
+    """(g, f) pairs over every triple of objects of size <= 2 with hom
+    sets at bound 2: all pairs of a triple, or a seeded sample of them
+    when there are more than the triple's share of the budget."""
+    objs = objects_up_to(doctrine, 2)
+    triples = list(itertools.product(objs, repeat=3))
+    share = max(1, budget // len(triples))
+    rng = random.Random(seed)
+    homs = {}
+
+    def hom(a, b):
+        if (a, b) not in homs:
+            homs[(a, b)] = hom_enumerate(a, b, doctrine, 2)
+        return homs[(a, b)]
+
+    for a, b, c in triples:
+        fs, gs = hom(a, b), hom(b, c)
+        n = len(fs) * len(gs)
+        picks = range(n) if n <= share else sorted(rng.sample(range(n), share))
+        for i in picks:
+            yield gs[i % len(gs)], fs[i // len(gs)]
+
+
+@pytest.mark.parametrize("name, kw", BUILTINS, ids=[name for name, _ in BUILTINS])
+def test_compose_matches_substitution(name, kw):
+    """Composition on values gives the normal forms of substitution on
+    syntax, in slot order, and size/equal agree with those normal forms."""
+    doctrine = builtin_doctrine(name, **kw)
+    engine = doctrine.engine
+    prev = None
+    count = 0
+    for g, f in _composable_pairs(doctrine):
+        raw, ref = compose_by_substitution(doctrine, g, f)
+        assert compose(doctrine, g, f).terms == ref
+        for r, nf in zip(raw, ref):
+            assert engine.size(r) == engine.size(nf)
+            assert engine.equal(r, nf) is EqResult.EQUAL
+            if prev is not None and prev.sort == nf.sort:
+                same = EqResult.EQUAL if prev == nf else EqResult.DISTINCT
+                assert engine.equal(r, prev) is same
+            prev = nf
+        count += 1
+    assert count > 0

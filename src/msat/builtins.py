@@ -466,7 +466,13 @@ def resolve_builtin(spec: str) -> Doctrine:
     name = parts[1]
     arg = parts[2] if len(parts) > 2 else None
     if name in ("operad-nonsigma", "operad-symmetric"):
-        cap = int(arg) if arg else None
+        try:
+            cap = int(arg) if arg else None
+        except ValueError:
+            raise InvalidParameter(
+                f"bad operad spec {spec!r}; expected builtin:NAME[:CAP] with an integer "
+                "level cap"
+            ) from None
         return builtin_doctrine(name, level_cap=cap)
     if name == "ocat":
         if not arg:

@@ -172,16 +172,18 @@ class DiagramOnTruncation:
 
 
 def product_comparison(X: DiagramOnTruncation, obj: TheoryObject):
-    """(verdict, detail) for the canonical map at one object."""
-    if obj.size == 0:
-        ok = len(X.value(obj)) == 1
-        return ok, {"object": obj.key(), "value": len(X.value(obj)), "product": 1}
-    cmap = X.canonical_map(obj)
+    """(verdict, detail) for the canonical map at one object; the detail
+    says when a projection table is missing or partial."""
     detail = {"object": obj.key(), "value": len(X.value(obj))}
+    if obj.size == 0:
+        detail["product"] = 1
+        return detail["value"] == 1, detail
     prod = X.singleton_product(obj)
     detail["product"] = len(prod)
+    cmap = X.canonical_map(obj)
     if cmap is None:
-        detail["error"] = "projection tables missing"
+        missing = any(X.projection_table(obj, i) is None for i in range(1, obj.size + 1))
+        detail["error"] = "projection tables " + ("missing" if missing else "partial")
         return False, detail
     images = list(cmap.values())
     ok = len(set(images)) == len(images) and set(images) == set(prod)
@@ -222,10 +224,7 @@ def coproduct_diagram(doctrine: Doctrine, summands, object_bound: int,
             vals.extend((i, x) for x in X.value(obj))
         values[obj] = tuple(vals)
     arrows = {}
-    keys = set()
-    for X in summands:
-        keys.update(X.arrows)
-    for m in keys:
+    for m in dict.fromkeys(m for X in summands for m in X.arrows):
         table = {}
         for i, X in enumerate(summands):
             for x, y in X.arrows.get(m, {}).items():

@@ -23,12 +23,11 @@ from .diagram import (
     representable_diagram,
 )
 from .errors import BudgetExhausted, HomEnumerationIncomplete, InvalidParameter, NotFunctorial
-from .models import AlgebraFunctor
+from .models import AlgebraFunctor, check_product_preservation
 from .presentations import AlgebraPresentation, homs_into
 from .search import UnionFind
 from .signature import Doctrine, Sort, Var, substitute
 from .theory_cat import (
-    TERMINAL,
     TheoryMorphism,
     TheoryObject,
     compose,
@@ -68,31 +67,10 @@ def projection_map_set(doctrine: Doctrine, bound: int) -> list[ProjectionMap]:
     return out
 
 
-def check_strictly_local(X: DiagramOnTruncation):
-    """Bijectivity of mapping in along every projection map, which at
-    set level is the canonical map X(T) -> prod X(T_i), plus the
-    terminal condition."""
-    failures = []
-    if len(X.value(TERMINAL)) != 1:
-        failures.append({"object": "", "value": len(X.value(TERMINAL)), "product": 1})
-    for p in projection_map_set(X.doctrine, X.object_bound):
-        tables = [X.arrows.get(m) for m in p.projections]
-        detail = {"object": p.target.key(), "value": len(X.value(p.target))}
-        prod = list(itertools.product(*(X.value(o) for o in p.factors())))
-        detail["product"] = len(prod)
-        if any(t is None for t in tables):
-            detail["error"] = "projection tables missing"
-            failures.append(detail)
-            continue
-        try:
-            images = [tuple(t[x] for t in tables) for x in X.value(p.target)]
-        except KeyError:
-            detail["error"] = "projection tables partial"
-            failures.append(detail)
-            continue
-        if len(set(images)) != len(images) or set(images) != set(prod):
-            failures.append(detail)
-    return (not failures), failures
+# Mapping in along every projection map is bijective exactly when, at
+# set level, every canonical map X(T) -> prod X(T_i) is, plus the
+# terminal condition: strict locality is product preservation.
+check_strictly_local = check_product_preservation
 
 
 # -- exactness of attaching-data enumeration -----------------------------

@@ -1,7 +1,8 @@
 """The finite constraint solver and the union-find behind msat's searches:
 natural transformations, presentation homs and algebra homomorphisms are
 built as `(domains, constraints)` for `solve`; `UnionFind` serves the
-pushout steps and the generic engine's congruence closure.
+pushout steps, the generic engine's congruence closure and the connected
+components of simplicial sets.
 """
 
 from __future__ import annotations

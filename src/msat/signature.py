@@ -10,6 +10,7 @@ equality only up to a budget.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -24,29 +25,48 @@ from .errors import (
 )
 
 
-class Sort:
+class Interned:
+    """Base of the hash-consed value types (Filliatre & Conchon,
+    *Type-safe modular hash-consing*, 2006): constructing one from the
+    fields of a live instance returns that instance, so equality is
+    identity and hashing is by address.  Each subclass keeps its own
+    weak-value table, so an instance nothing else references is freed."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = weakref.WeakValueDictionary()
+
+    @classmethod
+    def _intern(cls, key, **fields):
+        """The live instance under the canonical `key`, else a new one
+        with `fields` set."""
+        obj = cls._table.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            for name, value in fields.items():
+                setattr(obj, name, value)
+            cls._table[key] = obj
+        return obj
+
+
+class Sort(Interned):
     """A type tag for algebra elements.  Operad doctrines tag sorts with
     their arity level; other doctrines leave `level` unset.
 
-    Terms are compared constantly (hom tables, arrow maps, normal-form
-    caches), so this and the other value types below cache their hashes
-    and shortcut equality on identity.
+    Sorts, operation symbols and variables are interned, so the hom
+    tables, arrow maps and normal-form caches that compare them
+    constantly compare by identity.  `App` keeps structural equality:
+    the generic engine builds hundreds of thousands of short-lived
+    applications per query, and a weak table entry per miss costs more
+    than identity saves.
     """
 
-    __slots__ = ("name", "level", "_hash")
+    __slots__ = ("name", "level")
 
-    def __init__(self, name: str, level: int | None = None):
-        self.name = name
-        self.level = level
-        self._hash = hash(("Sort", name, level))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Sort) and self.name == other.name and self.level == other.level
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, name: str, level: int | None = None):
+        return cls._intern((name, level), name=name, level=level)
 
     def __repr__(self):
         return f"Sort({self.name!r})"
@@ -55,29 +75,16 @@ class Sort:
         return self.name
 
 
-class OpSymbol:
-    __slots__ = ("name", "domain", "codomain", "_hash")
+class OpSymbol(Interned):
+    __slots__ = ("name", "domain", "codomain")
 
-    def __init__(self, name: str, domain: tuple, codomain: Sort):
-        self.name = name
-        self.domain = tuple(domain)
-        self.codomain = codomain
-        self._hash = hash(("Op", name, self.domain, codomain))
+    def __new__(cls, name: str, domain: tuple, codomain: Sort):
+        domain = tuple(domain)
+        return cls._intern((name, domain, codomain), name=name, domain=domain, codomain=codomain)
 
     @property
     def arity(self) -> int:
         return len(self.domain)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, OpSymbol)
-            and self.name == other.name
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"OpSymbol({self.name!r})"
@@ -87,21 +94,16 @@ class OpSymbol:
         return f"{self.name} : {dom} -> {self.codomain.name}"
 
 
-class Var:
-    __slots__ = ("name", "sort", "_hash")
+class Var(Interned):
+    __slots__ = ("name", "sort")
 
-    def __init__(self, name: str, sort: Sort):
-        self.name = name
-        self.sort = sort
-        self._hash = hash(("Var", name, sort))
+    def __new__(cls, name: str, sort: Sort):
+        return cls._intern((name, sort), name=name, sort=sort)
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Var) and self.name == other.name and self.sort == other.sort
-        )
-
-    def __hash__(self):
-        return self._hash
+    # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
+    # the identity equality every Interned class inherits is named here.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"Var({self.name!r})"

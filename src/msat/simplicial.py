@@ -12,10 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .diagram import DiagramOnTruncation, product_comparison
+from .diagram import DiagramOnTruncation
 from .errors import InvalidParameter
-from .models import FiniteAlgebra
+from .models import FiniteAlgebra, check_product_preservation
 from .presentations import AlgebraPresentation, free_presentation
+from .search import UnionFind
 from .signature import Context, Doctrine, Sort, Term, Var, normalize
 from .theory_cat import TheoryObject, objects_up_to
 
@@ -110,22 +111,14 @@ class TruncSimplicialSet:
         return [x for x in self.levels[n] if x not in degen]
 
     def pi0_classes(self) -> list[frozenset]:
-        parent = {x: x for x in self.levels[0]}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        """Connected components of the vertices, in first-member order."""
+        uf = UnionFind()
         if self.cap >= 1:
             for e in self.levels[1]:
-                a, b = find(self.faces[(1, 0)][e]), find(self.faces[(1, 1)][e])
-                if a != b:
-                    parent[a] = b
+                uf.union(self.faces[(1, 0)][e], self.faces[(1, 1)][e])
         groups: dict = {}
         for x in self.levels[0]:
-            groups.setdefault(find(x), set()).add(x)
+            groups.setdefault(uf.find(x), set()).add(x)
         return [frozenset(g) for g in groups.values()]
 
 
@@ -398,13 +391,7 @@ def check_strict(X: SimplicialDiagram):
     (level, object) pairs."""
     failures = []
     for n, level in enumerate(X.levels):
-        for obj in level.objects():
-            if obj.size == 1:
-                continue
-            ok, detail = product_comparison(level, obj)
-            if not ok:
-                detail["level"] = n
-                failures.append(detail)
+        failures.extend({**f, "level": n} for f in check_product_preservation(level)[1])
     return (not failures), failures
 
 

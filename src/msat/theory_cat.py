@@ -2,7 +2,9 @@
 
 Objects are finite sort multisets kept in a canonical order; morphisms
 are tuples of normalized terms over the source's standard context
-(v1..vn); composition is substitution followed by normalization.
+(v1..vn); composition is substitution followed by normalization.  Both
+are hash-consed (`signature.Interned`), so equal objects and equal
+morphisms, however they were reached, are the same Python object.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ import itertools
 
 from .errors import IndexOutOfRange, ObjectMismatch, SourceMismatch
 from .signature import (
+    App,
     Context,
     Doctrine,
+    Interned,
     Sort,
     Var,
     enumerate_terms,
@@ -22,27 +26,18 @@ from .signature import (
 )
 
 
-class TheoryObject:
+class TheoryObject(Interned):
     """A finite multiset of sorts; stored canonically sorted by name."""
 
-    __slots__ = ("sorts", "_hash", "_context")
+    __slots__ = ("sorts", "_context")
 
-    def __init__(self, sorts: tuple):
-        self.sorts = tuple(sorted(sorts, key=lambda s: s.name))
-        self._hash = hash(("TObj", self.sorts))
-        self._context = None
+    def __new__(cls, sorts: tuple):
+        sorts = tuple(sorted(sorts, key=lambda s: s.name))
+        return cls._intern(sorts, sorts=sorts, _context=None)
 
     @classmethod
     def of(cls, *sorts: Sort) -> "TheoryObject":
-        return cls(tuple(sorts))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, TheoryObject) and self.sorts == other.sorts
-        )
-
-    def __hash__(self):
-        return self._hash
+        return cls(sorts)
 
     @property
     def size(self) -> int:
@@ -71,28 +66,19 @@ class TheoryObject:
 TERMINAL = TheoryObject(())
 
 
-class TheoryMorphism:
+class TheoryMorphism(Interned):
     """A tuple of terms over the source context, one per target slot."""
 
-    __slots__ = ("source", "target", "terms", "_hash")
+    __slots__ = ("source", "target", "terms")
 
-    def __init__(self, source: TheoryObject, target: TheoryObject, terms: tuple):
-        self.source = source
-        self.target = target
-        self.terms = tuple(terms)
-        self._hash = hash(("TMor", source, target, self.terms))
+    def __new__(cls, source: TheoryObject, target: TheoryObject, terms: tuple):
+        terms = tuple(terms)
+        return cls._intern((source, target, terms), source=source, target=target, terms=terms)
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, TheoryMorphism)
-            and self._hash == other._hash
-            and self.source == other.source
-            and self.target == other.target
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return self._hash
+    # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
+    # the identity equality every Interned class inherits is named here.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"TheoryMorphism({self!s})"
@@ -237,18 +223,9 @@ def generating_morphisms(doctrine: Doctrine, object_bound: int) -> list[TheoryMo
     operations of arity above the object bound still act)."""
     objs = objects_up_to(doctrine, object_bound)
     out: list[TheoryMorphism] = []
-    seen = set()
-
-    def push(m):
-        key = (m.source, m.target, m.terms)
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-
     for a in objs:
         for b in objs:
-            for m in variable_morphisms(a, b):
-                push(m)
+            out.extend(variable_morphisms(a, b))
     for op in doctrine.ops:
         tgt = TheoryObject.of(op.codomain)
         for src in objs:
@@ -260,16 +237,14 @@ def generating_morphisms(doctrine: Doctrine, object_bound: int) -> list[TheoryMo
                 if set(combo) != set(ctx):
                     continue  # source must be exactly the used variables
                 term = _app_normalized(doctrine, op, combo)
-                push(TheoryMorphism(src, tgt, (term,)))
+                out.append(TheoryMorphism(src, tgt, (term,)))
         if not op.domain:
             term = _app_normalized(doctrine, op, ())
-            push(TheoryMorphism(TERMINAL, tgt, (term,)))
-    return out
+            out.append(TheoryMorphism(TERMINAL, tgt, (term,)))
+    return list(dict.fromkeys(out))
 
 
 def _app_normalized(doctrine, op, args):
-    from .signature import App
-
     t = App(op, tuple(args))
     if doctrine.exact:
         t = doctrine.engine.normalize(t)

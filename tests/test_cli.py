@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -163,7 +164,7 @@ def test_deep_term_reports_recursion_error():
 
 @pytest.mark.parametrize("argv, diagram, error", [
     (["hom", "--theory", "builtin:operad-nonsigma:x", "--from", "O1", "--to", "O1"],
-     None, "ValueError: "),
+     None, "InvalidParameter: "),
     (["rigidify", "--theory", "builtin:trivial"], "", "JSONDecodeError: "),
     (["rigidify", "--theory", "builtin:trivial"], "{}", "KeyError: "),
 ])
@@ -335,14 +336,34 @@ def test_verb_coverage_table():
     assert required <= set(seen), required - set(seen)
 
 
-def test_cross_process_determinism(tmp_path):
+TOY = "<toy diagram>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--theory", "builtin:group", "--from", "G,G", "--to", "G", "--size", "2"],
+    ["hom", "--theory", "builtin:group-action", "--from", "G,X", "--to", "X", "--size", "2"],
+    ["compose", "--theory", "builtin:group-action",
+     "--first", "G,X -> G,X,X : v1;v2;act(v1,v2)",
+     "--second", "G,X,X -> X : act(inv(v1),v3)"],
+    ["rigidify", "--theory", "builtin:trivial", "--diagram", TOY],
+    ["localize", "--theory", "builtin:trivial", "--diagram", TOY, "--budget", "6"],
+    ["verify-up", "--theory", "builtin:trivial", "--diagram", TOY],
+    ["strict-check", "--theory", "builtin:trivial", "--diagram", TOY],
+    ["verify-ktk", "--theory", "builtin:group-action", "--object", "G,X"],
+], ids=["hom-group", "hom-group-action", "compose", "rigidify", "localize", "verify-up",
+        "strict-check", "verify-ktk"])
+def test_cross_process_determinism(tmp_path, trivial, argv):
+    """Report bytes do not depend on the hash seed or on object addresses."""
+    if TOY in argv:
+        toy = _toy_diagram_json(tmp_path, trivial)
+        argv = [toy if a == TOY else a for a in argv]
     outs = []
-    for _ in range(2):
+    for seed in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-m", "msat.cli", "hom", "--theory", "builtin:group",
-             "--from", "G,G", "--to", "G", "--size", "2"],
+            [sys.executable, "-m", "msat.cli", *argv],
             capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
         )
-        assert proc.returncode == 0
+        assert proc.returncode in (0, 1), proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]

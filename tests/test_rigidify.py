@@ -93,6 +93,22 @@ class TestStrictlyLocal:
         assert not ok
         assert any(f["object"] == "" for f in failures)
 
+    def test_partial_projection_table_named_on_every_route(self, trivial):
+        from msat.simplicial import SimplicialDiagram, check_strict
+
+        X = toy_diagram(trivial)
+        T2 = TheoryObject.of(trivial.sort("el"), trivial.sort("el"))
+        arrows = dict(X.arrows)
+        arrows[projection(T2, [1])] = {"z": "a"}
+        X2 = DiagramOnTruncation(trivial, 2, 2, X.values, arrows)
+        SD = SimplicialDiagram(trivial, 0, [X2], {}, {}, check=False)
+        for failures in (check_strictly_local(X2)[1], check_product_preservation(X2)[1],
+                         check_strict(SD)[1]):
+            assert [f.get("error") for f in failures] == ["projection tables partial"]
+        del arrows[projection(T2, [1])]
+        X3 = DiagramOnTruncation(trivial, 2, 2, X.values, arrows)
+        assert check_product_preservation(X3)[1][0]["error"] == "projection tables missing"
+
     def test_agrees_with_product_preservation_fuzzed(self, trivial):
         rng = make_rng(5)
         for _ in range(60):

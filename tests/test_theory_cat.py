@@ -1,14 +1,17 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from msat.builtins import builtin_doctrine
 from msat.errors import IndexOutOfRange, ObjectMismatch, SourceMismatch
-from msat.signature import App, EqResult, Var, print_term
+from msat.signature import App, EqResult, OpSymbol, Sort, Var, print_term
 from msat.theory_cat import (
     TERMINAL,
+    TheoryMorphism,
     TheoryObject,
     compose,
     hom_enumerate,
@@ -288,3 +291,59 @@ def test_compose_matches_substitution(name, kw):
             prev = nf
         count += 1
     assert count > 0
+
+
+# -- interning -----------------------------------------------------------
+
+
+def _same_objects(xs, ys):
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def test_equal_constructions_are_identical(group):
+    from msat.dsl import parse_theory, print_theory
+
+    again = builtin_doctrine("group")
+    parsed = parse_theory(print_theory(group))
+    G = group.sort("G")
+    for other in (again, parsed):
+        assert _same_objects(group.sorts, other.sorts)
+        assert _same_objects(group.ops, other.ops)
+    assert Sort("G") is G and Sort("G", level=1) is not G
+    assert OpSymbol("inv", [G], G) is group.op("inv")
+    assert Var("a", G) is Var("a", G) and Var("a", G) is not Var("b", G)
+    assert TheoryObject.of(G, G) is TheoryObject((G, G))
+    src, tgt = TheoryObject.of(G, G), TheoryObject.of(G)
+    first = hom_enumerate(src, tgt, group, 2)
+    assert len(first) == 17 and _same_objects(first, hom_enumerate(src, tgt, again, 2))
+    for cls in (Sort, OpSymbol, Var, TheoryObject, TheoryMorphism):
+        assert cls.__hash__ is object.__hash__ and "_hash" not in cls.__slots__
+
+
+def test_equal_composites_are_identical(group):
+    G = group.sort("G")
+    objs = [TheoryObject.of(G), TheoryObject.of(G, G)]
+    homs = {(a, b): hom_enumerate(a, b, group, 1) for a in objs for b in objs}
+    by_fields = {}
+    pairs = 0
+    for a, b, c in itertools.product(objs, repeat=3):
+        for f in homs[(a, b)]:
+            for g in homs[(b, c)]:
+                h = compose(group, g, f)
+                first = by_fields.setdefault((h.source, h.target, h.terms), h)
+                assert first is h
+                pairs += 1
+    # many (g, f) pairs land on few composites
+    assert len(by_fields) < pairs
+
+
+def test_intern_tables_do_not_pin_memory(action):
+    G, X = action.sort("G"), action.sort("X")
+    homs = hom_enumerate(TheoryObject.of(G, G, X), TheoryObject.of(G, X), action, 1)
+    table = TheoryMorphism._table
+    refs = [weakref.ref(m) for m in homs]
+    size = len(table)
+    del homs
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(table) <= size - len(refs)

@@ -148,24 +148,6 @@ class DiagramOnTruncation:
     def projection_table(self, obj: TheoryObject, i: int):
         return self.arrows.get(projection(obj, [i]))
 
-    def canonical_map(self, obj: TheoryObject):
-        """The projection-induced map X(obj) -> prod_i X(T_sort_i), or
-        None when some projection table is missing/partial."""
-        n = obj.size
-        tables = []
-        for i in range(1, n + 1):
-            t = self.projection_table(obj, i)
-            if t is None:
-                return None
-            tables.append(t)
-        out = {}
-        for x in self.values[obj]:
-            try:
-                out[x] = tuple(t[x] for t in tables)
-            except KeyError:
-                return None
-        return out
-
     def singleton_product(self, obj: TheoryObject):
         factors = [self.values[TheoryObject.of(s)] for s in obj.sorts]
         return list(itertools.product(*factors))
@@ -180,12 +162,15 @@ def product_comparison(X: DiagramOnTruncation, obj: TheoryObject):
         return detail["value"] == 1, detail
     prod = X.singleton_product(obj)
     detail["product"] = len(prod)
-    cmap = X.canonical_map(obj)
-    if cmap is None:
-        missing = any(X.projection_table(obj, i) is None for i in range(1, obj.size + 1))
-        detail["error"] = "projection tables " + ("missing" if missing else "partial")
+    tables = [X.projection_table(obj, i) for i in range(1, obj.size + 1)]
+    if any(t is None for t in tables):
+        detail["error"] = "projection tables missing"
         return False, detail
-    images = list(cmap.values())
+    try:
+        images = [tuple(t[x] for t in tables) for x in X.value(obj)]
+    except KeyError:
+        detail["error"] = "projection tables partial"
+        return False, detail
     ok = len(set(images)) == len(images) and set(images) == set(prod)
     return ok, detail
 

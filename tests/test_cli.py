@@ -223,6 +223,16 @@ def test_strict_check_diagram_route(tmp_path, trivial):
     assert report["data"]["failures"][0]["value"] == 2
 
 
+def test_strict_check_repeated_element_fails(tmp_path, trivial):
+    from test_rigidify import repeated_element_diagram
+
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(diagram_to_data(repeated_element_diagram(trivial))))
+    report, code = run(["strict-check", "--theory", "builtin:trivial", "--diagram", str(path)])
+    assert code == 1
+    assert report["data"]["failures"] == [{"object": "el,el", "value": 2, "product": 1}]
+
+
 def test_simplicial_verbs(tmp_path, trivial):
     from msat.fuzz import product_simplicial_diagram
     from msat.simplicial import standard
@@ -339,20 +349,21 @@ def test_verb_coverage_table():
 TOY = "<toy diagram>"
 
 
-@pytest.mark.parametrize("argv", [
-    ["hom", "--theory", "builtin:group", "--from", "G,G", "--to", "G", "--size", "2"],
-    ["hom", "--theory", "builtin:group-action", "--from", "G,X", "--to", "X", "--size", "2"],
-    ["compose", "--theory", "builtin:group-action",
-     "--first", "G,X -> G,X,X : v1;v2;act(v1,v2)",
-     "--second", "G,X,X -> X : act(inv(v1),v3)"],
-    ["rigidify", "--theory", "builtin:trivial", "--diagram", TOY],
-    ["localize", "--theory", "builtin:trivial", "--diagram", TOY, "--budget", "6"],
-    ["verify-up", "--theory", "builtin:trivial", "--diagram", TOY],
-    ["strict-check", "--theory", "builtin:trivial", "--diagram", TOY],
-    ["verify-ktk", "--theory", "builtin:group-action", "--object", "G,X"],
+@pytest.mark.parametrize("argv, code", [
+    (["hom", "--theory", "builtin:group", "--from", "G,G", "--to", "G", "--size", "2"], 0),
+    (["hom", "--theory", "builtin:group-action", "--from", "G,X", "--to", "X", "--size", "2"],
+     0),
+    (["compose", "--theory", "builtin:group-action",
+      "--first", "G,X -> G,X,X : v1;v2;act(v1,v2)",
+      "--second", "G,X,X -> X : act(inv(v1),v3)"], 0),
+    (["rigidify", "--theory", "builtin:trivial", "--diagram", TOY], 0),
+    (["localize", "--theory", "builtin:trivial", "--diagram", TOY, "--budget", "6"], 0),
+    (["verify-up", "--theory", "builtin:trivial", "--diagram", TOY], 0),
+    (["strict-check", "--theory", "builtin:trivial", "--diagram", TOY], 1),
+    (["verify-ktk", "--theory", "builtin:group-action", "--object", "G,X"], 0),
 ], ids=["hom-group", "hom-group-action", "compose", "rigidify", "localize", "verify-up",
         "strict-check", "verify-ktk"])
-def test_cross_process_determinism(tmp_path, trivial, argv):
+def test_cross_process_determinism(tmp_path, trivial, argv, code):
     """Report bytes do not depend on the hash seed or on object addresses."""
     if TOY in argv:
         toy = _toy_diagram_json(tmp_path, trivial)
@@ -364,6 +375,7 @@ def test_cross_process_determinism(tmp_path, trivial, argv):
             capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": seed},
         )
-        assert proc.returncode in (0, 1), proc.stderr
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout
         outs.append(proc.stdout)
     assert outs[0] == outs[1]

@@ -167,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--object-bound", type=_bound, default=2)
         p.add_argument("--dim-cap", type=_bound, default=3)
         p.add_argument("--model-bound", type=_bound, default=3)
-        p.add_argument("--budget", type=_bound, default=8)
+        p.add_argument("--budget", type=_bound, default=8,
+                       help="rounds of the generic engine's equality check, localization "
+                            "steps, and the depth cap of the structure-map laws (at most 3)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None)
 

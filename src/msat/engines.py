@@ -7,6 +7,10 @@ value back to its canonical term, and `value_size` measures it.  The
 base class derives normalize, size, equal and substitution from them.
 Enumeration produces all normal forms below a size bound in a fixed
 order, so every hom-level API downstream is deterministic.
+
+Theories without an exact engine get `BoundedGenericEngine`, which
+proves equalities by equality saturation on an `EGraph` and answers
+EQUAL or UNKNOWN, never DISTINCT.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .signature import (
     Sort,
     Term,
     Var,
+    term_vars,
 )
 
 LEAF = ("leaf",)
@@ -610,17 +615,169 @@ class PathEngine(Engine):
         return [self.render(((x, y), p), sort) for p in paths]
 
 
+class _Full(Exception):
+    """The e-graph reached its node budget."""
+
+
+class EGraph:
+    """Equivalence classes of terms closed under congruence, in the style
+    of egg (Willsey et al., *egg: Fast and Extensible Equality
+    Saturation*, POPL 2021).
+
+    An e-node is `(op, child classes)`: `op` is an operation symbol, or
+    a `Var` for a leaf.  E-nodes are hash-consed in `memo`, and a class
+    is a root of one `search.UnionFind` over integer class ids.  Unions
+    are deferred: `rebuild` repairs the e-nodes that use a merged class
+    until congruence holds again (Downey, Sethi & Tarjan 1980).  Class
+    ids are allocated in insertion order and only lists and dicts are
+    iterated, so every run builds the same graph.  Adding an e-node
+    beyond `limit` raises `_Full`.
+    """
+
+    def __init__(self):
+        self.limit = None
+        self.uf = UnionFind()
+        self.memo: dict = {}  # e-node -> class
+        self.sorts: list = []  # class id -> sort; one class per e-node ever added
+        self.nodes: dict = {}  # root -> its e-nodes
+        self.parents: dict = {}  # root -> [(e-node, class)] of the e-nodes using it
+        self.pending: list = []  # roots merged since the last rebuild
+
+    def add(self, op, kids: tuple, sort: Sort) -> int:
+        key = (op, tuple([self.uf.find(k) for k in kids]))
+        c = self.memo.get(key)
+        if c is not None:
+            return self.uf.find(c)
+        if self.limit is not None and len(self.sorts) >= self.limit:
+            raise _Full
+        c = self.memo[key] = len(self.sorts)
+        self.sorts.append(sort)
+        self.nodes[c] = [key]
+        self.parents[c] = []
+        for k in key[1]:
+            self.parents[k].append((key, c))
+        return c
+
+    def add_term(self, term: Term, env=None) -> int:
+        """The class of `term`.  A variable is a leaf, or with `env`
+        (name -> class) the class it is bound to."""
+        if isinstance(term, Var):
+            return self.add(term, (), term.sort) if env is None else env[term.name]
+        kids = tuple([self.add_term(a, env) for a in term.args])
+        return self.add(term.op, kids, term.op.codomain)
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge two classes; False if they were one class."""
+        find = self.uf.find
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        self.uf.union(ra, rb)
+        root = find(ra)
+        other = rb if root == ra else ra
+        self.nodes[root] += self.nodes.pop(other)
+        self.parents[root] += self.parents.pop(other)
+        self.pending.append(root)
+        return True
+
+    def rebuild(self):
+        """Restore congruence: re-key the users of every merged class and
+        merge the classes of users that now coincide."""
+        find, memo = self.uf.find, self.memo
+        while self.pending:
+            todo = list(dict.fromkeys([find(c) for c in self.pending]))
+            self.pending = []
+            for c in todo:
+                c = find(c)
+                uses, self.parents[c] = self.parents[c], []
+                for key, _ in uses:
+                    memo.pop(key, None)
+                fresh: dict = {}
+                for (op, kids), user in uses:
+                    key = (op, tuple([find(k) for k in kids]))
+                    if key in fresh:
+                        self.union(fresh[key], user)
+                    fresh[key] = memo[key] = find(user)
+                self.parents[find(c)] += fresh.items()
+
+    def index(self):
+        """Canonicalize the e-nodes of every class; return the classes'
+        e-nodes by operation, `op -> [(class, kids)]`, and the classes by
+        sort.  Call after `rebuild`."""
+        find = self.uf.find
+        by_op: dict = {}
+        by_sort: dict = {}
+        for c, nodes in self.nodes.items():
+            nodes = self.nodes[c] = list(
+                dict.fromkeys([(op, tuple([find(k) for k in kids])) for op, kids in nodes])
+            )
+            by_sort.setdefault(self.sorts[c], []).append(c)
+            for op, kids in nodes:
+                by_op.setdefault(op, []).append((c, kids))
+        return by_op, by_sort
+
+    def match(self, pattern: Term, c: int, env: dict) -> list[dict]:
+        """Every extension of `env` (variable name -> class) under which
+        `pattern` matches class `c`."""
+        if isinstance(pattern, Var):
+            bound = env.get(pattern.name)
+            if bound is None:
+                return [{**env, pattern.name: c}]
+            return [env] if bound == c else []
+        out = []
+        for op, kids in self.nodes[c]:
+            if op is pattern.op:
+                out += self.match_args(pattern.args, kids, env)
+        return out
+
+    def match_args(self, patterns, kids, env: dict) -> list[dict]:
+        envs = [env]
+        for p, k in zip(patterns, kids):
+            envs = [e for env in envs for e in self.match(p, k, env)]
+        return envs
+
+    def step(self, rules) -> bool:
+        """Apply every rule at every match in the graph as it stands, then
+        rebuild; False when that changed nothing (saturation).  A rule is
+        `(source, target, free)`; the `free` variables of the target range
+        over every class of their sort."""
+        by_op, by_sort = self.index()
+        matches = []
+        for source, target, free in rules:
+            if isinstance(source, Var):
+                found = [(c, {source.name: c}) for c in by_sort.get(source.sort, ())]
+            else:
+                found = [
+                    (c, env)
+                    for c, kids in by_op.get(source.op, ())
+                    for env in self.match_args(source.args, kids, {})
+                ]
+            matches += [(c, env, target, free) for c, env in found]
+        size, merged = len(self.sorts), False
+        for c, env, target, free in matches:
+            for values in itertools.product(*[by_sort.get(v.sort, ()) for v in free]):
+                full = env | {v.name: k for v, k in zip(free, values)}
+                merged |= self.union(c, self.add_term(target, full))
+        self.rebuild()
+        return merged or len(self.sorts) > size
+
+
 class BoundedGenericEngine(Engine):
-    """Congruence closure over equation instances generated from the
-    subterms of the two inputs, closed to a fixed instantiation depth.
-    Sound and explicitly incomplete: it never separates terms."""
+    """Equality saturation for theories without an exact engine.
+
+    `equal` puts both terms in an `EGraph` and applies every equation in
+    both directions, by e-matching its source side, for `budget` rounds.
+    It answers EQUAL as soon as the terms share a class, and UNKNOWN at
+    saturation, after the last round, or when the graph reaches
+    `max_nodes` e-nodes.  Sound and explicitly incomplete: it never
+    separates terms.
+    """
 
     exact = False
 
-    def __init__(self, doctrine_ref=None, max_terms: int = 800, max_instances: int = 8000):
+    def __init__(self, doctrine_ref=None, max_nodes: int = 800):
         self._doctrine = doctrine_ref
-        self.max_terms = max_terms
-        self.max_instances = max_instances
+        self.max_nodes = max_nodes
 
     def bind(self, doctrine):
         self._doctrine = doctrine
@@ -630,59 +787,20 @@ class BoundedGenericEngine(Engine):
         doc = self._doctrine
         if doc is None:
             raise UnsupportedDoctrine("generic engine is not bound to a doctrine")
-        pool: list[Term] = []
-        seen: set[Term] = set()
-
-        def add(t: Term):
-            if t in seen or len(pool) >= self.max_terms:
-                return
-            seen.add(t)
-            pool.append(t)
-            if isinstance(t, App):
-                for a in t.args:
-                    add(a)
-
-        add(t1)
-        add(t2)
-        pairs: list[tuple[Term, Term]] = []
-        for _ in range(max(0, budget)):
-            by_sort: dict[Sort, list[Term]] = {}
-            for t in pool:
-                s = t.sort if isinstance(t, Var) else t.op.codomain
-                by_sort.setdefault(s, []).append(t)
-            new_pairs = []
-            for eq in doc.equations:
-                cands = [by_sort.get(v.sort, []) for v in eq.context.vars]
-                if any(not c for c in cands):
-                    continue
-                for combo in itertools.product(*cands):
-                    if len(pairs) + len(new_pairs) >= self.max_instances:
-                        break
-                    asg = {v.name: t for v, t in zip(eq.context.vars, combo)}
-                    from .signature import substitute
-
-                    li = substitute(eq.lhs, asg)
-                    ri = substitute(eq.rhs, asg)
-                    new_pairs.append((li, ri))
-            for li, ri in new_pairs:
-                add(li)
-                add(ri)
-            pairs.extend(new_pairs)
-
-        uf = UnionFind()
-        for li, ri in pairs:
-            if li in seen and ri in seen:
-                uf.union(li, ri)
-        apps = [t for t in pool if isinstance(t, App)]
-        changed = True
-        while changed:
-            changed = False
-            sig: dict[tuple, Term] = {}
-            for t in apps:
-                key = (t.op.name, tuple(uf.find(a) for a in t.args))
-                if key in sig:
-                    if uf.union(t, sig[key]):
-                        changed = True
-                else:
-                    sig[key] = t
-        return EqResult.EQUAL if uf.find(t1) == uf.find(t2) else EqResult.UNKNOWN
+        rules = []
+        for eq in doc.equations:
+            for source, target in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+                bound = term_vars(source)
+                rules.append((source, target,
+                              [v for name, v in term_vars(target).items() if name not in bound]))
+        g = EGraph()
+        c1, c2 = g.add_term(t1), g.add_term(t2)
+        g.limit = self.max_nodes  # the inputs themselves are never cut
+        find = g.uf.find
+        try:
+            for _ in range(budget):
+                if find(c1) == find(c2) or not g.step(rules):
+                    break
+        except _Full:
+            g.rebuild()
+        return EqResult.EQUAL if find(c1) == find(c2) else EqResult.UNKNOWN

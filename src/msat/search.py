@@ -1,7 +1,7 @@
 """The finite constraint solver and the union-find behind msat's searches:
 natural transformations, presentation homs and algebra homomorphisms are
 built as `(domains, constraints)` for `solve`; `UnionFind` serves the
-pushout steps, the generic engine's congruence closure and the connected
+pushout steps, the generic engine's e-graph and the connected
 components of simplicial sets.
 """
 

@@ -39,15 +39,15 @@ class Interned:
         cls._table = weakref.WeakValueDictionary()
 
     @classmethod
-    def _intern(cls, key, **fields):
-        """The live instance under the canonical `key`, else a new one
-        with `fields` set."""
-        obj = cls._table.get(key)
-        if obj is None:
-            obj = object.__new__(cls)
-            for name, value in fields.items():
-                setattr(obj, name, value)
-            cls._table[key] = obj
+    def _intern(cls, key, *values):
+        """A new instance under the canonical `key`, its slots set from
+        `values` in `__slots__` order.  Each `__new__` tries
+        `_table.get(key)` first and calls this only on a miss, so a hit
+        builds nothing (instances are always true)."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            setattr(obj, name, value)
+        cls._table[key] = obj
         return obj
 
 
@@ -57,16 +57,15 @@ class Sort(Interned):
 
     Sorts, operation symbols and variables are interned, so the hom
     tables, arrow maps and normal-form caches that compare them
-    constantly compare by identity.  `App` keeps structural equality:
-    the generic engine builds hundreds of thousands of short-lived
-    applications per query, and a weak table entry per miss costs more
-    than identity saves.
+    constantly compare by identity.  `App` keeps structural equality
+    with a cached hash.
     """
 
     __slots__ = ("name", "level")
 
     def __new__(cls, name: str, level: int | None = None):
-        return cls._intern((name, level), name=name, level=level)
+        key = (name, level)
+        return cls._table.get(key) or cls._intern(key, name, level)
 
     def __repr__(self):
         return f"Sort({self.name!r})"
@@ -80,7 +79,8 @@ class OpSymbol(Interned):
 
     def __new__(cls, name: str, domain: tuple, codomain: Sort):
         domain = tuple(domain)
-        return cls._intern((name, domain, codomain), name=name, domain=domain, codomain=codomain)
+        key = (name, domain, codomain)
+        return cls._table.get(key) or cls._intern(key, name, domain, codomain)
 
     @property
     def arity(self) -> int:
@@ -98,7 +98,8 @@ class Var(Interned):
     __slots__ = ("name", "sort")
 
     def __new__(cls, name: str, sort: Sort):
-        return cls._intern((name, sort), name=name, sort=sort)
+        key = (name, sort)
+        return cls._table.get(key) or cls._intern(key, name, sort)
 
     # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
     # the identity equality every Interned class inherits is named here.
@@ -229,8 +230,9 @@ class Engine:
     three hooks: `value` maps a term to its semantic value, `render`
     maps a value back to its canonical term, and `value_size` measures
     a value.  Normalization, size, equality and substitution are
-    derived from them here.  The generic engine only proves equalities
-    (congruence closure up to a budget) and never separates terms.
+    derived from them here.  The generic engine overrides `equal`: it
+    only proves equalities (equality saturation on an e-graph, up to a
+    round budget and a node budget) and never separates terms.
     """
 
     exact = False

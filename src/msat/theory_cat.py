@@ -33,7 +33,7 @@ class TheoryObject(Interned):
 
     def __new__(cls, sorts: tuple):
         sorts = tuple(sorted(sorts, key=lambda s: s.name))
-        return cls._intern(sorts, sorts=sorts, _context=None)
+        return cls._table.get(sorts) or cls._intern(sorts, sorts, None)
 
     @classmethod
     def of(cls, *sorts: Sort) -> "TheoryObject":
@@ -73,7 +73,8 @@ class TheoryMorphism(Interned):
 
     def __new__(cls, source: TheoryObject, target: TheoryObject, terms: tuple):
         terms = tuple(terms)
-        return cls._intern((source, target, terms), source=source, target=target, terms=terms)
+        key = (source, target, terms)
+        return cls._table.get(key) or cls._intern(key, source, target, terms)
 
     # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
     # the identity equality every Interned class inherits is named here.

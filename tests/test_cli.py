@@ -98,6 +98,42 @@ def test_normalize_unknown_exit_three(tmp_path):
     assert code == 3 and report["verdict"] == "unknown"
 
 
+@pytest.fixture()
+def group_theory_file(tmp_path):
+    path = tmp_path / "group.msat"
+    path.write_text(print_theory(builtin_doctrine("group")))
+    return str(path)
+
+
+@pytest.mark.parametrize("term, other, code", [
+    ("inv(inv(a))", "a", 0),
+    ("mul(a,inv(a))", "e", 0),
+    ("mul(a,b)", "mul(b,a)", 3),
+])
+def test_generic_equal_on_dsl_group(group_theory_file, term, other, code):
+    report, got = run([
+        "normalize", "--theory", group_theory_file, "--context", "a:G, b:G",
+        "--term", term, "--equal-to", other,
+    ])
+    assert got == code
+    assert report["data"]["equality"] == ("equal" if code == 0 else "unknown")
+
+
+def test_generic_unknown_when_never_saturating(tmp_path):
+    """Every round of this theory adds classes; at --budget 8 the node
+    budget ends the search before the rounds do."""
+    path = tmp_path / "grow.msat"
+    path.write_text(
+        "theory grow sorts a op f : a -> a op g : a a -> a "
+        "eq (x:a, y:a) f(x) = f(g(x,y)) end"
+    )
+    report, code = run([
+        "normalize", "--theory", str(path), "--context", "x:a",
+        "--term", "f(x)", "--equal-to", "x", "--budget", "8",
+    ])
+    assert code == 3 and report["verdict"] == "unknown"
+
+
 def test_compose_verb():
     report, code = run([
         "compose", "--theory", "builtin:monoid",
@@ -347,6 +383,7 @@ def test_verb_coverage_table():
 
 
 TOY = "<toy diagram>"
+GROUP = "<group theory>"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -361,13 +398,18 @@ TOY = "<toy diagram>"
     (["verify-up", "--theory", "builtin:trivial", "--diagram", TOY], 0),
     (["strict-check", "--theory", "builtin:trivial", "--diagram", TOY], 1),
     (["verify-ktk", "--theory", "builtin:group-action", "--object", "G,X"], 0),
+    (["normalize", "--theory", GROUP, "--context", "a:G", "--term", "inv(inv(a))",
+      "--equal-to", "a"], 0),
+    (["normalize", "--theory", GROUP, "--context", "a:G, b:G", "--term", "mul(a,b)",
+      "--equal-to", "mul(b,a)"], 3),
 ], ids=["hom-group", "hom-group-action", "compose", "rigidify", "localize", "verify-up",
-        "strict-check", "verify-ktk"])
-def test_cross_process_determinism(tmp_path, trivial, argv, code):
+        "strict-check", "verify-ktk", "generic-equal", "generic-node-budget"])
+def test_cross_process_determinism(tmp_path, trivial, group_theory_file, argv, code):
     """Report bytes do not depend on the hash seed or on object addresses."""
     if TOY in argv:
         toy = _toy_diagram_json(tmp_path, trivial)
         argv = [toy if a == TOY else a for a in argv]
+    argv = [group_theory_file if a == GROUP else a for a in argv]
     outs = []
     for seed in ("1", "2"):
         proc = subprocess.run(

@@ -441,6 +441,44 @@ def test_congruence_closure_agrees_with_engine(group, monoid):
         assert proved == confirmed and proved > 0
 
 
+@pytest.mark.parametrize("ident, floor", [("group", 20), ("monoid", 14), ("ring-module", 40)])
+def test_generic_engine_sound_above_floor(ident, floor):
+    """On a DSL-parsed copy of a built-in theory, every pair of small raw
+    terms that the e-graph proves equal is equal in the exact engine, and
+    one round proves at least `floor` pairs: what instantiating every
+    equation over every combination of subterms proved."""
+    from msat.dsl import parse_theory, print_theory
+
+    exact = builtin_doctrine(ident)
+    doc = parse_theory(print_theory(exact))
+    sort = doc.sorts[0]
+    ctx = Context.of(("a", sort), ("b", sort))
+    terms = enumerate_raw_terms(ctx, sort, doc, 2, cap=40)
+    proved = 0
+    for i, t1 in enumerate(terms):
+        for t2 in terms[i + 1:]:
+            if doc.engine.equal(t1, t2, budget=1) is EqResult.EQUAL:
+                proved += 1
+                assert exact.engine.equal(t1, t2) is EqResult.EQUAL, (t1, t2)
+    assert proved >= floor
+
+
+def test_generic_engine_stops_at_node_budget():
+    """A theory whose e-graph never saturates still gets an answer at any
+    round budget: the node budget stops it."""
+    from msat.dsl import parse_theory
+
+    doc = parse_theory(
+        "theory t sorts a op f : a -> a op g : a a -> a "
+        "eq (x:a, y:a) f(x) = f(g(x,y)) end"
+    )
+    x = Var("x", doc.sort("a"))
+    fx = App(doc.op("f"), (x,))
+    assert terms_equal(fx, x, doc, budget=10**9) is EqResult.UNKNOWN
+    assert terms_equal(fx, App(doc.op("f"), (App(doc.op("g"), (x, x)),)), doc,
+                       budget=10**9) is EqResult.EQUAL
+
+
 @pytest.mark.parametrize("ident", ["monoid", "group"])
 @pytest.mark.parametrize("lhs,rhs", [
     ("mul(mul(a,b),e)", "mul(a,b)"),

@@ -615,6 +615,9 @@ class PathEngine(Engine):
         return [self.render(((x, y), p), sort) for p in paths]
 
 
+_MAX_NODES = 800  # e-node budget of BoundedGenericEngine.equal
+
+
 class _Full(Exception):
     """The e-graph reached its node budget."""
 
@@ -630,12 +633,10 @@ class EGraph:
     are deferred: `rebuild` repairs the e-nodes that use a merged class
     until congruence holds again (Downey, Sethi & Tarjan 1980).  Class
     ids are allocated in insertion order and only lists and dicts are
-    iterated, so every run builds the same graph.  Adding an e-node
-    beyond `limit` raises `_Full`.
+    iterated, so every run builds the same graph.
     """
 
     def __init__(self):
-        self.limit = None
         self.uf = UnionFind()
         self.memo: dict = {}  # e-node -> class
         self.sorts: list = []  # class id -> sort; one class per e-node ever added
@@ -648,8 +649,6 @@ class EGraph:
         c = self.memo.get(key)
         if c is not None:
             return self.uf.find(c)
-        if self.limit is not None and len(self.sorts) >= self.limit:
-            raise _Full
         c = self.memo[key] = len(self.sorts)
         self.sorts.append(sort)
         self.nodes[c] = [key]
@@ -739,8 +738,9 @@ class EGraph:
     def step(self, rules) -> bool:
         """Apply every rule at every match in the graph as it stands, then
         rebuild; False when that changed nothing (saturation).  A rule is
-        `(source, target, free)`; the `free` variables of the target range
-        over every class of their sort."""
+        `(source, target, free)`; the `free` variables range over every
+        class of their sort, so a rule whose free sort has no class never
+        fires.  Raises `_Full` once the graph holds `_MAX_NODES` e-nodes."""
         by_op, by_sort = self.index()
         matches = []
         for source, target, free in rules:
@@ -756,6 +756,8 @@ class EGraph:
         size, merged = len(self.sorts), False
         for c, env, target, free in matches:
             for values in itertools.product(*[by_sort.get(v.sort, ()) for v in free]):
+                if len(self.sorts) >= _MAX_NODES:
+                    raise _Full
                 full = env | {v.name: k for v, k in zip(free, values)}
                 merged |= self.union(c, self.add_term(target, full))
         self.rebuild()
@@ -769,15 +771,16 @@ class BoundedGenericEngine(Engine):
     both directions, by e-matching its source side, for `budget` rounds.
     It answers EQUAL as soon as the terms share a class, and UNKNOWN at
     saturation, after the last round, or when the graph reaches
-    `max_nodes` e-nodes.  Sound and explicitly incomplete: it never
-    separates terms.
+    `_MAX_NODES` e-nodes.  Sound and explicitly incomplete: it never
+    separates terms.  An equation is used only where every variable of
+    its context, named in its sides or not, can be bound to a class: a
+    model may leave a sort empty, and then the equation says nothing.
     """
 
     exact = False
 
-    def __init__(self, doctrine_ref=None, max_nodes: int = 800):
+    def __init__(self, doctrine_ref=None):
         self._doctrine = doctrine_ref
-        self.max_nodes = max_nodes
 
     def bind(self, doctrine):
         self._doctrine = doctrine
@@ -792,10 +795,9 @@ class BoundedGenericEngine(Engine):
             for source, target in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
                 bound = term_vars(source)
                 rules.append((source, target,
-                              [v for name, v in term_vars(target).items() if name not in bound]))
+                              [v for v in eq.context.vars if v.name not in bound]))
         g = EGraph()
         c1, c2 = g.add_term(t1), g.add_term(t2)
-        g.limit = self.max_nodes  # the inputs themselves are never cut
         find = g.uf.find
         try:
             for _ in range(budget):

@@ -119,6 +119,27 @@ def test_generic_equal_on_dsl_group(group_theory_file, term, other, code):
     assert report["data"]["equality"] == ("equal" if code == 0 else "unknown")
 
 
+def test_generic_unknown_when_equation_sort_uninhabited(tmp_path):
+    """`y:b` occurs in neither side, so the equation holds vacuously in a
+    model with an empty carrier for b, where f and g may differ.  The
+    engine uses it only once the query has a term of sort b."""
+    path = tmp_path / "vacuous.msat"
+    path.write_text(
+        "theory t sorts a, b op f : a -> a op g : a -> a op k : a b -> a "
+        "eq (x:a, y:b) f(x) = g(x) end"
+    )
+    report, code = run([
+        "normalize", "--theory", str(path), "--context", "x:a",
+        "--term", "f(x)", "--equal-to", "g(x)",
+    ])
+    assert code == 3 and report["verdict"] == "unknown"
+    report, code = run([
+        "normalize", "--theory", str(path), "--context", "x:a, y:b",
+        "--term", "k(f(x),y)", "--equal-to", "k(g(x),y)",
+    ])
+    assert code == 0 and report["data"]["equality"] == "equal"
+
+
 def test_generic_unknown_when_never_saturating(tmp_path):
     """Every round of this theory adds classes; at --budget 8 the node
     budget ends the search before the rounds do."""

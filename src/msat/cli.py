@@ -10,6 +10,7 @@ The MSAT_SEED environment variable fixes all fuzzing seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -145,7 +146,9 @@ def _bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every `run` shares; parsing leaves no state on it."""
     ap = argparse.ArgumentParser(
         prog="msat",
         description="Workbench for multi-sorted equational theories.",

@@ -7,6 +7,13 @@ product preservation of the induced functor, and the per-sort
 free/forgetful adjunction bijection.  Homomorphisms are enumerated by
 propagating operation tables as constraints (`search.solve`), not by
 walking every family of carrier maps.
+
+`evaluate` checks an environment against the carriers once, on entry,
+and then walks the term unchecked (`_value`); the checks here build
+their environments from the carriers and call `_value` directly.
+`check_monad_laws` memoizes term values for one outer term at a time:
+no memo outlives the call or is kept on the algebra, whose tables may
+change between calls.
 """
 
 from __future__ import annotations
@@ -91,15 +98,36 @@ class Homomorphism:
 
 
 def evaluate(alg: FiniteAlgebra, term: Term, env: dict):
+    """The value of `term` in `alg`, with variables read from `env`.
+
+    Every variable of `term` must be bound in `env` to an element of its
+    sort's carrier.  The bindings are checked once, on entry, in
+    left-to-right order, so the first bad variable raises
+    `UnboundVariable` or `ElementNotInCarrier`; the walk that follows
+    checks nothing.
+    """
+    _check_env(alg, term, env)
+    return _value(alg, term, env)
+
+
+def _check_env(alg: FiniteAlgebra, term: Term, env: dict):
     if isinstance(term, Var):
         if term.name not in env:
             raise UnboundVariable(f"no value for variable {term.name!r}")
         val = env[term.name]
         if val not in alg.carriers[term.sort]:
             raise ElementNotInCarrier(f"{val!r} not in carrier of {term.sort.name}")
-        return val
-    args = tuple(evaluate(alg, a, env) for a in term.args)
-    return alg.tables[term.op.name][args]
+    else:
+        for a in term.args:
+            _check_env(alg, a, env)
+
+
+def _value(alg: FiniteAlgebra, term: Term, env: dict):
+    """`evaluate` without the checks, for an `env` that binds every
+    variable of `term` to an element of its carrier."""
+    if isinstance(term, Var):
+        return env[term.name]
+    return alg.tables[term.op.name][tuple([_value(alg, a, env) for a in term.args])]
 
 
 def check_equations(alg: FiniteAlgebra) -> list:
@@ -111,7 +139,7 @@ def check_equations(alg: FiniteAlgebra) -> list:
         names = [v.name for v in eq.context.vars]
         for combo in itertools.product(*(alg.carriers[s] for s in sorts)):
             env = dict(zip(names, combo))
-            if evaluate(alg, eq.lhs, env) != evaluate(alg, eq.rhs, env):
+            if _value(alg, eq.lhs, env) != _value(alg, eq.rhs, env):
                 bad.append((eq, env))
     return bad
 
@@ -137,6 +165,9 @@ def _carrier_context(alg: FiniteAlgebra):
     return Context(tuple(vars_)), env
 
 
+_MISSING = object()  # memo miss; a carrier element may be None
+
+
 def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
                      outer_cap: int = 160) -> list:
     """The two structure-map laws on the free algebra over the carrier.
@@ -146,6 +177,12 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
     term and renormalizing evaluates to the same thing as evaluating the
     outer term on the elements' values.  Fails exactly when evaluation
     does not factor through normal forms, e.g. on faulted tables.
+
+    Each inner term is evaluated once per call.  For each outer term,
+    its value is computed once per tuple of inner values, and each of
+    its flattened normal forms is evaluated once; every normal form is
+    still computed.  The memos last for one outer term, so memory stays
+    at the size of one outer term's flattenings.
     """
     failures = []
     ctx, env = _carrier_context(alg)
@@ -154,28 +191,41 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
             if evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
                 failures.append({"law": "unit", "sort": s.name, "element": e})
     inner: dict[Sort, list[Term]] = {}
+    inner_values: dict[Sort, list] = {}
     for s in alg.doctrine.sorts:
         inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
+        inner_values[s] = [_value(alg, t, env) for t in inner[s]]
+    substitute = alg.doctrine.engine.substitute
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
     slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
     for shape in slot_shapes:
-        slots = Context(tuple(Var(f"w{i+1}", s) for i, s in enumerate(shape)))
+        names = [f"w{i+1}" for i in range(len(shape))]
+        slots = Context(tuple(Var(n, s) for n, s in zip(names, shape)))
+        combos = [
+            (dict(zip(names, terms)), values)
+            for terms, values in zip(itertools.product(*(inner[s] for s in shape)),
+                                     itertools.product(*(inner_values[s] for s in shape)))
+        ]
         for target in sorts:
             outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=outer_cap)
             for outer in outers:
-                for combo in itertools.product(*(inner[s] for s in shape)):
-                    asg = {f"w{i+1}": t for i, t in enumerate(combo)}
-                    flattened = alg.doctrine.engine.substitute((outer,), asg)[0]
-                    lhs = evaluate(alg, flattened, env)
-                    outer_env = {
-                        f"w{i+1}": evaluate(alg, t, env) for i, t in enumerate(combo)
-                    }
-                    rhs = evaluate(alg, outer, outer_env)
+                flattened_values, composed_values = {}, {}
+                for asg, values in combos:
+                    flattened = substitute((outer,), asg)[0]
+                    lhs = flattened_values.get(flattened, _MISSING)
+                    if lhs is _MISSING:
+                        lhs = flattened_values[flattened] = _value(alg, flattened, env)
+                    rhs = composed_values.get(values, _MISSING)
+                    if rhs is _MISSING:
+                        # checked: a changed table may leave its carrier
+                        rhs = composed_values[values] = evaluate(
+                            alg, outer, dict(zip(names, values))
+                        )
                     if lhs != rhs:
                         failures.append({
                             "law": "assoc",
                             "outer": print_term(outer),
-                            "inner": [print_term(t) for t in combo],
+                            "inner": [print_term(t) for t in asg.values()],
                             "flattened": lhs,
                             "composed": rhs,
                         })
@@ -206,7 +256,7 @@ class AlgebraFunctor:
             table = {}
             for x in self.value(m.source):
                 env = {f"v{i+1}": e for i, e in enumerate(x)}
-                table[x] = tuple(evaluate(self.alg, t, env) for t in m.terms)
+                table[x] = tuple(_value(self.alg, t, env) for t in m.terms)
             self._maps[m] = table
         return self._maps[m]
 

@@ -89,7 +89,7 @@ def homs_into(P: AlgebraPresentation, alg) -> list[dict]:
     from the other side's value; any other relation is checked once its
     generators are fixed (`search.solve`).
     """
-    from .models import evaluate
+    from .models import _value
 
     gens = P.context().vars
     index = {g.name: i for i, g in enumerate(gens)}
@@ -101,14 +101,14 @@ def homs_into(P: AlgebraPresentation, alg) -> list[dict]:
             names = tuple(term_vars(lhs))
 
             def value(*vals):
-                return evaluate(alg, lhs, dict(zip(names, vals)))
+                return _value(alg, lhs, dict(zip(names, vals)))
 
             return value, tuple(index[n] for n in names), index[rhs.name]
         names = tuple({**term_vars(lhs), **term_vars(rhs)})
 
         def holds(*vals):
             env = dict(zip(names, vals))
-            return evaluate(alg, lhs, env) == evaluate(alg, rhs, env)
+            return _value(alg, lhs, env) == _value(alg, rhs, env)
 
         return holds, tuple(index[n] for n in names), None
 

@@ -138,3 +138,92 @@ def compose_by_substitution(doctrine, g, f) -> tuple:
     asg = {f"v{i+1}": t for i, t in enumerate(f.terms)}
     raw = tuple(substitute(t, asg) for t in g.terms)
     return raw, tuple(normalize(t, doctrine) for t in raw)
+
+
+def reference_evaluate(alg, term, env):
+    """Term evaluation by one recursive walk that checks every variable
+    where it meets it: the first unbound variable or element outside its
+    carrier, left to right, raises."""
+    from msat.errors import ElementNotInCarrier, UnboundVariable
+    from msat.signature import Var
+
+    if isinstance(term, Var):
+        if term.name not in env:
+            raise UnboundVariable(f"no value for variable {term.name!r}")
+        val = env[term.name]
+        if val not in alg.carriers[term.sort]:
+            raise ElementNotInCarrier(f"{val!r} not in carrier of {term.sort.name}")
+        return val
+    args = tuple(reference_evaluate(alg, a, env) for a in term.args)
+    return alg.tables[term.op.name][args]
+
+
+def reference_check_equations(alg) -> list:
+    """Every (equation, assignment) violation, by evaluating both sides
+    under every assignment of the equation's context."""
+    bad = []
+    for eq in alg.doctrine.equations:
+        sorts = [v.sort for v in eq.context.vars]
+        names = [v.name for v in eq.context.vars]
+        for combo in itertools.product(*(alg.carriers[s] for s in sorts)):
+            env = dict(zip(names, combo))
+            if reference_evaluate(alg, eq.lhs, env) != reference_evaluate(alg, eq.rhs, env):
+                bad.append((eq, env))
+    return bad
+
+
+def reference_check_monad_laws(alg, depth: int = 3, inner_cap: int = 12,
+                               outer_cap: int = 160) -> list:
+    """The structure-map laws with no memo: every inner term, flattened
+    normal form and outer term is evaluated again for every combination
+    of inner terms.  Same failures, in the same order, with the same stop
+    after more than 20, as `models.check_monad_laws`."""
+    from msat.signature import (
+        Context,
+        Var,
+        enumerate_raw_terms,
+        enumerate_terms,
+        print_term,
+    )
+
+    failures = []
+    vars_, env = [], {}
+    for s in sorted(alg.carriers, key=lambda x: x.name):
+        for e in alg.carriers[s]:
+            v = Var(f"c_{s.name}_{e}", s)
+            vars_.append(v)
+            env[v.name] = e
+    ctx = Context(tuple(vars_))
+    for s in sorted(alg.carriers, key=lambda x: x.name):
+        for e in alg.carriers[s]:
+            if reference_evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
+                failures.append({"law": "unit", "sort": s.name, "element": e})
+    inner = {}
+    for s in alg.doctrine.sorts:
+        inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
+    sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
+    slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
+    for shape in slot_shapes:
+        slots = Context(tuple(Var(f"w{i+1}", s) for i, s in enumerate(shape)))
+        for target in sorts:
+            outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=outer_cap)
+            for outer in outers:
+                for combo in itertools.product(*(inner[s] for s in shape)):
+                    asg = {f"w{i+1}": t for i, t in enumerate(combo)}
+                    flattened = alg.doctrine.engine.substitute((outer,), asg)[0]
+                    lhs = reference_evaluate(alg, flattened, env)
+                    outer_env = {
+                        f"w{i+1}": reference_evaluate(alg, t, env) for i, t in enumerate(combo)
+                    }
+                    rhs = reference_evaluate(alg, outer, outer_env)
+                    if lhs != rhs:
+                        failures.append({
+                            "law": "assoc",
+                            "outer": print_term(outer),
+                            "inner": [print_term(t) for t in combo],
+                            "flattened": lhs,
+                            "composed": rhs,
+                        })
+                        if len(failures) > 20:
+                            return failures
+    return failures

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,22 @@ def test_normalize_verbs():
         "--term", "mul(a,b)", "--equal-to", "mul(b,a)",
     ])
     assert code == 1 and report["data"]["equality"] == "distinct"
+
+
+def test_shared_parser_keeps_nothing_between_runs(capsys):
+    argv = ["normalize", "--theory", "builtin:group", "--context", "a:G",
+            "--term", "mul(a,inv(a))"]
+    first, code = run([*argv, "--equal-to", "e", "--budget", "3"])
+    assert code == 0 and first["data"]["equality"] == "equal"
+    assert first["bounds"]["budget"] == 3
+    second, code = run(argv)
+    assert code == 0 and "equality" not in second["data"]
+    assert second["bounds"]["budget"] == 8
+    for _ in range(2):
+        for flag, printed in (("--help", "usage: msat"), ("--version", "msat ")):
+            report, code = run([flag])
+            assert code == 0 and report["_silent"]
+            assert printed in capsys.readouterr().out
 
 
 def test_normalize_unknown_exit_three(tmp_path):
@@ -351,14 +368,23 @@ def test_out_file_and_text_format(tmp_path):
     assert "format" not in data and "out" not in data
 
 
+def _run_cli_process(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m msat.cli` in a child process that imports the same msat
+    as this one, whether or not PYTHONPATH names its source tree."""
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "msat.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **env},
+    )
+
+
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "msat.cli", "check-theory", "--theory", "builtin:group",
-         "--format", "text"],
-        capture_output=True, text=True,
+    proc = _run_cli_process(
+        ["check-theory", "--theory", "builtin:group", "--format", "text"]
     )
     assert proc.returncode == 0
-    assert proc.stdout.startswith("check-theory: pass")
+    assert proc.stdout.decode().startswith("check-theory: pass")
 
 
 def test_verb_coverage_table():
@@ -433,11 +459,7 @@ def test_cross_process_determinism(tmp_path, trivial, group_theory_file, argv, c
     argv = [group_theory_file if a == GROUP else a for a in argv]
     outs = []
     for seed in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "msat.cli", *argv],
-            capture_output=True,
-            env={**os.environ, "PYTHONHASHSEED": seed},
-        )
+        proc = _run_cli_process(argv, PYTHONHASHSEED=seed)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout
         outs.append(proc.stdout)

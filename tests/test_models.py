@@ -30,7 +30,11 @@ from msat.models import (
 from msat.signature import App, Context, Var, print_term
 from msat.theory_cat import TERMINAL, TheoryMorphism, TheoryObject, hom_enumerate
 
-from oracles import brute_force_homs
+from oracles import (
+    brute_force_homs,
+    reference_check_equations,
+    reference_check_monad_laws,
+)
 
 
 class TestEvaluate:
@@ -61,6 +65,15 @@ class TestEvaluate:
         with pytest.raises(ElementNotInCarrier):
             evaluate(z2, Var("a", G), {"a": 5})
 
+    def test_first_bad_variable_left_to_right_raises(self, group):
+        z2 = cyclic_group(group, 2)
+        G, mul = group.sort("G"), group.op("mul")
+        a, b = Var("a", G), Var("b", G)
+        with pytest.raises(ElementNotInCarrier):
+            evaluate(z2, App(mul, (a, b)), {"a": 5})
+        with pytest.raises(UnboundVariable):
+            evaluate(z2, App(mul, (b, a)), {"a": 5})
+
 
 class TestCheckEquations:
     def test_valid_model_clean(self, group):
@@ -76,6 +89,10 @@ class TestCheckEquations:
 
     def test_trivial_doctrine_no_equations(self, trivial):
         assert check_equations(trivial_model(trivial, 3)) == []
+
+    def test_matches_reference_on_catalog(self):
+        for alg in valid_catalog() + [alg for alg, _desc in faulted_catalog()]:
+            assert check_equations(alg) == reference_check_equations(alg), alg.name
 
 
 class TestMonadLaws:
@@ -94,6 +111,24 @@ class TestMonadLaws:
         assert_catalog_valid()
         for alg, _desc in faulted_catalog():
             assert check_monad_laws(alg, 3), alg.name
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_matches_reference_on_catalog(self, depth):
+        """Same failures, in the same order, as the memo-free reference."""
+        for alg in valid_catalog() + [alg for alg, _desc in faulted_catalog()]:
+            assert check_monad_laws(alg, depth) == reference_check_monad_laws(alg, depth), (
+                alg.name
+            )
+
+    def test_table_changed_between_calls(self, group):
+        z2 = cyclic_group(group, 2)
+        assert check_monad_laws(z2, 3) == []
+        assert check_equations(z2) == []
+        z2.tables["inv"][(1,)] = 0
+        failures = check_monad_laws(z2, 3)
+        assert failures and failures == reference_check_monad_laws(z2, 3)
+        bad = check_equations(z2)
+        assert bad and bad == reference_check_equations(z2)
 
 
 class TestAsFunctor:

@@ -19,6 +19,7 @@ from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
     compose,
+    compose_terms,
     generating_morphisms,
     hom_enumerate,
     identity,
@@ -70,60 +71,93 @@ class DiagramOnTruncation:
         """All morphism actions derivable from the given arrows by
         composition, staying within the term bound.  Returns
         (closure dict, conflicts list); a conflict is a functoriality
-        violation."""
+        violation, each distinct one listed once, in the order found.
+
+        Semi-naive fixpoint (Bancilhon & Ramakrishnan, 1986): rounds
+        visit the composable pairs (f outer, g inner) of a snapshot of
+        the closure, but a pair is composed once and its table is
+        recomputed only when f's or g's table grew since the pair was
+        last evaluated; an unchanged pair could only repeat a merge that
+        already happened.  Keys, table order and the first conflict are
+        those of recomposing every pair each round."""
         if self._closure_cache is not None:
             return self._closure_cache
         closure: dict[TheoryMorphism, dict] = {}
-        conflicts: list[str] = []
+        conflicts: dict[str, None] = {}
+        # clock ticks whenever a table is created or grows; stamp[m] is
+        # the tick of m's last change
+        stamp: dict[TheoryMorphism, int] = {}
+        clock = 0
+
+        def merge(m, table):
+            nonlocal clock
+            existing = closure.get(m)
+            if existing is None:
+                closure[m] = dict(table)
+            else:
+                grew = False
+                for x, y in table.items():
+                    if x in existing:
+                        if existing[x] != y:
+                            conflicts[
+                                f"arrow {m}: composite images disagree at {x!r}: "
+                                f"{existing[x]!r} vs {y!r}"
+                            ] = None
+                    else:
+                        existing[x] = y
+                        grew = True
+                if not grew:
+                    return False
+            clock += 1
+            stamp[m] = clock
+            return True
+
         for obj in self._objects:
-            ident = identity(obj)
-            closure[ident] = {x: x for x in self.values[obj]}
+            merge(identity(obj), {x: x for x in self.values[obj]})
         for m, table in self.arrows.items():
-            self._merge(closure, m, table, conflicts)
+            merge(m, table)
+        # (f, g) -> (tick when last evaluated, g after f); the composite
+        # is None when it exceeds the term bound
+        evaluated: dict[tuple, tuple] = {}
+        fits: dict[TheoryMorphism, bool] = {}
         changed = True
         while changed:
             changed = False
             items = list(closure.items())
+            by_source: dict[TheoryObject, list] = {}
+            for g, gtab in items:
+                by_source.setdefault(g.source, []).append((g, gtab))
             for f, ftab in items:
-                for g, gtab in items:
-                    if f.target != g.source:
-                        continue
-                    h = compose(self.doctrine, g, f)
-                    if self.morphism_size(h) > self.term_bound:
-                        continue
+                for g, gtab in by_source.get(f.target, ()):
+                    seen = evaluated.get((f, g))
+                    if seen is None:
+                        h = compose(self.doctrine, g, f)
+                        ok = fits.get(h)
+                        if ok is None:
+                            ok = fits[h] = self.morphism_size(h) <= self.term_bound
+                        if not ok:
+                            evaluated[(f, g)] = (clock, None)
+                            continue
+                    else:
+                        at, h = seen
+                        if h is None or (stamp[f] <= at and stamp[g] <= at):
+                            continue
+                    # stamped before merging: h may be f or g itself
+                    evaluated[(f, g)] = (clock, h)
                     htab = {}
                     for x, y in ftab.items():
                         if y in gtab:
                             htab[x] = gtab[y]
-                    if not htab:
-                        continue
-                    if self._merge(closure, h, htab, conflicts):
+                    if htab and merge(h, htab):
                         changed = True
-        self._closure_cache = (closure, conflicts)
+        self._closure_cache = (closure, list(conflicts))
         return self._closure_cache
-
-    def _merge(self, closure, m, table, conflicts):
-        if m not in closure:
-            closure[m] = dict(table)
-            return True
-        existing = closure[m]
-        grew = False
-        for x, y in table.items():
-            if x in existing:
-                if existing[x] != y:
-                    conflicts.append(
-                        f"arrow {m}: composite images disagree at {x!r}: "
-                        f"{existing[x]!r} vs {y!r}"
-                    )
-            else:
-                existing[x] = y
-                grew = True
-        return grew
 
     def check_functorial(self):
         """Functoriality on all composable generating pairs whose
         composite stays within bounds; identity arrows must act as the
-        identity.  Returns a list of violation descriptions."""
+        identity.  Returns a list of violation descriptions: the moved
+        identity entries, then each distinct closure conflict once."""
         problems = []
         for m, table in self.arrows.items():
             if m.source == m.target and m == identity(m.source):
@@ -191,9 +225,9 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
         table = {}
         allowed = set(values[w.target])
         for x in values[w.source]:
-            composite = compose(doctrine, w, TheoryMorphism(rep, w.source, x))
-            if composite.terms in allowed:
-                table[x] = composite.terms
+            terms = compose_terms(doctrine, w, x)
+            if terms in allowed:
+                table[x] = terms
         arrows[w] = table
     return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
 

@@ -30,7 +30,7 @@ from .signature import Doctrine, Sort, Var, substitute
 from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
-    compose,
+    compose_terms,
     generating_morphisms,
     hom_enumerate,
     objects_up_to,
@@ -181,8 +181,8 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
         for i, factor in enumerate(factors):
             for obj in X.objects():
                 for f in hom_enumerate(factor, obj, doctrine, s):
-                    b = compose(doctrine, f, p.projections[i])
-                    if b.terms not in rep_sets[obj]:
+                    b = compose_terms(doctrine, f, p.projections[i].terms)
+                    if b not in rep_sets[obj]:
                         continue
                     table = closure.get(f)
                     if table is None or z[i] not in table:
@@ -191,16 +191,16 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
                                 f"no derived action for {f}"
                             )
                         continue
-                    uf.union((obj, ("b", zi, b.terms)), (obj, ("x", table[z[i]])))
+                    uf.union((obj, ("b", zi, b)), (obj, ("x", table[z[i]])))
 
     def member_image(member, w):
         if member[0] == "x":
             img = X.arrows.get(w, {}).get(member[1])
             return None if img is None else ("x", img)
         _, zi, terms = member
-        composite = compose(doctrine, w, TheoryMorphism(p.target, w.source, terms))
-        if composite.terms in rep_sets[w.target]:
-            return ("b", zi, composite.terms)
+        composite = compose_terms(doctrine, w, terms)
+        if composite in rep_sets[w.target]:
+            return ("b", zi, composite)
         return None
 
     return _finish_step(X, "surjectivity", p, membership, uf, member_image, not exact)

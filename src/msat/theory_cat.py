@@ -115,12 +115,17 @@ def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryM
     """g after f: substitute f's terms into g's variables and normalize."""
     if f.target != g.source:
         raise ObjectMismatch(f"cannot compose: {f.target} != {g.source}")
-    asg = {f"v{i+1}": t for i, t in enumerate(f.terms)}
+    return TheoryMorphism(f.source, g.target, compose_terms(doctrine, g, f.terms))
+
+
+def compose_terms(doctrine: Doctrine, g: TheoryMorphism, terms) -> tuple:
+    """The terms of g after the morphism into g's source whose terms are
+    `terms`, without building either morphism.  The caller guarantees
+    that `terms` has one term per slot of g's source, of its sort."""
+    asg = {f"v{i+1}": t for i, t in enumerate(terms)}
     if doctrine.exact:
-        terms = doctrine.engine.substitute(g.terms, asg)
-    else:
-        terms = tuple(substitute(t, asg) for t in g.terms)
-    return TheoryMorphism(f.source, g.target, terms)
+        return doctrine.engine.substitute(g.terms, asg)
+    return tuple(substitute(t, asg) for t in g.terms)
 
 
 def projection(obj: TheoryObject, selection) -> TheoryMorphism:

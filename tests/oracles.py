@@ -227,3 +227,85 @@ def reference_check_monad_laws(alg, depth: int = 3, inner_cap: int = 12,
                         if len(failures) > 20:
                             return failures
     return failures
+
+
+def naive_arrow_closure(X):
+    """The composition closure of a diagram by recomposing every
+    composable pair of the closure each round until a round adds
+    nothing.  Returns (closure dict, conflicts list); a conflict repeats
+    each round it is met again."""
+    from msat.theory_cat import compose, identity
+
+    closure = {}
+    conflicts = []
+    for obj in X.objects():
+        ident = identity(obj)
+        closure[ident] = {x: x for x in X.values[obj]}
+    for m, table in X.arrows.items():
+        _naive_merge(closure, m, table, conflicts)
+    changed = True
+    while changed:
+        changed = False
+        items = list(closure.items())
+        for f, ftab in items:
+            for g, gtab in items:
+                if f.target != g.source:
+                    continue
+                h = compose(X.doctrine, g, f)
+                if X.morphism_size(h) > X.term_bound:
+                    continue
+                htab = {}
+                for x, y in ftab.items():
+                    if y in gtab:
+                        htab[x] = gtab[y]
+                if not htab:
+                    continue
+                if _naive_merge(closure, h, htab, conflicts):
+                    changed = True
+    return closure, conflicts
+
+
+def _naive_merge(closure, m, table, conflicts):
+    if m not in closure:
+        closure[m] = dict(table)
+        return True
+    existing = closure[m]
+    grew = False
+    for x, y in table.items():
+        if x in existing:
+            if existing[x] != y:
+                conflicts.append(
+                    f"arrow {m}: composite images disagree at {x!r}: "
+                    f"{existing[x]!r} vs {y!r}"
+                )
+        else:
+            existing[x] = y
+            grew = True
+    return grew
+
+
+def representable_by_compose(doctrine, rep, object_bound, term_bound):
+    """Values and arrow tables of Hom(rep, -) on the truncation, each
+    image built as a composite morphism."""
+    from msat.theory_cat import (
+        TheoryMorphism,
+        compose,
+        generating_morphisms,
+        hom_enumerate,
+        objects_up_to,
+    )
+
+    values = {
+        obj: tuple(m.terms for m in hom_enumerate(rep, obj, doctrine, term_bound))
+        for obj in objects_up_to(doctrine, object_bound)
+    }
+    arrows = {}
+    for w in generating_morphisms(doctrine, object_bound):
+        allowed = set(values[w.target])
+        table = {}
+        for x in values[w.source]:
+            composite = compose(doctrine, w, TheoryMorphism(rep, w.source, x))
+            if composite.terms in allowed:
+                table[x] = composite.terms
+        arrows[w] = table
+    return values, arrows

@@ -1,0 +1,101 @@
+"""The semi-naive composition closure and term-level composition in
+representable diagrams, against the naive oracles in `oracles.py`."""
+
+import random
+
+import pytest
+
+import msat.diagram as diagram
+from msat.catalog import models_for
+from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
+from msat.models import as_functor
+from msat.theory_cat import TheoryObject, generating_morphisms, objects_up_to
+
+from oracles import naive_arrow_closure, representable_by_compose
+
+# conftest fixtures holding the eight built-in doctrines
+DOCTRINES = ["trivial", "monoid", "group", "action", "ring_module", "operad3", "operad_sym",
+             "ocat"]
+
+
+def assert_same_closure(X):
+    closure, conflicts = X.arrow_closure()
+    want, want_conflicts = naive_arrow_closure(X)
+    assert list(closure) == list(want)
+    for m, table in closure.items():
+        assert list(table.items()) == list(want[m].items()), m
+    assert conflicts == list(dict.fromkeys(want_conflicts))
+
+
+@pytest.mark.parametrize("flavor", ["any", "broken", "nonlocal"])
+def test_closure_matches_naive_on_fuzzed(trivial, flavor):
+    for seed in range(100):
+        assert_same_closure(random_trivial_diagram(make_rng(seed), trivial, flavor))
+
+
+def random_partial_diagram(rng, doctrine):
+    """Up to four values per object and a random partial table on every
+    generating morphism.  Tables here keep growing after their pairs
+    were first evaluated, so a pair must be evaluated again; the fuzzed
+    and catalog diagrams never need that."""
+    values = {
+        obj: tuple(f"{obj.key()}#{i}" for i in range(rng.randint(1, 4)))
+        for obj in objects_up_to(doctrine, 2)
+    }
+    arrows = {
+        m: {x: rng.choice(values[m.target]) for x in values[m.source] if rng.random() < 0.4}
+        for m in generating_morphisms(doctrine, 2)
+    }
+    return diagram.DiagramOnTruncation(doctrine, 2, rng.choice((1, 2)), values, arrows)
+
+
+@pytest.mark.parametrize("name", ["trivial", "monoid", "action"])
+def test_closure_matches_naive_on_partial_tables(request, name):
+    d = request.getfixturevalue(name)
+    for seed in range(60):
+        assert_same_closure(random_partial_diagram(random.Random(seed), d))
+
+
+@pytest.mark.parametrize("name", DOCTRINES)
+def test_closure_matches_naive_on_algebras(request, name):
+    d = request.getfixturevalue(name)
+    alg = models_for(d, 3)[0]
+    assert_same_closure(as_functor(alg, 2))
+    assert_same_closure(twisted_algebra_diagram(make_rng(0), alg, 2, 2, duplicates=1))
+
+
+def test_each_pair_composed_once(ring_module, monkeypatch):
+    X = as_functor(models_for(ring_module, 3)[0], 2)
+    pairs = []
+    compose = diagram.compose
+
+    def counting(doctrine, g, f):
+        pairs.append((g, f))
+        return compose(doctrine, g, f)
+
+    monkeypatch.setattr(diagram, "compose", counting)
+    _, conflicts = X.arrow_closure()
+    assert conflicts == []
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
+def test_broken_diagram_lists_each_conflict_once(trivial):
+    X = random_trivial_diagram(make_rng(0), trivial, "broken")
+    _, naive = naive_arrow_closure(X)
+    conflicts = X.check_functorial()
+    assert len(naive) > len(set(naive))
+    assert len(conflicts) == len(set(conflicts)) == 3
+    assert conflicts[0] == naive[0]
+
+
+@pytest.mark.parametrize("name", DOCTRINES)
+def test_representable_matches_composites(request, name):
+    d = request.getfixturevalue(name)
+    for sort in d.sorts:
+        rep = TheoryObject.of(sort)
+        X = diagram.representable_diagram(d, rep, 2, 2)
+        values, arrows = representable_by_compose(d, rep, 2, 2)
+        assert X.values == values
+        assert list(X.arrows) == list(arrows)
+        for m, table in arrows.items():
+            assert list(X.arrows[m].items()) == list(table.items()), m

@@ -10,10 +10,16 @@ walking every family of carrier maps.
 
 `evaluate` checks an environment against the carriers once, on entry,
 and then walks the term unchecked (`_value`); the checks here build
-their environments from the carriers and call `_value` directly.
-`check_monad_laws` memoizes term values for one outer term at a time:
-no memo outlives the call or is kept on the algebra, whose tables may
-change between calls.
+their environments from the carriers and call `_value` directly.  A
+table that leaves its carrier would make that walk fail with a bare
+KeyError, so `check_monad_laws` validates the tables on entry, and
+`check_equations` and `enumerate_homs` validate them when a lookup
+misses; either way the error is `ElementNotInCarrier`.
+`check_monad_laws` memoizes, for one (slot shape, target sort) at a
+time, the flattened values of each distinct normal form of its outer
+terms and each outer term's composed values.  No memo outlives that
+loop or is kept on the algebra, whose tables may change between calls,
+and the engine's own value cache (`Engine._vcache`) is not touched.
 """
 
 from __future__ import annotations
@@ -132,15 +138,21 @@ def _value(alg: FiniteAlgebra, term: Term, env: dict):
 
 def check_equations(alg: FiniteAlgebra) -> list:
     """Exhaustive check of the doctrine's equations; returns the list of
-    (equation, assignment) violations."""
+    (equation, assignment) violations.  A table that leaves its carrier
+    raises the typed error of `FiniteAlgebra._validate`."""
     bad = []
-    for eq in alg.doctrine.equations:
-        sorts = [v.sort for v in eq.context.vars]
-        names = [v.name for v in eq.context.vars]
-        for combo in itertools.product(*(alg.carriers[s] for s in sorts)):
-            env = dict(zip(names, combo))
-            if _value(alg, eq.lhs, env) != _value(alg, eq.rhs, env):
-                bad.append((eq, env))
+    try:
+        for eq in alg.doctrine.equations:
+            sorts = [v.sort for v in eq.context.vars]
+            names = [v.name for v in eq.context.vars]
+            for combo in itertools.product(*(alg.carriers[s] for s in sorts)):
+                env = dict(zip(names, combo))
+                if _value(alg, eq.lhs, env) != _value(alg, eq.rhs, env):
+                    bad.append((eq, env))
+    except KeyError:
+        # validated only on failure: the normal path stays check-free
+        alg._validate()
+        raise
     return bad
 
 
@@ -176,56 +188,77 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
     (ii) associativity shadow: substituting free-algebra elements into a
     term and renormalizing evaluates to the same thing as evaluating the
     outer term on the elements' values.  Fails exactly when evaluation
-    does not factor through normal forms, e.g. on faulted tables.
+    does not factor through normal forms, e.g. on faulted tables.  The
+    tables are validated on entry, so an entry outside its carrier
+    raises `ElementNotInCarrier` even when no term reaches it.
 
-    Each inner term is evaluated once per call.  For each outer term,
-    its value is computed once per tuple of inner values, and each of
-    its flattened normal forms is evaluated once; every normal form is
-    still computed.  The memos last for one outer term, so memory stays
-    at the size of one outer term's flattenings.
+    Each inner term is evaluated, in the algebra and in the engine, once
+    per call.  Outer terms with the same normal form have the same
+    flattened normal forms, since the engine's values form the free
+    algebra: NF(outer[asg]) = NF(NF(outer)[asg]).  So for each (slot
+    shape, target sort) the flattenings are built once per distinct
+    normal form of the outer terms, and each distinct flattened term is
+    evaluated once per normal form; each outer term's composed value is
+    computed once per tuple of inner values.  No memo outlives one
+    (shape, target) loop, and the flattening calls the engine's hooks
+    directly, so the engine's own cache is left untouched.
     """
+    alg._validate()
     failures = []
     ctx, env = _carrier_context(alg)
     for s in sorted(alg.carriers, key=lambda x: x.name):
         for e in alg.carriers[s]:
             if evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
                 failures.append({"law": "unit", "sort": s.name, "element": e})
+    engine = alg.doctrine.engine
+    value, render = engine.value, engine.render
     inner: dict[Sort, list[Term]] = {}
     inner_values: dict[Sort, list] = {}
+    inner_nf_values: dict[Sort, list] = {}
     for s in alg.doctrine.sorts:
         inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
         inner_values[s] = [_value(alg, t, env) for t in inner[s]]
-    substitute = alg.doctrine.engine.substitute
+        inner_nf_values[s] = [value(t) for t in inner[s]]
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
     slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
     for shape in slot_shapes:
         names = [f"w{i+1}" for i in range(len(shape))]
         slots = Context(tuple(Var(n, s) for n, s in zip(names, shape)))
-        combos = [
-            (dict(zip(names, terms)), values)
-            for terms, values in zip(itertools.product(*(inner[s] for s in shape)),
-                                     itertools.product(*(inner_values[s] for s in shape)))
+        combos = list(zip(
+            itertools.product(*(inner[s] for s in shape)),
+            itertools.product(*(inner_values[s] for s in shape)),
+        ))
+        nf_envs = [
+            dict(zip(names, nf_values))
+            for nf_values in itertools.product(*(inner_nf_values[s] for s in shape))
         ]
         for target in sorts:
             outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=outer_cap)
+            flattened_by_nf = {}  # normal form of an outer -> values, in combos order
             for outer in outers:
-                flattened_values, composed_values = {}, {}
-                for asg, values in combos:
-                    flattened = substitute((outer,), asg)[0]
-                    lhs = flattened_values.get(flattened, _MISSING)
-                    if lhs is _MISSING:
-                        lhs = flattened_values[flattened] = _value(alg, flattened, env)
+                nf = engine.normalize(outer)
+                flattened_values = flattened_by_nf.get(nf)
+                if flattened_values is None:
+                    memo = {}
+                    flattened_values = flattened_by_nf[nf] = []
+                    for venv in nf_envs:
+                        flattened = render(value(nf, venv), target)
+                        lhs = memo.get(flattened, _MISSING)
+                        if lhs is _MISSING:
+                            lhs = memo[flattened] = _value(alg, flattened, env)
+                        flattened_values.append(lhs)
+                composed_values = {}
+                for (terms, values), lhs in zip(combos, flattened_values):
                     rhs = composed_values.get(values, _MISSING)
                     if rhs is _MISSING:
-                        # checked: a changed table may leave its carrier
-                        rhs = composed_values[values] = evaluate(
+                        rhs = composed_values[values] = _value(
                             alg, outer, dict(zip(names, values))
                         )
                     if lhs != rhs:
                         failures.append({
                             "law": "assoc",
                             "outer": print_term(outer),
-                            "inner": [print_term(t) for t in asg.values()],
+                            "inner": [print_term(t) for t in terms],
                             "flattened": lhs,
                             "composed": rhs,
                         })
@@ -287,32 +320,39 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Homomorphism]:
     """All homomorphisms A -> B, in lexicographic order of their images
     (sorts by name, elements in carrier order).  Each operation entry
     op(args) = a of A is the constraint h(a) = op_B(h(args)) for
-    `search.solve`."""
+    `search.solve`.  A table that leaves its carrier raises the typed
+    error of `FiniteAlgebra._validate`."""
     if A.doctrine is not B.doctrine and A.doctrine.name != B.doctrine.name:
         raise DoctrineMismatch("homomorphisms need a common doctrine")
     sorts = sorted(A.carriers, key=lambda s: s.name)
     unknowns = [(s, a) for s in sorts for a in A.carriers[s]]
     index = {u: i for i, u in enumerate(unknowns)}
     domains = [B.carriers[s] for s, _ in unknowns]
-    constraints = []
-    for op in A.doctrine.ops:
-        def op_b(*image, table=B.tables[op.name]):
-            return table[image]
-
-        for args in itertools.product(*(A.carriers[s] for s in op.domain)):
-            constraints.append((
-                op_b,
-                tuple(index[(s, x)] for s, x in zip(op.domain, args)),
-                index[(op.codomain, A.tables[op.name][args])],
-            ))
     out = []
-    for values in solve(domains, constraints):
-        image = dict(zip(unknowns, values))
-        out.append(Homomorphism(A, B, tuple(
-            (s, tuple(sorted(((a, image[(s, a)]) for a in A.carriers[s]),
-                             key=lambda p: str(p[0]))))
-            for s in sorts
-        )))
+    try:
+        constraints = []
+        for op in A.doctrine.ops:
+            def op_b(*image, table=B.tables[op.name]):
+                return table[image]
+
+            for args in itertools.product(*(A.carriers[s] for s in op.domain)):
+                constraints.append((
+                    op_b,
+                    tuple(index[(s, x)] for s, x in zip(op.domain, args)),
+                    index[(op.codomain, A.tables[op.name][args])],
+                ))
+        for values in solve(domains, constraints):
+            image = dict(zip(unknowns, values))
+            out.append(Homomorphism(A, B, tuple(
+                (s, tuple(sorted(((a, image[(s, a)]) for a in A.carriers[s]),
+                                 key=lambda p: str(p[0]))))
+                for s in sorts
+            )))
+    except KeyError:
+        # validated only on failure: the normal path stays check-free
+        A._validate()
+        B._validate()
+        raise
     return out
 
 

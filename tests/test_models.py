@@ -27,7 +27,7 @@ from msat.models import (
     free_algebra,
     identity_hom,
 )
-from msat.signature import App, Context, Var, print_term
+from msat.signature import App, Context, Var, enumerate_raw_terms, enumerate_terms, print_term
 from msat.theory_cat import TERMINAL, TheoryMorphism, TheoryObject, hom_enumerate
 
 from oracles import (
@@ -112,13 +112,65 @@ class TestMonadLaws:
         for alg, _desc in faulted_catalog():
             assert check_monad_laws(alg, 3), alg.name
 
-    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matches_reference_on_catalog(self, depth):
         """Same failures, in the same order, as the memo-free reference."""
         for alg in valid_catalog() + [alg for alg, _desc in faulted_catalog()]:
             assert check_monad_laws(alg, depth) == reference_check_monad_laws(alg, depth), (
                 alg.name
             )
+
+    @pytest.mark.parametrize("name", ["Z4", "Z6", "S3"])
+    def test_matches_reference_on_larger_groups(self, group, name):
+        """S3 is non-abelian, so flattening in the wrong order shows
+        there; the faulted copy makes the failure lists non-empty."""
+        alg = next(m for m in models_for(group, 6) if m.name == name)
+        assert check_monad_laws(alg, 3) == reference_check_monad_laws(alg, 3) == []
+        (G,) = alg.carriers
+        a, b = alg.carriers[G][1:3]
+        alg.tables["mul"][(a, a)] = alg.tables["mul"][(a, b)]
+        failures = check_monad_laws(alg, 3)
+        assert failures and failures == reference_check_monad_laws(alg, 3)
+
+    def test_flattens_each_distinct_normal_form_once(self, group, monkeypatch):
+        """Outer terms with one normal form share their flattenings: the
+        engine renders one flattened term per (distinct normal form,
+        inner tuple), on top of one render per outer term (its normal
+        form) and the renders of the inner enumeration."""
+        z3 = cyclic_group(group, 3)
+        engine, G = group.engine, group.sort("G")
+        renders = 0
+        real_render = engine.render
+
+        def counting_render(value, sort):
+            nonlocal renders
+            renders += 1
+            return real_render(value, sort)
+
+        monkeypatch.setattr(engine, "render", counting_render)
+        ctx = Context(tuple(Var(f"c_G_{e}", G) for e in z3.carriers[G]))
+        inner = len(enumerate_terms(ctx, G, group, 2)[:12])
+        baseline = renders  # the inner enumeration
+        expected = flattenings_per_outer = 0
+        for shape in [(G,), (G, G)]:
+            slots = Context(tuple(Var(f"w{i+1}", s) for i, s in enumerate(shape)))
+            outers = enumerate_raw_terms(slots, G, group, 2, cap=160)
+            nfs = {engine.normalize(o) for o in outers}
+            baseline += len(outers)
+            expected += len(nfs) * inner ** len(shape)
+            flattenings_per_outer += len(outers) * inner ** len(shape)
+        renders = 0
+        assert check_monad_laws(z3, 3) == []
+        assert renders - baseline == expected
+        assert expected < flattenings_per_outer
+
+    def test_leaves_engine_cache_untouched(self):
+        for alg in valid_catalog():
+            engine = alg.doctrine.engine
+            before = None if engine._vcache is None else len(engine._vcache)
+            assert check_monad_laws(alg, 3) == []
+            after = None if engine._vcache is None else len(engine._vcache)
+            assert after == before, alg.name
 
     def test_table_changed_between_calls(self, group):
         z2 = cyclic_group(group, 2)
@@ -129,6 +181,18 @@ class TestMonadLaws:
         assert failures and failures == reference_check_monad_laws(z2, 3)
         bad = check_equations(z2)
         assert bad and bad == reference_check_equations(z2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda alg: check_monad_laws(alg, 3),
+    check_equations,
+    lambda alg: enumerate_homs(alg, alg),
+], ids=["check_monad_laws", "check_equations", "enumerate_homs"])
+def test_table_leaving_carrier_raises_typed_error(group, check):
+    z2 = cyclic_group(group, 2)
+    z2.tables["inv"][(1,)] = 5
+    with pytest.raises(ElementNotInCarrier, match=r"inv\(1,\) = 5"):
+        check(z2)
 
 
 class TestAsFunctor:

@@ -100,7 +100,7 @@ class WordEngine(Engine):
         return v if e == 1 else App(self.inv, (v,))
 
     def render(self, word, sort: Sort) -> Term:
-        # canonical terms are interned: equal words give identical objects
+        # a render memo: terms are interned anyway, this skips rebuilding them
         cached = self._tcache.get(word)
         if cached is not None:
             return cached
@@ -582,9 +582,7 @@ class PathEngine(Engine):
         term = edges[-1]
         for e in reversed(edges[:-1]):
             ex, ey = self.pair_of_sort[e.sort]
-            _, ty = self.pair_of_sort[term.sort] if isinstance(term, Var) else self.pair_of_sort[
-                term.op.codomain
-            ]
+            _, ty = self.pair_of_sort[term.sort]
             term = App(self.comp_ops[(ex, ey, ty)], (e, term))
         return term
 

@@ -14,7 +14,9 @@ their environments from the carriers and call `_value` directly.  A
 table that leaves its carrier would make that walk fail with a bare
 KeyError, so `check_monad_laws` validates the tables on entry, and
 `check_equations` and `enumerate_homs` validate them when a lookup
-misses; either way the error is `ElementNotInCarrier`.
+misses; either way the error is `ElementNotInCarrier`.  A target value
+of `enumerate_homs` outside its carrier would fail a constraint, not a
+lookup, so it checks the target's values on entry.
 `check_monad_laws` memoizes, for one (slot shape, target sort) at a
 time, the flattened values of each distinct normal form of its outer
 terms and each outer term's composed values.  No memo outlives that
@@ -50,14 +52,12 @@ from .theory_cat import TheoryMorphism, TheoryObject, generating_morphisms, obje
 
 
 class FiniteAlgebra:
-    def __init__(self, doctrine: Doctrine, carriers: dict, tables: dict,
-                 name: str = "", validate: bool = True):
+    def __init__(self, doctrine: Doctrine, carriers: dict, tables: dict, name: str = ""):
         self.doctrine = doctrine
         self.carriers = {s: tuple(v) for s, v in carriers.items()}
         self.tables = {op: dict(t) for op, t in tables.items()}
         self.name = name or "model"
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for s in self.doctrine.sorts:
@@ -330,6 +330,11 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Homomorphism]:
     domains = [B.carriers[s] for s, _ in unknowns]
     out = []
     try:
+        # a B value outside its carrier would only fail a constraint and
+        # drop homomorphisms silently, so B's values are checked on entry
+        for op in B.doctrine.ops:
+            if not set(B.tables[op.name].values()).issubset(B.carriers[op.codomain]):
+                B._validate()
         constraints = []
         for op in A.doctrine.ops:
             def op_b(*image, table=B.tables[op.name]):

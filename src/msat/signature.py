@@ -1,6 +1,6 @@
 """Sorted signatures, terms, substitution, and equational presentations.
 
-Terms are immutable trees; every node knows its sort, so most operations
+Terms are interned trees; every node knows its sort, so most operations
 need no explicit context.  A doctrine bundles a presentation (sorts,
 operation symbols, equations) with a normal-form engine.  Built-in
 doctrines carry exact engines (see `engines` / `builtins`); doctrines
@@ -55,10 +55,9 @@ class Sort(Interned):
     """A type tag for algebra elements.  Operad doctrines tag sorts with
     their arity level; other doctrines leave `level` unset.
 
-    Sorts, operation symbols and variables are interned, so the hom
-    tables, arrow maps and normal-form caches that compare them
-    constantly compare by identity.  `App` keeps structural equality
-    with a cached hash.
+    Sorts, operation symbols, variables and terms are interned, so the
+    hom tables, arrow maps and normal-form caches that compare them
+    constantly compare by identity.
     """
 
     __slots__ = ("name", "level")
@@ -110,28 +109,25 @@ class Var(Interned):
         return f"Var({self.name!r})"
 
 
-class App:
-    __slots__ = ("op", "args", "_hash")
+class App(Interned):
+    __slots__ = ("op", "args")
 
+    def __new__(cls, op: OpSymbol, args: tuple = ()):
+        args = tuple(args)
+        key = (op, args)
+        return cls._table.get(key) or cls._intern(key, op, args)
+
+    # perfbench's tracer wraps `__init__` and `__eq__` in the class's own
+    # __dict__; once wrapped, object's `__init__` rejects the arguments.
     def __init__(self, op: OpSymbol, args: tuple = ()):
-        self.op = op
-        self.args = tuple(args)
-        self._hash = hash(("App", op, self.args))
+        pass
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def sort(self) -> Sort:
         return self.op.codomain
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"App({self.op.name!r}, {self.args!r})"
@@ -349,7 +345,7 @@ def typecheck(term: Term, context: Context, doctrine: Doctrine) -> Sort:
                 found=term.sort,
             )
         return term.sort
-    if not doctrine.has_op(term.op.name) or doctrine.op(term.op.name) != term.op:
+    if term.op not in doctrine.ops:
         raise UnknownSymbol(f"op {term.op.name!r} does not belong to doctrine {doctrine.name}")
     if len(term.args) != term.op.arity:
         raise SortMismatch(
@@ -373,7 +369,7 @@ def substitute(term: Term, assignment: Mapping[str, Term]) -> Term:
         if term.name not in assignment:
             raise MissingAssignment(f"no assignment for variable {term.name!r}")
         repl = assignment[term.name]
-        rsort = repl.sort if isinstance(repl, Var) else repl.op.codomain
+        rsort = repl.sort
         if rsort != term.sort:
             raise SortMismatch(
                 f"assignment for {term.name!r} has sort {rsort.name}, expected {term.sort.name}",
@@ -440,17 +436,9 @@ def enumerate_raw_terms(
             for tail in _arg_combos(rest, budget - used, rec):
                 yield (h, *tail)
 
-    result = upto(sort, nodes)
     # dedupe syntactically, keep deterministic order
-    seen = set()
-    unique = []
-    for t in result:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-        if cap is not None and len(unique) >= cap:
-            break
-    return unique
+    unique = list(dict.fromkeys(upto(sort, nodes)))
+    return unique if cap is None else unique[:cap]
 
 
 def __getattr__(name):

@@ -187,7 +187,8 @@ class TestMonadLaws:
     lambda alg: check_monad_laws(alg, 3),
     check_equations,
     lambda alg: enumerate_homs(alg, alg),
-], ids=["check_monad_laws", "check_equations", "enumerate_homs"])
+    lambda alg: enumerate_homs(cyclic_group(alg.doctrine, 2), alg),
+], ids=["check_monad_laws", "check_equations", "enumerate_homs", "enumerate_homs_target"])
 def test_table_leaving_carrier_raises_typed_error(group, check):
     z2 = cyclic_group(group, 2)
     z2.tables["inv"][(1,)] = 5

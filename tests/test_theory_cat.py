@@ -312,11 +312,13 @@ def test_equal_constructions_are_identical(group):
     assert Sort("G") is G and Sort("G", level=1) is not G
     assert OpSymbol("inv", [G], G) is group.op("inv")
     assert Var("a", G) is Var("a", G) and Var("a", G) is not Var("b", G)
+    mul, a, b = group.op("mul"), Var("a", G), Var("b", G)
+    assert App(mul, (a, b)) is App(mul, [a, b]) and App(mul, (a, b)) is not App(mul, (b, a))
     assert TheoryObject.of(G, G) is TheoryObject((G, G))
     src, tgt = TheoryObject.of(G, G), TheoryObject.of(G)
     first = hom_enumerate(src, tgt, group, 2)
     assert len(first) == 17 and _same_objects(first, hom_enumerate(src, tgt, again, 2))
-    for cls in (Sort, OpSymbol, Var, TheoryObject, TheoryMorphism):
+    for cls in (Sort, OpSymbol, Var, App, TheoryObject, TheoryMorphism):
         assert cls.__hash__ is object.__hash__ and "_hash" not in cls.__slots__
 
 
@@ -347,3 +349,15 @@ def test_intern_tables_do_not_pin_memory(action):
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(table) <= size - len(refs)
+    # terms of sorts no other test uses, so no engine cache elsewhere
+    # holds them; the doctrine's equations hold its identity constants
+    paths = builtin_doctrine("ocat", objects=("pin_x", "pin_y"))
+    hxy, hyy = paths.sort("h_pin_x_pin_y"), paths.sort("h_pin_y_pin_y")
+    homs = hom_enumerate(TheoryObject.of(hxy, hyy), TheoryObject.of(hxy), paths, 3)
+    terms = {t for m in homs for t in m.terms if isinstance(t, App)}
+    refs = [weakref.ref(t) for t in terms]
+    size = len(App._table)
+    del paths, homs, terms
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+    assert len(App._table) <= size - len(refs)

@@ -260,7 +260,7 @@ def parse_theory(text: str) -> Doctrine:
         engine,
         meta={"kind": "user"},
     )
-    engine.bind(doc)
+    engine.attach(doc)
     return doc
 
 

@@ -1,10 +1,13 @@
 """Normal-form engines for the built-in doctrines.
 
-Each exact engine implements the three hooks of `signature.Engine`:
+Each exact engine implements the four hooks of `signature.Engine`:
 `value` maps a term to a semantic value (reduced word, polynomial,
-labeled tree, edge path) where equality is literal, `render` maps the
-value back to its canonical term, and `value_size` measures it.  The
-base class derives normalize, size, equal and substitution from them.
+labeled tree, edge path) where equality is literal, `bind` substitutes
+values for the variable atoms of a value (concatenate and reduce words,
+substitute into polynomials, graft trees, concatenate paths), `render`
+maps a value back to its canonical term, and `value_size` measures it.
+The base class derives normalize, size, equal and substitution from
+them.
 Enumeration produces all normal forms below a size bound in a fixed
 order, so every hom-level API downstream is deterministic.
 
@@ -43,10 +46,13 @@ class TrivialEngine(Engine):
     exact = True
     normalize = Engine.normalize
 
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
         if isinstance(term, Var):
-            return term if env is None else env[term.name]
+            return term
         raise UnknownSymbol(f"trivial doctrine has no op {term.op.name!r}")
+
+    def bind(self, value, env, sort: Sort):
+        return env[value.name]
 
     def render(self, value, sort: Sort) -> Term:
         return value
@@ -72,24 +78,42 @@ class WordEngine(Engine):
         self._tcache: dict = {}
 
     # words are tuples of (Var, +1|-1) letters; monoids only use +1
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
         if isinstance(term, Var):
-            return ((term, 1),) if env is None else env[term.name]
+            return ((term, 1),)
         name = term.op.name
         if name == self.unit.name:
             return ()
         if name == self.mul.name:
-            return self._reduce(self.value(term.args[0], env) + self.value(term.args[1], env))
+            return self._reduce(self.value(term.args[0]) + self.value(term.args[1]))
         if self.inv is not None and name == self.inv.name:
-            return tuple((v, -e) for v, e in reversed(self.value(term.args[0], env)))
+            return tuple((v, -e) for v, e in reversed(self.value(term.args[0])))
         raise UnknownSymbol(f"unknown op {name!r} in word engine")
+
+    def bind(self, word, env, sort: Sort):
+        if self.inv is None:
+            out = ()
+            for v, _ in word:
+                out += env[v.name]
+            return out
+        out = []
+        for v, e in word:
+            w = env[v.name]
+            if e == -1:
+                w = [(x, -f) for x, f in reversed(w)]
+            for letter in w:
+                if out and out[-1][0] is letter[0] and out[-1][1] == -letter[1]:
+                    out.pop()
+                else:
+                    out.append(letter)
+        return tuple(out)
 
     def _reduce(self, word):
         if self.inv is None:
             return word
         out = []
         for letter in word:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            if out and out[-1][0] is letter[0] and out[-1][1] == -letter[1]:
                 out.pop()
             else:
                 out.append(letter)
@@ -156,19 +180,29 @@ class GroupActionEngine(Engine):
         self.x_sort = x_sort
         self.act = act
 
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
+        if term.sort is self.wordeng.sort:
+            return self.wordeng.value(term)
         if isinstance(term, Var):
-            if env is not None:
-                return env[term.name]
-            return ((term, 1),) if term.sort == self.wordeng.sort else ((), term)
-        if term.op.name == self.act.name:
-            word = self.wordeng.value(term.args[0], env)
-            inner, point = self.value(term.args[1], env)
-            return (self.wordeng._reduce(word + inner), point)
-        return self.wordeng.value(term, env)
+            return ((), term)
+        if term.op.name != self.act.name:
+            raise UnknownSymbol(f"unknown group-action op {term.op.name!r}")
+        word = self.wordeng.value(term.args[0])
+        inner, point = self.value(term.args[1])
+        return (self.wordeng._reduce(word + inner), point)
+
+    def bind(self, value, env, sort: Sort):
+        wordeng = self.wordeng
+        if sort is wordeng.sort:
+            return wordeng.bind(value, env, sort)
+        word, point = value
+        inner, point = env[point.name]
+        if not word:
+            return (inner, point)
+        return (wordeng._reduce(wordeng.bind(word, env, wordeng.sort) + inner), point)
 
     def render(self, value, sort: Sort) -> Term:
-        if sort == self.wordeng.sort:
+        if sort is self.wordeng.sort:
             return self.wordeng.render(value, sort)
         word, point = value
         term = point
@@ -177,7 +211,7 @@ class GroupActionEngine(Engine):
         return term
 
     def value_size(self, value, sort: Sort) -> int:
-        return len(value) if sort == self.wordeng.sort else len(value[0])
+        return len(value) if sort is self.wordeng.sort else len(value[0])
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         if sort == self.wordeng.sort:
@@ -206,11 +240,9 @@ class RingModuleEngine(Engine):
         self.add, self.mul, self.neg, self.zero, self.one = add, mul, neg, zero, one
         self.madd, self.mneg, self.mzero, self.smul = madd, mneg, mzero, smul
 
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
         if isinstance(term, Var):
-            if env is not None:
-                return env[term.name]
-            return {((term, 1),): 1} if term.sort == self.r_sort else {((), term): 1}
+            return {((term, 1),): 1} if term.sort is self.r_sort else {((), term): 1}
         name = term.op.name
         args = term.args
         if name == self.zero.name or name == self.mzero.name:
@@ -218,25 +250,28 @@ class RingModuleEngine(Engine):
         if name == self.one.name:
             return {(): 1}
         if name == self.add.name or name == self.madd.name:
-            return _poly_add(self.value(args[0], env), self.value(args[1], env))
+            return _poly_add(self.value(args[0]), self.value(args[1]))
         if name == self.neg.name or name == self.mneg.name:
-            return {k: -c for k, c in self.value(args[0], env).items()}
+            return {k: -c for k, c in self.value(args[0]).items()}
         if name == self.mul.name:
-            return _poly_mul(self.value(args[0], env), self.value(args[1], env))
+            return _poly_mul(self.value(args[0]), self.value(args[1]))
         if name == self.smul.name:
-            poly = self.value(args[0], env)
-            mod = self.value(args[1], env)
             out: dict = {}
-            for pm, pc in poly.items():
-                for (mm, pt), mc in mod.items():
-                    key = (_mono_mul(pm, mm), pt)
-                    c = out.get(key, 0) + pc * mc
-                    if c:
-                        out[key] = c
-                    else:
-                        out.pop(key, None)
+            _smul_into(out, self.value(args[0]), self.value(args[1]), 1)
             return out
         raise UnknownSymbol(f"unknown ring-module op {name!r}")
+
+    def bind(self, value, env, sort: Sort):
+        # accumulate in place: a `_poly_add` copy per monomial makes
+        # binding slower than walking the term with the values
+        out: dict = {}
+        if sort is self.r_sort:
+            for mono, c in value.items():
+                _poly_add_into(out, _mono_bind(mono, env), c)
+        else:
+            for (mono, pt), c in value.items():
+                _smul_into(out, _mono_bind(mono, env), env[pt.name], c)
+        return out
 
     def _mono_base_term(self, mono) -> Term:
         letters = []
@@ -328,6 +363,42 @@ def _mono_mul(m1, m2):
     return tuple(sorted(acc.items(), key=lambda p: p[0].name))
 
 
+def _mono_bind(mono, env):
+    """The polynomial of a monomial with env's polynomials for its
+    variables; env's own dict for a lone variable, so read it only."""
+    if len(mono) == 1 and mono[0][1] == 1:
+        return env[mono[0][0].name]
+    out = {(): 1}
+    for v, e in mono:
+        p = env[v.name]
+        for _ in range(e):
+            out = _poly_mul(out, p)
+    return out
+
+
+def _poly_add_into(out, p, scale):
+    """out += scale * p, in place."""
+    for m, c in p.items():
+        s = out.get(m, 0) + scale * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+
+
+def _smul_into(out, poly, mod, scale):
+    """out += scale * (poly . mod) on module values, in place."""
+    for pm, pc in poly.items():
+        pc *= scale
+        for (mm, pt), mc in mod.items():
+            key = (_mono_mul(pm, mm), pt)
+            c = out.get(key, 0) + pc * mc
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+
+
 def _poly_add(p1, p2):
     out = dict(p1)
     for m, c in p2.items():
@@ -407,24 +478,41 @@ class OperadEngine(Engine):
         self._perm_by_name = {op.name: key for key, op in perms.items()}
         self._gamma_by_name = {op.name: key for key, op in gammas.items()}
 
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
         if isinstance(term, Var):
-            if env is not None:
-                return env[term.name]
             k = term.sort.level
             return (("node", term, (LEAF,) * k), tuple(range(1, k + 1)))
         name = term.op.name
         if name == self.unit.name:
             return (LEAF, (1,))
         if name in self._gamma_by_name:
-            p = self.value(term.args[0], env)
-            qs = [self.value(a, env) for a in term.args[1:]]
+            p = self.value(term.args[0])
+            qs = [self.value(a) for a in term.args[1:]]
             return self.graft(p, qs)
         if name in self._perm_by_name:
             _, sigma = self._perm_by_name[name]
-            tree, labels = self.value(term.args[0], env)
+            tree, labels = self.value(term.args[0])
             return (tree, tuple(sigma[l - 1] for l in labels))
         raise UnknownSymbol(f"unknown operad op {name!r}")
+
+    def bind(self, value, env, sort: Sort):
+        tree, labels = value
+        btree, order = self._bind_tree(tree, env)
+        # order[j] is the planar leaf of `tree` that leaf j now stands
+        # for; `labels` numbers those leaves (the identity unless symmetric)
+        if self.symmetric:
+            order = tuple([labels[i - 1] for i in order])
+        return (btree, order)
+
+    def _bind_tree(self, tree, env):
+        """The value of `tree`, leaves numbered in planar order, with
+        env's values grafted in for its generator nodes."""
+        if tree == LEAF:
+            return (LEAF, (1,))
+        _, gen, children = tree
+        if children.count(LEAF) == len(children):
+            return env[gen.name]  # grafting units changes nothing
+        return self.graft(env[gen.name], [self._bind_tree(c, env) for c in children])
 
     def graft(self, p, qs):
         """Attach qs[i-1] onto the leaf of p labeled i."""
@@ -560,20 +648,26 @@ class PathEngine(Engine):
         self._id_by_name = {op.name: x for x, op in id_ops.items()}
         self._comp_by_name = {op.name: key for key, op in comp_ops.items()}
 
-    def value(self, term: Term, env=None):
+    def value(self, term: Term):
         if isinstance(term, Var):
-            if env is not None:
-                return env[term.name]
             return (self.pair_of_sort[term.sort], (term,))
         name = term.op.name
         if name in self._id_by_name:
             x = self._id_by_name[name]
             return ((x, x), ())
         if name in self._comp_by_name:
-            (x1, _), e1 = self.value(term.args[0], env)
-            (_, y2), e2 = self.value(term.args[1], env)
+            (x1, _), e1 = self.value(term.args[0])
+            (_, y2), e2 = self.value(term.args[1])
             return ((x1, y2), e1 + e2)
         raise UnknownSymbol(f"unknown path op {name!r}")
+
+    def bind(self, value, env, sort: Sort):
+        # each edge is replaced by a path between the same objects
+        ends, edges = value
+        out = ()
+        for e in edges:
+            out += env[e.name][1]
+        return (ends, out)
 
     def render(self, value, sort: Sort) -> Term:
         (x, y), edges = value
@@ -780,7 +874,7 @@ class BoundedGenericEngine(Engine):
     def __init__(self, doctrine_ref=None):
         self._doctrine = doctrine_ref
 
-    def bind(self, doctrine):
+    def attach(self, doctrine):
         self._doctrine = doctrine
         return self
 

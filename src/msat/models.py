@@ -17,8 +17,11 @@ KeyError, so `check_monad_laws` validates the tables on entry, and
 misses; either way the error is `ElementNotInCarrier`.  A target value
 of `enumerate_homs` outside its carrier would fail a constraint, not a
 lookup, so it checks the target's values on entry.
-`check_monad_laws` memoizes, for one (slot shape, target sort) at a
-time, the flattened values of each distinct normal form of its outer
+`check_monad_laws` flattens on the engine's values: it binds the value
+of an outer term's normal form to the values of the inner terms
+(`Engine.bind`), the substitution of the free-algebra monad, and
+renders the result.  It memoizes, for one (slot shape, target sort) at
+a time, the flattened values of each distinct normal form of its outer
 terms and each outer term's composed values.  No memo outlives that
 loop or is kept on the algebra, whose tables may change between calls,
 and the engine's own value cache (`Engine._vcache`) is not touched.
@@ -197,11 +200,12 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
     flattened normal forms, since the engine's values form the free
     algebra: NF(outer[asg]) = NF(NF(outer)[asg]).  So for each (slot
     shape, target sort) the flattenings are built once per distinct
-    normal form of the outer terms, and each distinct flattened term is
-    evaluated once per normal form; each outer term's composed value is
-    computed once per tuple of inner values.  No memo outlives one
-    (shape, target) loop, and the flattening calls the engine's hooks
-    directly, so the engine's own cache is left untouched.
+    normal form of the outer terms, each by binding that normal form's
+    value to the inner values and rendering, and each distinct flattened
+    term is evaluated once per normal form; each outer term's composed
+    value is computed once per tuple of inner values.  No memo outlives
+    one (shape, target) loop, and the flattening calls the engine's
+    hooks directly, so the engine's own cache is left untouched.
     """
     alg._validate()
     failures = []
@@ -211,7 +215,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
             if evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
                 failures.append({"law": "unit", "sort": s.name, "element": e})
     engine = alg.doctrine.engine
-    value, render = engine.value, engine.render
+    value, bind, render = engine.value, engine.bind, engine.render
     inner: dict[Sort, list[Term]] = {}
     inner_values: dict[Sort, list] = {}
     inner_nf_values: dict[Sort, list] = {}
@@ -241,8 +245,9 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
                 if flattened_values is None:
                     memo = {}
                     flattened_values = flattened_by_nf[nf] = []
+                    nf_value = value(nf)
                     for venv in nf_envs:
-                        flattened = render(value(nf, venv), target)
+                        flattened = render(bind(nf_value, venv, target), target)
                         lhs = memo.get(flattened, _MISSING)
                         if lhs is _MISSING:
                             lhs = memo[flattened] = _value(alg, flattened, env)

@@ -223,20 +223,28 @@ class Engine:
 
     Exact engines decide equality in the free algebra: two terms are
     equal iff their normal forms coincide.  An exact engine supplies
-    three hooks: `value` maps a term to its semantic value, `render`
-    maps a value back to its canonical term, and `value_size` measures
-    a value.  Normalization, size, equality and substitution are
-    derived from them here.  The generic engine overrides `equal`: it
-    only proves equalities (equality saturation on an e-graph, up to a
-    round budget and a node budget) and never separates terms.
+    four hooks: `value` maps a term to its semantic value (an element
+    of the free algebra on the term's variables), `bind` substitutes
+    values for the variables of a value, `render` maps a value back to
+    its canonical term, and `value_size` measures a value.
+    Normalization, size, equality and substitution are derived from
+    them here; substitution is `bind`, so composing morphisms of the
+    theory category is the free-algebra monad's Kleisli composition on
+    values.  The generic engine overrides `equal`: it only proves
+    equalities (equality saturation on an e-graph, up to a round budget
+    and a node budget) and never separates terms.
     """
 
     exact = False
     _vcache: dict | None = None  # term -> value, for `substitute`
 
-    def value(self, term: Term, env: Mapping | None = None):
-        """The semantic value of `term`.  A variable reads its value
-        from `env` (name -> value); without `env` it is its own atom."""
+    def value(self, term: Term):
+        """The semantic value of `term`; each variable is its own atom."""
+        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
+
+    def bind(self, value, env: Mapping, sort: Sort):
+        """The value of `sort` that replaces every variable atom of
+        `value` by `env[name]` (name -> value)."""
         raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
 
     def render(self, value, sort: Sort) -> Term:
@@ -261,20 +269,37 @@ class Engine:
         return EqResult.EQUAL if self.normalize(t1) == self.normalize(t2) else EqResult.DISTINCT
 
     def substitute(self, terms, assignment: Mapping[str, Term]) -> tuple:
-        """Normal forms of `terms` after simultaneous substitution,
-        computed on values without building the substituted syntax.
-        Values of the assigned terms are cached per engine."""
+        """Normal forms of `terms` after simultaneous substitution: each
+        term's value bound to the assigned terms' values, rendered,
+        without building the substituted syntax.  The values of assigned
+        and substituted terms alike are cached per engine."""
         cache = self._vcache
         if cache is None:
             cache = self._vcache = {}
-        value, render = self.value, self.render
+        value, bind, render = self.value, self.bind, self.render
         env = {}
         for name, t in assignment.items():
             v = cache.get(t)
             if v is None:
                 v = cache[t] = value(t)
             env[name] = v
-        return tuple([render(value(t, env), t.sort) for t in terms])
+        out = []
+        try:
+            for t in terms:
+                v = cache.get(t)
+                if v is None:
+                    v = cache[t] = value(t)
+                sort = t.sort
+                out.append(render(bind(v, env, sort), sort))
+        except KeyError:
+            for t in terms:
+                for name in term_vars(t):
+                    if name not in env:
+                        raise MissingAssignment(
+                            f"no assignment for variable {name!r}"
+                        ) from None
+            raise
+        return tuple(out)
 
     def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
         raise UnsupportedDoctrine("doctrine does not support exact enumeration")

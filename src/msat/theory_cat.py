@@ -27,13 +27,16 @@ from .signature import (
 
 
 class TheoryObject(Interned):
-    """A finite multiset of sorts; stored canonically sorted by name."""
+    """A finite multiset of sorts; stored canonically sorted by name.
+    `names` are the names of its standard context's variables."""
 
-    __slots__ = ("sorts", "_context")
+    __slots__ = ("sorts", "names", "_context")
 
     def __new__(cls, sorts: tuple):
         sorts = tuple(sorted(sorts, key=lambda s: s.name))
-        return cls._table.get(sorts) or cls._intern(sorts, sorts, None)
+        return cls._table.get(sorts) or cls._intern(
+            sorts, sorts, tuple([f"v{i+1}" for i in range(len(sorts))]), None
+        )
 
     @classmethod
     def of(cls, *sorts: Sort) -> "TheoryObject":
@@ -46,7 +49,7 @@ class TheoryObject(Interned):
     def context(self) -> Context:
         if self._context is None:
             self._context = Context(
-                tuple(Var(f"v{i+1}", s) for i, s in enumerate(self.sorts))
+                tuple(Var(n, s) for n, s in zip(self.names, self.sorts))
             )
         return self._context
 
@@ -113,7 +116,7 @@ def identity(obj: TheoryObject) -> TheoryMorphism:
 
 def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
     """g after f: substitute f's terms into g's variables and normalize."""
-    if f.target != g.source:
+    if f.target is not g.source:
         raise ObjectMismatch(f"cannot compose: {f.target} != {g.source}")
     return TheoryMorphism(f.source, g.target, compose_terms(doctrine, g, f.terms))
 
@@ -121,8 +124,10 @@ def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryM
 def compose_terms(doctrine: Doctrine, g: TheoryMorphism, terms) -> tuple:
     """The terms of g after the morphism into g's source whose terms are
     `terms`, without building either morphism.  The caller guarantees
-    that `terms` has one term per slot of g's source, of its sort."""
-    asg = {f"v{i+1}": t for i, t in enumerate(terms)}
+    that `terms` has one term per slot of g's source, of its sort.  An
+    exact engine binds the cached values of g's terms to the values of
+    `terms` (`Engine.substitute`)."""
+    asg = dict(zip(g.source.names, terms))
     if doctrine.exact:
         return doctrine.engine.substitute(g.terms, asg)
     return tuple(substitute(t, asg) for t in g.terms)

@@ -140,6 +140,82 @@ def compose_by_substitution(doctrine, g, f) -> tuple:
     return raw, tuple(normalize(t, doctrine) for t in raw)
 
 
+def reference_value_with_env(engine, term, env):
+    """The value of `term` under an exact engine, each variable read
+    from `env` (name -> value): one walk of the term, per op, instead of
+    `Engine.bind` on the term's value.  Every engine shares the variable
+    case; the op cases follow the engine's own `value`."""
+    from msat.engines import (
+        GroupActionEngine,
+        OperadEngine,
+        PathEngine,
+        RingModuleEngine,
+        WordEngine,
+        _mono_mul,
+        _poly_add,
+        _poly_mul,
+    )
+    from msat.signature import Var
+
+    if isinstance(term, Var):
+        return env[term.name]
+
+    def walk(t, eng=engine):
+        return reference_value_with_env(eng, t, env)
+
+    name, args = term.op.name, term.args
+    if isinstance(engine, GroupActionEngine):
+        if name != engine.act.name:
+            return walk(term, engine.wordeng)
+        word = walk(args[0], engine.wordeng)
+        inner, point = walk(args[1])
+        return (engine.wordeng._reduce(word + inner), point)
+    if isinstance(engine, WordEngine):
+        if name == engine.unit.name:
+            return ()
+        if name == engine.mul.name:
+            return engine._reduce(walk(args[0]) + walk(args[1]))
+        return tuple((v, -e) for v, e in reversed(walk(args[0])))
+    if isinstance(engine, RingModuleEngine):
+        if name in (engine.zero.name, engine.mzero.name):
+            return {}
+        if name == engine.one.name:
+            return {(): 1}
+        if name in (engine.add.name, engine.madd.name):
+            return _poly_add(walk(args[0]), walk(args[1]))
+        if name in (engine.neg.name, engine.mneg.name):
+            return {k: -c for k, c in walk(args[0]).items()}
+        if name == engine.mul.name:
+            return _poly_mul(walk(args[0]), walk(args[1]))
+        poly, mod = walk(args[0]), walk(args[1])
+        out = {}
+        for pm, pc in poly.items():
+            for (mm, pt), mc in mod.items():
+                key = (_mono_mul(pm, mm), pt)
+                c = out.get(key, 0) + pc * mc
+                if c:
+                    out[key] = c
+                else:
+                    out.pop(key, None)
+        return out
+    if isinstance(engine, OperadEngine):
+        if name == engine.unit.name:
+            return (("leaf",), (1,))
+        if name in engine._perm_by_name:
+            _, sigma = engine._perm_by_name[name]
+            tree, labels = walk(args[0])
+            return (tree, tuple(sigma[l - 1] for l in labels))
+        return engine.graft(walk(args[0]), [walk(a) for a in args[1:]])
+    if isinstance(engine, PathEngine):
+        if name in engine._id_by_name:
+            x = engine._id_by_name[name]
+            return ((x, x), ())
+        (x1, _), e1 = walk(args[0])
+        (_, y2), e2 = walk(args[1])
+        return ((x1, y2), e1 + e2)
+    raise AssertionError(f"no reference walk for {type(engine).__name__}")
+
+
 def reference_evaluate(alg, term, env):
     """Term evaluation by one recursive walk that checks every variable
     where it meets it: the first unbound variable or element outside its

@@ -427,7 +427,7 @@ def test_congruence_closure_agrees_with_engine(group, monoid):
     from msat.engines import BoundedGenericEngine
 
     for doc in (group, monoid):
-        cc = BoundedGenericEngine().bind(doc)
+        cc = BoundedGenericEngine().attach(doc)
         sort = doc.sorts[0]
         ctx = Context.of(("a", sort), ("b", sort))
         terms = enumerate_raw_terms(ctx, sort, doc, 2, cap=40)

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msat.builtins import builtin_doctrine
-from msat.errors import IndexOutOfRange, ObjectMismatch, SourceMismatch
-from msat.signature import App, EqResult, OpSymbol, Sort, Var, print_term
+from msat.errors import IndexOutOfRange, MissingAssignment, ObjectMismatch, SourceMismatch
+from msat.signature import (
+    App,
+    EqResult,
+    OpSymbol,
+    Sort,
+    Var,
+    enumerate_terms,
+    print_term,
+    substitute,
+    term_vars,
+)
 from msat.theory_cat import (
     TERMINAL,
     TheoryMorphism,
@@ -25,7 +35,12 @@ from msat.theory_cat import (
     variable_morphisms,
 )
 
-from oracles import compose_by_substitution, count_reduced_strings, trivial_homset
+from oracles import (
+    compose_by_substitution,
+    count_reduced_strings,
+    reference_value_with_env,
+    trivial_homset,
+)
 
 
 def test_object_canonical_order(action):
@@ -291,6 +306,81 @@ def test_compose_matches_substitution(name, kw):
             prev = nf
         count += 1
     assert count > 0
+
+
+def _bind_cases(doctrine, per_sort=40, per_term=3, seed=0):
+    """(term, sort, assignment) triples: a seeded sample of the terms
+    enumerated at bound 2 over the context of each object of size <= 2,
+    each under assignments drawn from the same enumeration."""
+    rng = random.Random(seed)
+    for obj in objects_up_to(doctrine, 2):
+        ctx = obj.context()
+        terms = {s: enumerate_terms(ctx, s, doctrine, 2) for s in doctrine.sorts}
+        if any(not terms[v.sort] for v in ctx.vars):
+            continue
+        for s in doctrine.sorts:
+            pool = terms[s]
+            for t in rng.sample(pool, min(per_sort, len(pool))):
+                for _ in range(per_term):
+                    yield t, s, {v.name: rng.choice(terms[v.sort]) for v in ctx.vars}
+
+
+@pytest.mark.parametrize("name, kw", BUILTINS, ids=[name for name, _ in BUILTINS])
+def test_bind_matches_substitution(name, kw):
+    """Binding a term's value to the values of an assignment is the
+    value of the substituted term: it renders to the normal form of the
+    substitution on syntax and equals the value that walking the term
+    with the assigned values gives."""
+    doctrine = builtin_doctrine(name, **kw)
+    engine = doctrine.engine
+    count = 0
+    for t, s, asg in _bind_cases(doctrine):
+        env = {n: engine.value(a) for n, a in asg.items()}
+        bound = engine.bind(engine.value(t), env, s)
+        assert bound == reference_value_with_env(engine, t, env)
+        assert engine.render(bound, s) is engine.normalize(substitute(t, asg))
+        count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("name, kw", BUILTINS, ids=[name for name, _ in BUILTINS])
+def test_engine_substitute_names_unassigned_variable(name, kw):
+    doctrine = builtin_doctrine(name, **kw)
+    obj = next(o for o in objects_up_to(doctrine, 2) if o.size == 2)
+    ctx = obj.context()
+    v1, v2 = ctx.vars
+    t = [t for t in enumerate_terms(ctx, v2.sort, doctrine, 2) if "v2" in term_vars(t)][-1]
+    with pytest.raises(MissingAssignment, match="'v2'"):
+        doctrine.engine.substitute((t,), {"v1": v1})
+
+
+def test_compose_evaluates_outer_terms_once(group, monkeypatch):
+    """Composing one g with 50 different f's takes the value of each of
+    g's terms at most once: the engine caches it and binds it per f."""
+    engine = group.engine
+    GG = TheoryObject.of(group.sort("G"), group.sort("G"))
+    homs = hom_enumerate(GG, GG, group, 2)
+    g = next(m for m in reversed(homs) if all(isinstance(t, App) for t in m.terms))
+    calls = {}
+    depth = 0
+    real_value = engine.value
+
+    def counting_value(term):
+        nonlocal depth
+        if not depth:
+            calls[term] = calls.get(term, 0) + 1
+        depth += 1
+        try:
+            return real_value(term)
+        finally:
+            depth -= 1
+
+    fs = [f for f in homs if f is not g][:50]
+    assert len(fs) == 50
+    expected = [compose_by_substitution(group, g, f)[1] for f in fs]
+    monkeypatch.setattr(engine, "value", counting_value)
+    assert [compose(group, g, f).terms for f in fs] == expected
+    assert all(calls.get(t, 0) <= 1 for t in g.terms)
 
 
 # -- interning -----------------------------------------------------------

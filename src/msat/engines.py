@@ -4,10 +4,12 @@ Each exact engine implements the four hooks of `signature.Engine`:
 `value` maps a term to a semantic value (reduced word, polynomial,
 labeled tree, edge path) where equality is literal, `bind` substitutes
 values for the variable atoms of a value (concatenate and reduce words,
-substitute into polynomials, graft trees, concatenate paths), `render`
-maps a value back to its canonical term, and `value_size` measures it.
-The base class derives normalize, size, equal and substitution from
-them.
+substitute into polynomials, graft trees, concatenate paths), `fold`
+walks a value along its canonical term (one `var` call per variable,
+one `node` call per operation), and `value_size` measures it.  The base
+class derives render (the fold that builds the term), normalize, size,
+equal and substitution from them; a finite algebra evaluates a value by
+folding it with its tables, without building the term.
 Enumeration produces all normal forms below a size bound in a fixed
 order, so every hom-level API downstream is deterministic.
 
@@ -23,7 +25,6 @@ import itertools
 from .errors import SortMismatch, UnknownSymbol, UnsupportedDoctrine
 from .search import UnionFind
 from .signature import (
-    App,
     Context,
     Engine,
     EqResult,
@@ -54,8 +55,8 @@ class TrivialEngine(Engine):
     def bind(self, value, env, sort: Sort):
         return env[value.name]
 
-    def render(self, value, sort: Sort) -> Term:
-        return value
+    def fold(self, value, sort: Sort, var, node):
+        return var(value)
 
     def value_size(self, value, sort: Sort) -> int:
         return 0
@@ -119,23 +120,24 @@ class WordEngine(Engine):
                 out.append(letter)
         return tuple(out)
 
-    def letter_term(self, letter) -> Term:
+    def fold_letter(self, letter, var, node):
         v, e = letter
-        return v if e == 1 else App(self.inv, (v,))
+        return var(v) if e == 1 else node(self.inv, (var(v),))
+
+    def fold(self, word, sort: Sort, var, node):
+        if not word:
+            return node(self.unit, ())
+        out = self.fold_letter(word[-1], var, node)
+        for letter in reversed(word[:-1]):
+            out = node(self.mul, (self.fold_letter(letter, var, node), out))
+        return out
 
     def render(self, word, sort: Sort) -> Term:
         # a render memo: terms are interned anyway, this skips rebuilding them
         cached = self._tcache.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            term = App(self.unit)
-        else:
-            term = self.letter_term(word[-1])
-            for letter in reversed(word[:-1]):
-                term = App(self.mul, (self.letter_term(letter), term))
-        self._tcache[word] = term
-        return term
+        if cached is None:
+            cached = self._tcache[word] = Engine.render(self, word, sort)
+        return cached
 
     def value_size(self, word, sort: Sort) -> int:
         return len(word)
@@ -201,14 +203,20 @@ class GroupActionEngine(Engine):
             return (inner, point)
         return (wordeng._reduce(wordeng.bind(word, env, wordeng.sort) + inner), point)
 
+    def fold(self, value, sort: Sort, var, node):
+        wordeng = self.wordeng
+        if sort is wordeng.sort:
+            return wordeng.fold(value, sort, var, node)
+        word, point = value
+        out = var(point)
+        for letter in reversed(word):
+            out = node(self.act, (wordeng.fold_letter(letter, var, node), out))
+        return out
+
     def render(self, value, sort: Sort) -> Term:
         if sort is self.wordeng.sort:
-            return self.wordeng.render(value, sort)
-        word, point = value
-        term = point
-        for letter in reversed(word):
-            term = App(self.act, (self.wordeng.letter_term(letter), term))
-        return term
+            return self.wordeng.render(value, sort)  # through its term cache
+        return Engine.render(self, value, sort)
 
     def value_size(self, value, sort: Sort) -> int:
         return len(value) if sort is self.wordeng.sort else len(value[0])
@@ -273,58 +281,42 @@ class RingModuleEngine(Engine):
                 _smul_into(out, _mono_bind(mono, env), env[pt.name], c)
         return out
 
-    def _mono_base_term(self, mono) -> Term:
-        letters = []
-        for v, e in mono:
-            letters.extend([v] * e)
-        if not letters:
-            return App(self.one)
-        term = letters[-1]
+    def fold(self, value, sort: Sort, var, node):
+        # a right-nested sum in monomial order of scaled monomials, each
+        # acting on its point in the module sort (a lone point if it is 1)
+        if sort is self.r_sort:
+            zero, add = self.zero, self.add
+            parts = [self._fold_scaled(value[m], m, var, node)
+                     for m in sorted(value, key=_mono_key)]
+        elif sort is self.m_sort:
+            zero, add = self.mzero, self.madd
+            parts = []
+            for m, pt in sorted(value, key=lambda k: (_mono_key(k[0]), k[1].name)):
+                c = value[(m, pt)]
+                if c == 1 and not m:
+                    parts.append(var(pt))
+                else:
+                    parts.append(node(self.smul, (self._fold_scaled(c, m, var, node), var(pt))))
+        else:
+            raise SortMismatch(f"term of unknown sort {sort.name}")
+        if not parts:
+            return node(zero, ())
+        out = parts[-1]
+        for p in reversed(parts[:-1]):
+            out = node(add, (p, out))
+        return out
+
+    def _fold_scaled(self, coeff: int, mono, var, node):
+        """|coeff| copies of the monomial's product, summed, negated if
+        coeff < 0."""
+        letters = [v for v, e in mono for _ in range(e)]
+        base = var(letters[-1]) if letters else node(self.one, ())
         for v in reversed(letters[:-1]):
-            term = App(self.mul, (v, term))
-        return term
-
-    def _scaled_term(self, coeff: int, base: Term) -> Term:
-        mag = abs(coeff)
-        term = base
-        for _ in range(mag - 1):
-            term = App(self.add, (base, term))
-        if coeff < 0:
-            term = App(self.neg, (term,))
-        return term
-
-    def from_poly(self, poly: dict) -> Term:
-        if not poly:
-            return App(self.zero)
-        monos = sorted(poly, key=_mono_key)
-        parts = [self._scaled_term(poly[m], self._mono_base_term(m)) for m in monos]
-        term = parts[-1]
-        for p in reversed(parts[:-1]):
-            term = App(self.add, (p, term))
-        return term
-
-    def from_mod(self, val: dict) -> Term:
-        if not val:
-            return App(self.mzero)
-        keys = sorted(val, key=lambda k: (_mono_key(k[0]), k[1].name))
-        parts = []
-        for mono, pt in keys:
-            c = val[(mono, pt)]
-            if c == 1 and not mono:
-                parts.append(pt)
-            else:
-                parts.append(App(self.smul, (self.from_poly({mono: c}), pt)))
-        term = parts[-1]
-        for p in reversed(parts[:-1]):
-            term = App(self.madd, (p, term))
-        return term
-
-    def render(self, value, sort: Sort) -> Term:
-        if sort == self.r_sort:
-            return self.from_poly(value)
-        if sort == self.m_sort:
-            return self.from_mod(value)
-        raise SortMismatch(f"term of unknown sort {sort.name}")
+            base = node(self.mul, (var(v), base))
+        out = base
+        for _ in range(abs(coeff) - 1):
+            out = node(self.add, (base, out))
+        return node(self.neg, (out,)) if coeff < 0 else out
 
     def value_size(self, value, sort: Sort) -> int:
         if sort == self.r_sort:
@@ -336,7 +328,7 @@ class RingModuleEngine(Engine):
         if sort == self.r_sort:
             monos = _monomials(rvars, bound)
             vals = _combinations(monos, bound, _mono_deg)
-            return [self.from_poly(v) for v in vals]
+            return [self.render(v, sort) for v in vals]
         if sort == self.m_sort:
             mvars = [v for v in context.vars if v.sort == self.m_sort]
             keys = [
@@ -344,7 +336,7 @@ class RingModuleEngine(Engine):
             ]
             keys.sort(key=lambda k: (_mono_key(k[0]), k[1].name))
             vals = _combinations(keys, bound, lambda k: _mono_deg(k[0]))
-            return [self.from_mod(v) for v in vals]
+            return [self.render(v, sort) for v in vals]
         return []
 
 
@@ -537,12 +529,20 @@ class OperadEngine(Engine):
 
         return (splice(ptree), tuple(new_labels))
 
-    def _tree_term(self, tree) -> Term:
+    def fold(self, value, sort: Sort, var, node):
+        tree, labels = value
+        out = self._fold_tree(tree, var, node)
+        k = len(labels)
+        if self.symmetric and labels != tuple(range(1, k + 1)):
+            return node(self.perms[(k, labels)], (out,))
+        return out
+
+    def _fold_tree(self, tree, var, node):
         if tree == LEAF:
-            return App(self.unit)
+            return node(self.unit, ())
         _, gen, children = tree
         if all(c == LEAF for c in children):
-            return gen
+            return var(gen)
         k = len(children)
         levels = tuple(_tree_leaves(c) for c in children)
         gamma = self.gammas.get((k, levels))
@@ -550,15 +550,7 @@ class OperadEngine(Engine):
             raise UnsupportedDoctrine(
                 f"composition at levels {levels} exceeds level cap {self.level_cap}"
             )
-        return App(gamma, (gen, *(self._tree_term(c) for c in children)))
-
-    def render(self, value, sort: Sort) -> Term:
-        tree, labels = value
-        term = self._tree_term(tree)
-        k = len(labels)
-        if self.symmetric and labels != tuple(range(1, k + 1)):
-            return App(self.perms[(k, labels)], (term,))
-        return term
+        return node(gamma, (var(gen), *(self._fold_tree(c, var, node) for c in children)))
 
     def value_size(self, value, sort: Sort) -> int:
         return _tree_nodes(value[0])
@@ -669,16 +661,17 @@ class PathEngine(Engine):
             out += env[e.name][1]
         return (ends, out)
 
-    def render(self, value, sort: Sort) -> Term:
+    def fold(self, value, sort: Sort, var, node):
         (x, y), edges = value
         if not edges:
-            return App(self.id_ops[x])
-        term = edges[-1]
+            return node(self.id_ops[x], ())
+        out = var(edges[-1])
+        # every partial composite ends where the last edge does
+        ty = self.pair_of_sort[edges[-1].sort][1]
         for e in reversed(edges[:-1]):
             ex, ey = self.pair_of_sort[e.sort]
-            _, ty = self.pair_of_sort[term.sort]
-            term = App(self.comp_ops[(ex, ey, ty)], (e, term))
-        return term
+            out = node(self.comp_ops[(ex, ey, ty)], (var(e), out))
+        return out
 
     def value_size(self, value, sort: Sort) -> int:
         return len(value[1])

@@ -20,11 +20,13 @@ lookup, so it checks the target's values on entry.
 `check_monad_laws` flattens on the engine's values: it binds the value
 of an outer term's normal form to the values of the inner terms
 (`Engine.bind`), the substitution of the free-algebra monad, and
-renders the result.  It memoizes, for one (slot shape, target sort) at
-a time, the flattened values of each distinct normal form of its outer
-terms and each outer term's composed values.  No memo outlives that
-loop or is kept on the algebra, whose tables may change between calls,
-and the engine's own value cache (`Engine._vcache`) is not touched.
+evaluates the result by folding it with the tables (`Engine.fold`, a
+catamorphism over the canonical term that builds no term).  It
+memoizes, for one (slot shape, target sort) at a time, the evaluated
+flattenings of each distinct normal form of its outer terms and each
+outer term's composed values.  No memo outlives that loop or is kept
+on the algebra, whose tables may change between calls, and the
+engine's own value cache (`Engine._vcache`) is not touched.
 """
 
 from __future__ import annotations
@@ -201,11 +203,12 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
     algebra: NF(outer[asg]) = NF(NF(outer)[asg]).  So for each (slot
     shape, target sort) the flattenings are built once per distinct
     normal form of the outer terms, each by binding that normal form's
-    value to the inner values and rendering, and each distinct flattened
-    term is evaluated once per normal form; each outer term's composed
-    value is computed once per tuple of inner values.  No memo outlives
-    one (shape, target) loop, and the flattening calls the engine's
-    hooks directly, so the engine's own cache is left untouched.
+    value to the inner values, and each distinct bound value is
+    evaluated once per normal form by folding it with the tables, which
+    walks the canonical term without building it.  Each outer term's
+    composed value is computed once per tuple of inner values.  No memo
+    outlives one (shape, target) loop, and the flattening calls the
+    engine's hooks directly, so the engine's own cache is left untouched.
     """
     alg._validate()
     failures = []
@@ -215,7 +218,14 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
             if evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
                 failures.append({"law": "unit", "sort": s.name, "element": e})
     engine = alg.doctrine.engine
-    value, bind, render = engine.value, engine.bind, engine.render
+    value, bind, fold, tables = engine.value, engine.bind, engine.fold, alg.tables
+
+    def var(v):
+        return env[v.name]
+
+    def node(op, args):
+        return tables[op.name][args]
+
     inner: dict[Sort, list[Term]] = {}
     inner_values: dict[Sort, list] = {}
     inner_nf_values: dict[Sort, list] = {}
@@ -247,10 +257,11 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
                     flattened_values = flattened_by_nf[nf] = []
                     nf_value = value(nf)
                     for venv in nf_envs:
-                        flattened = render(bind(nf_value, venv, target), target)
-                        lhs = memo.get(flattened, _MISSING)
+                        bound = bind(nf_value, venv, target)
+                        key = frozenset(bound.items()) if isinstance(bound, dict) else bound
+                        lhs = memo.get(key, _MISSING)
                         if lhs is _MISSING:
-                            lhs = memo[flattened] = _value(alg, flattened, env)
+                            lhs = memo[key] = fold(bound, target, var, node)
                         flattened_values.append(lhs)
                 composed_values = {}
                 for (terms, values), lhs in zip(combos, flattened_values):

@@ -225,14 +225,15 @@ class Engine:
     equal iff their normal forms coincide.  An exact engine supplies
     four hooks: `value` maps a term to its semantic value (an element
     of the free algebra on the term's variables), `bind` substitutes
-    values for the variables of a value, `render` maps a value back to
-    its canonical term, and `value_size` measures a value.
-    Normalization, size, equality and substitution are derived from
-    them here; substitution is `bind`, so composing morphisms of the
-    theory category is the free-algebra monad's Kleisli composition on
-    values.  The generic engine overrides `equal`: it only proves
-    equalities (equality saturation on an e-graph, up to a round budget
-    and a node budget) and never separates terms.
+    values for the variables of a value, `fold` walks a value along its
+    canonical term, and `value_size` measures a value.  `render` (the
+    fold that builds the term), normalization, size, equality and
+    substitution are derived from them here; substitution is `bind`, so
+    composing morphisms of the theory category is the free-algebra
+    monad's Kleisli composition on values.  The generic engine overrides
+    `equal`: it only proves equalities (equality saturation on an
+    e-graph, up to a round budget and a node budget) and never separates
+    terms.
     """
 
     exact = False
@@ -247,9 +248,15 @@ class Engine:
         `value` by `env[name]` (name -> value)."""
         raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
 
+    def fold(self, value, sort: Sort, var, node):
+        """The catamorphism over the canonical term of a value of `sort`:
+        `var(v)` at each variable `v` and `node(op, args)` at each
+        operation, `args` the tuple of its folded arguments."""
+        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
+
     def render(self, value, sort: Sort) -> Term:
         """The canonical term of a value of `sort`."""
-        raise NotImplementedError
+        return self.fold(value, sort, lambda v: v, App)
 
     def value_size(self, value, sort: Sort) -> int:
         """The size of a value of `sort` (word length, node count, ...)."""

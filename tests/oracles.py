@@ -7,6 +7,35 @@ generic set-level pushouts, and breadth-first component search.
 
 import itertools
 
+from msat.engines import (
+    GroupActionEngine,
+    OperadEngine,
+    PathEngine,
+    RingModuleEngine,
+    WordEngine,
+    _mono_mul,
+    _poly_add,
+    _poly_mul,
+)
+from msat.errors import ElementNotInCarrier, UnboundVariable
+from msat.signature import (
+    Context,
+    Var,
+    enumerate_raw_terms,
+    enumerate_terms,
+    normalize,
+    print_term,
+    substitute,
+)
+from msat.theory_cat import (
+    TheoryMorphism,
+    compose,
+    generating_morphisms,
+    hom_enumerate,
+    identity,
+    objects_up_to,
+)
+
 
 def count_reduced_strings(n_gens: int, max_len: int) -> int:
     """Reduced words in the free group on n_gens generators, counted by
@@ -133,8 +162,6 @@ def brute_force_homs(A, B) -> list[tuple]:
 def compose_by_substitution(doctrine, g, f) -> tuple:
     """g after f on syntax: substitute f's terms for g's variables, then
     normalize each component.  Returns (substituted, normal forms)."""
-    from msat.signature import normalize, substitute
-
     asg = {f"v{i+1}": t for i, t in enumerate(f.terms)}
     raw = tuple(substitute(t, asg) for t in g.terms)
     return raw, tuple(normalize(t, doctrine) for t in raw)
@@ -145,18 +172,6 @@ def reference_value_with_env(engine, term, env):
     from `env` (name -> value): one walk of the term, per op, instead of
     `Engine.bind` on the term's value.  Every engine shares the variable
     case; the op cases follow the engine's own `value`."""
-    from msat.engines import (
-        GroupActionEngine,
-        OperadEngine,
-        PathEngine,
-        RingModuleEngine,
-        WordEngine,
-        _mono_mul,
-        _poly_add,
-        _poly_mul,
-    )
-    from msat.signature import Var
-
     if isinstance(term, Var):
         return env[term.name]
 
@@ -220,9 +235,6 @@ def reference_evaluate(alg, term, env):
     """Term evaluation by one recursive walk that checks every variable
     where it meets it: the first unbound variable or element outside its
     carrier, left to right, raises."""
-    from msat.errors import ElementNotInCarrier, UnboundVariable
-    from msat.signature import Var
-
     if isinstance(term, Var):
         if term.name not in env:
             raise UnboundVariable(f"no value for variable {term.name!r}")
@@ -254,14 +266,6 @@ def reference_check_monad_laws(alg, depth: int = 3, inner_cap: int = 12,
     normal form and outer term is evaluated again for every combination
     of inner terms.  Same failures, in the same order, with the same stop
     after more than 20, as `models.check_monad_laws`."""
-    from msat.signature import (
-        Context,
-        Var,
-        enumerate_raw_terms,
-        enumerate_terms,
-        print_term,
-    )
-
     failures = []
     vars_, env = [], {}
     for s in sorted(alg.carriers, key=lambda x: x.name):
@@ -310,8 +314,6 @@ def naive_arrow_closure(X):
     composable pair of the closure each round until a round adds
     nothing.  Returns (closure dict, conflicts list); a conflict repeats
     each round it is met again."""
-    from msat.theory_cat import compose, identity
-
     closure = {}
     conflicts = []
     for obj in X.objects():
@@ -363,14 +365,6 @@ def _naive_merge(closure, m, table, conflicts):
 def representable_by_compose(doctrine, rep, object_bound, term_bound):
     """Values and arrow tables of Hom(rep, -) on the truncation, each
     image built as a composite morphism."""
-    from msat.theory_cat import (
-        TheoryMorphism,
-        compose,
-        generating_morphisms,
-        hom_enumerate,
-        objects_up_to,
-    )
-
     values = {
         obj: tuple(m.terms for m in hom_enumerate(rep, obj, doctrine, term_bound))
         for obj in objects_up_to(doctrine, object_bound)

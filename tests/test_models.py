@@ -14,9 +14,11 @@ from msat.catalog import (
     valid_catalog,
 )
 from msat.diagram import natural_transformations, representable_diagram
-from msat.errors import ElementNotInCarrier, UnboundVariable
+from msat.errors import ElementNotInCarrier, UnboundVariable, UnsupportedDoctrine
 from msat.models import (
     AlgebraFunctor,
+    _carrier_context,
+    _value,
     adjunction_check,
     as_functor,
     check_equations,
@@ -27,7 +29,15 @@ from msat.models import (
     free_algebra,
     identity_hom,
 )
-from msat.signature import App, Context, Var, enumerate_raw_terms, enumerate_terms, print_term
+from msat.signature import (
+    App,
+    Context,
+    Var,
+    enumerate_raw_terms,
+    enumerate_terms,
+    print_term,
+    substitute,
+)
 from msat.theory_cat import TERMINAL, TheoryMorphism, TheoryObject, hom_enumerate
 
 from oracles import (
@@ -134,22 +144,28 @@ class TestMonadLaws:
 
     def test_flattens_each_distinct_normal_form_once(self, group, monkeypatch):
         """Outer terms with one normal form share their flattenings: the
-        engine renders one flattened term per (distinct normal form,
-        inner tuple), on top of one render per outer term (its normal
-        form) and the renders of the inner enumeration."""
+        law check folds each distinct flattening of each distinct normal
+        form once through the tables, and renders nothing beyond the
+        inner enumeration and one normal form per outer term."""
         z3 = cyclic_group(group, 3)
         engine, G = group.engine, group.sort("G")
-        renders = 0
-        real_render = engine.render
+        renders = folds = 0
+        real_render, real_fold = engine.render, engine.fold
 
         def counting_render(value, sort):
             nonlocal renders
             renders += 1
             return real_render(value, sort)
 
+        def counting_fold(value, sort, var, node):
+            nonlocal folds
+            folds += node is not App
+            return real_fold(value, sort, var, node)
+
         monkeypatch.setattr(engine, "render", counting_render)
+        monkeypatch.setattr(engine, "fold", counting_fold)
         ctx = Context(tuple(Var(f"c_G_{e}", G) for e in z3.carriers[G]))
-        inner = len(enumerate_terms(ctx, G, group, 2)[:12])
+        inner = enumerate_terms(ctx, G, group, 2)[:12]
         baseline = renders  # the inner enumeration
         expected = flattenings_per_outer = 0
         for shape in [(G,), (G, G)]:
@@ -157,11 +173,18 @@ class TestMonadLaws:
             outers = enumerate_raw_terms(slots, G, group, 2, cap=160)
             nfs = {engine.normalize(o) for o in outers}
             baseline += len(outers)
-            expected += len(nfs) * inner ** len(shape)
-            flattenings_per_outer += len(outers) * inner ** len(shape)
-        renders = 0
+            for nf in nfs:
+                expected += len({
+                    engine.value(substitute(nf, {f"w{i+1}": t for i, t in enumerate(combo)}))
+                    for combo in itertools.product(inner, repeat=len(shape))
+                })
+            flattenings_per_outer += len(outers) * len(inner) ** len(shape)
+        renders = folds = 0
+        tcache_before = len(engine._tcache)
         assert check_monad_laws(z3, 3) == []
-        assert renders - baseline == expected
+        assert folds == expected
+        assert renders == baseline
+        assert len(engine._tcache) == tcache_before
         assert expected < flattenings_per_outer
 
     def test_leaves_engine_cache_untouched(self):
@@ -181,6 +204,53 @@ class TestMonadLaws:
         assert failures and failures == reference_check_monad_laws(z2, 3)
         bad = check_equations(z2)
         assert bad and bad == reference_check_equations(z2)
+
+
+def _fold_models():
+    """The valid and faulted catalog, plus the symmetric operad models
+    (the only ones whose values carry a leaf permutation)."""
+    symmetric = models_for(builtin_doctrine("operad-symmetric", level_cap=2))
+    for alg in symmetric:
+        alg.name += "-sigma"
+    return valid_catalog() + [alg for alg, _desc in faulted_catalog()] + symmetric
+
+
+class TestFold:
+    """`Engine.fold` walks the canonical term: with the tables at its
+    operations it evaluates that term, without building it."""
+
+    @pytest.mark.parametrize("alg", _fold_models(), ids=lambda alg: alg.name)
+    def test_table_fold_evaluates_rendered_term(self, alg):
+        doc, engine = alg.doctrine, alg.doctrine.engine
+        ctx, env = _carrier_context(alg)
+
+        def var(v):
+            return env[v.name]
+
+        def node(op, args):
+            return alg.tables[op.name][args]
+
+        seen = 0
+        for s in doc.sorts:
+            for t in enumerate_terms(ctx, s, doc, 3):
+                v = engine.value(t)
+                assert engine.fold(v, s, var, node) == _value(alg, engine.render(v, s), env), (
+                    print_term(t)
+                )
+                seen += 1
+        assert seen
+
+    def test_past_level_cap_raises_the_same_error(self):
+        doc = builtin_doctrine("operad-nonsigma", level_cap=2)
+        engine, P2 = doc.engine, doc.sort("P2")
+        g = engine.value(Var("g", P2))
+        deep = engine.graft(g, [g, g])  # four leaves: beyond level 2
+        with pytest.raises(UnsupportedDoctrine) as rendered:
+            engine.render(deep, P2)
+        with pytest.raises(UnsupportedDoctrine) as folded:
+            engine.fold(deep, P2, lambda v: 0, lambda op, args: 0)
+        assert str(folded.value) == str(rendered.value)
+        assert "exceeds level cap 2" in str(folded.value)
 
 
 @pytest.mark.parametrize("check", [

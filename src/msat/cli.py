@@ -131,12 +131,8 @@ def emit_report(report: dict, fmt: str = "json") -> bytes:
         f"{k}={v}" for k, v in sorted(report.get("data", {}).items())
         if isinstance(v, (int, str, bool))
     )
-    return f"{report.get('verb', '?')}: {verdict}" + (f" ({keys})" if keys else "") + "\n"
-
-
-def emit_report_str(report: dict, fmt: str = "json") -> str:
-    out = emit_report(report, fmt)
-    return out.decode("utf-8") if isinstance(out, bytes) else out
+    line = f"{report.get('verb', '?')}: {verdict}" + (f" ({keys})" if keys else "")
+    return (line + "\n").encode("utf-8")
 
 
 def _bound(text: str) -> int:
@@ -465,7 +461,7 @@ def main(argv=None) -> int:
         return code
     fmt = report.pop("format", "json") or "json"
     out_path = report.pop("out", None)
-    payload = emit_report_str(report, fmt)
+    payload = emit_report(report, fmt).decode("utf-8")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)

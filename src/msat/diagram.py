@@ -30,7 +30,7 @@ from .theory_cat import (
 
 class DiagramOnTruncation:
     def __init__(self, doctrine: Doctrine, object_bound: int, term_bound: int,
-                 values: dict, arrows: dict, check: bool = True):
+                 values: dict, arrows: dict):
         self.doctrine = doctrine
         self.object_bound = object_bound
         self.term_bound = term_bound
@@ -38,10 +38,9 @@ class DiagramOnTruncation:
         self.values = {obj: tuple(values.get(obj, ())) for obj in self._objects}
         self.arrows = {m: dict(t) for m, t in arrows.items()}
         self._closure_cache = None
-        if check:
-            problems = self.well_formed_problems()
-            if problems:
-                raise InvalidParameter("malformed diagram: " + "; ".join(problems[:3]))
+        problems = self.well_formed_problems()
+        if problems:
+            raise InvalidParameter("malformed diagram: " + "; ".join(problems[:3]))
 
     def objects(self):
         return list(self._objects)

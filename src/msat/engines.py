@@ -863,9 +863,7 @@ class BoundedGenericEngine(Engine):
     """
 
     exact = False
-
-    def __init__(self, doctrine_ref=None):
-        self._doctrine = doctrine_ref
+    _doctrine = None  # set by `attach`
 
     def attach(self, doctrine):
         self._doctrine = doctrine

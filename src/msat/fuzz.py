@@ -17,10 +17,18 @@ from .simplicial import (
     SimplicialDiagram,
     TruncSimplicialSet,
     disjoint_union,
+    lifted_maps,
     nerve_of_preorder,
+    objectwise,
     standard,
 )
-from .theory_cat import TERMINAL, TheoryObject, generating_morphisms, objects_up_to
+from .theory_cat import (
+    TERMINAL,
+    TheoryMorphism,
+    TheoryObject,
+    generating_morphisms,
+    identity,
+)
 
 
 def default_seed() -> int:
@@ -36,8 +44,6 @@ def _swap_morphism(obj: TheoryObject):
     sorts, None otherwise."""
     if obj.size != 2 or obj.sorts[0] != obj.sorts[1]:
         return None
-    from .theory_cat import TheoryMorphism
-
     v1, v2 = obj.context().vars
     return TheoryMorphism(obj, obj, (v2, v1))
 
@@ -77,9 +83,7 @@ def twisted_algebra_diagram(rng: random.Random, alg: FiniteAlgebra,
             values[obj].append(y_dup)
         else:
             y_dup = None
-        from .theory_cat import identity as _identity
-
-        ident = _identity(obj)
+        ident = identity(obj)
         for m, t in arrows.items():
             if m.source != obj:
                 continue
@@ -215,8 +219,6 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
     T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
     cap = S.cap
     levels = []
-    face_tables: dict = {}
-    degen_tables: dict = {}
 
     def level_values(n):
         pairs = list(itertools.product(S.level(n), repeat=2))
@@ -227,17 +229,14 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
             T2: tuple(pairs + extra),
         }
 
-    def structure(n, table):
-        def on_elem(obj, x):
-            if obj == TERMINAL:
-                return ()
-            if obj == T1:
-                return table[x]
-            if isinstance(x, tuple) and len(x) == 2 and x[0] == "d" and inflate and x[1] in table:
-                return ("d", table[x[1]])
-            return (table[x[0]], table[x[1]])
-
-        return on_elem
+    def on_elem(table, obj, x):
+        if obj == TERMINAL:
+            return ()
+        if obj == T1:
+            return table[x]
+        if isinstance(x, tuple) and len(x) == 2 and x[0] == "d" and inflate and x[1] in table:
+            return ("d", table[x[1]])
+        return (table[x[0]], table[x[1]])
 
     for n in range(cap + 1):
         vals = level_values(n)
@@ -276,17 +275,5 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
 
                     arrows[m] = {x: dval(x) for x in vals[T2]}
         levels.append(DiagramOnTruncation(doctrine, 2, 2, vals, arrows))
-    objs = objects_up_to(doctrine, 2)
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            fn = structure(n, S.faces[(n, i)])
-            face_tables[(n, i)] = {
-                obj: {x: fn(obj, x) for x in levels[n].value(obj)} for obj in objs
-            }
-    for n in range(cap):
-        for j in range(n + 1):
-            fn = structure(n, S.degeneracies[(n, j)])
-            degen_tables[(n, j)] = {
-                obj: {x: fn(obj, x) for x in levels[n].value(obj)} for obj in objs
-            }
-    return SimplicialDiagram(doctrine, cap, levels, face_tables, degen_tables)
+    rule = objectwise(levels, on_elem)
+    return SimplicialDiagram(doctrine, cap, levels, *lifted_maps(cap, rule, S))

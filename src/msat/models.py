@@ -184,9 +184,10 @@ def _carrier_context(alg: FiniteAlgebra):
 
 _MISSING = object()  # memo miss; a carrier element may be None
 
+INNER_CAP, OUTER_CAP = 12, 160  # law-check terms per sort, per (slot shape, target)
 
-def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
-                     outer_cap: int = 160) -> list:
+
+def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     """The two structure-map laws on the free algebra over the carrier.
 
     (i) unit: evaluating a generator variable returns the element;
@@ -230,7 +231,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
     inner_values: dict[Sort, list] = {}
     inner_nf_values: dict[Sort, list] = {}
     for s in alg.doctrine.sorts:
-        inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:inner_cap]
+        inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:INNER_CAP]
         inner_values[s] = [_value(alg, t, env) for t in inner[s]]
         inner_nf_values[s] = [value(t) for t in inner[s]]
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
@@ -247,7 +248,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3, inner_cap: int = 12,
             for nf_values in itertools.product(*(inner_nf_values[s] for s in shape))
         ]
         for target in sorts:
-            outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=outer_cap)
+            outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=OUTER_CAP)
             flattened_by_nf = {}  # normal form of an outer -> values, in combos order
             for outer in outers:
                 nf = engine.normalize(outer)

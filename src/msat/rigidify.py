@@ -76,7 +76,7 @@ check_strictly_local = check_product_preservation
 # -- exactness of attaching-data enumeration -----------------------------
 
 
-def hom_enumeration_exact(doctrine: Doctrine, object_bound: int, term_bound: int) -> bool:
+def hom_enumeration_exact(doctrine: Doctrine) -> bool:
     """True when bounded hom enumeration provably lists entire hom sets
     and every attaching action is derivable from the generating arrows.
 
@@ -147,14 +147,12 @@ def _finish_step(X, kind, p, membership, uf, member_image, approximate):
     return StepResult(out, unit, kind, p.target.key(), approximate, sizes)
 
 
-def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
-                      bound: int | None = None, approximate: bool = False) -> StepResult:
-    """Pushout gluing one representable cell onto X for every tuple in
-    the product of the size-one values, making the restriction along the
-    projection map surjective."""
-    doctrine = X.doctrine
-    s = X.term_bound if bound is None else bound
-    exact = hom_enumeration_exact(doctrine, X.object_bound, s)
+def _step_preamble(X: DiagramOnTruncation, approximate: bool):
+    """(exactness, arrow closure) for a pushout step on X.
+    Raises `HomEnumerationIncomplete` when the attaching data is not
+    provably complete and no approximation was requested, and
+    `NotFunctorial` on X's first functoriality conflict."""
+    exact = hom_enumeration_exact(X.doctrine)
     if not exact and not approximate:
         raise HomEnumerationIncomplete(
             "attaching data is not provably complete; pass approximate=True"
@@ -162,6 +160,17 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
     closure, conflicts = X.arrow_closure()
     if conflicts:
         raise NotFunctorial(conflicts[0])
+    return exact, closure
+
+
+def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
+                      bound: int | None = None, approximate: bool = False) -> StepResult:
+    """Pushout gluing one representable cell onto X for every tuple in
+    the product of the size-one values, making the restriction along the
+    projection map surjective."""
+    doctrine = X.doctrine
+    s = X.term_bound if bound is None else bound
+    exact, closure = _step_preamble(X, approximate)
     factors = p.factors()
     tuples = sorted(
         itertools.product(*(X.value(o) for o in factors)), key=element_key
@@ -209,17 +218,9 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
 def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
                      bound: int | None = None, approximate: bool = False) -> StepResult:
     """Pushout along the fold map: every pair of elements of X(T) with
-    equal projections has its entire representable image identified."""
-    doctrine = X.doctrine
-    s = X.term_bound if bound is None else bound
-    exact = hom_enumeration_exact(doctrine, X.object_bound, s)
-    if not exact and not approximate:
-        raise HomEnumerationIncomplete(
-            "attaching data is not provably complete; pass approximate=True"
-        )
-    closure, conflicts = X.arrow_closure()
-    if conflicts:
-        raise NotFunctorial(conflicts[0])
+    equal projections has its entire representable image identified.
+    `bound` is unused; it keeps the signature of `surjectivity_step`."""
+    exact, closure = _step_preamble(X, approximate)
     proj_tables = [X.arrows.get(m, {}) for m in p.projections]
     tgt_vals = X.value(p.target)
     pairs = []

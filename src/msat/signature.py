@@ -50,6 +50,11 @@ class Interned:
         cls._table[key] = obj
         return obj
 
+    def __reduce__(self):
+        """Copies and pickles rebuild through the constructor, which
+        returns the live instance; its arguments are the slots, in order."""
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
 
 class Sort(Interned):
     """A type tag for algebra elements.  Operad doctrines tag sorts with

@@ -1,9 +1,11 @@
 """Truncated simplicial sets and simplicial theory-indexed diagrams.
 
-Everything is truncated at a dimension cap (default 3).  Weak
-equivalence is never decided: the homotopy probe only refutes, by
-comparing connected components and integral homology (normalized
-chains, Smith normal form) below the cap.
+Everything is truncated at a dimension cap (default 3).  `face_keys`
+and `degeneracy_keys` hold the index set of the structure maps; a
+simplicial diagram or algebra whose maps do not fit it raises
+`InvalidParameter`.  Weak equivalence is never decided: the homotopy
+probe only refutes, by comparing connected components and integral
+homology (normalized chains, Smith normal form) below the cap.
 """
 
 from __future__ import annotations
@@ -13,14 +15,77 @@ import math
 from dataclasses import dataclass, field
 
 from .diagram import DiagramOnTruncation
-from .errors import InvalidParameter
-from .models import FiniteAlgebra, check_product_preservation
+from .errors import InvalidParameter, UnsupportedDoctrine
+from .models import FiniteAlgebra, as_functor, check_equations, check_product_preservation
 from .presentations import AlgebraPresentation, free_presentation
 from .search import UnionFind
-from .signature import Context, Doctrine, Sort, Term, Var, normalize
-from .theory_cat import TheoryObject, objects_up_to
+from .signature import Context, Doctrine, Sort, Term, Var, enumerate_terms, normalize
+from .theory_cat import TheoryObject
 
 DEFAULT_DIM_CAP = 3
+
+
+def face_keys(cap: int) -> list[tuple[int, int]]:
+    """(n, i) of every face d_i: X_n -> X_{n-1} below the cap."""
+    return [(n, i) for n in range(1, cap + 1) for i in range(n + 1)]
+
+
+def degeneracy_keys(cap: int) -> list[tuple[int, int]]:
+    """(n, j) of every degeneracy s_j: X_n -> X_{n+1} below the cap."""
+    return [(n, j) for n in range(cap) for j in range(n + 1)]
+
+
+def structure_maps(cap: int, face, degeneracy) -> tuple[dict, dict]:
+    """The (faces, degeneracies) of a cap-truncated simplicial object,
+    keyed in `face_keys` and `degeneracy_keys` order: `face(n, i)` is
+    the table of d_i on level n and `degeneracy(n, j)` that of s_j."""
+    return ({k: face(*k) for k in face_keys(cap)},
+            {k: degeneracy(*k) for k in degeneracy_keys(cap)})
+
+
+def lifted_maps(cap: int, rule, *sources) -> tuple[dict, dict]:
+    """Structure maps given by one rule for both kinds: the table at
+    (n, i) is `rule(n, t, ...)`, with t each source's own map at (n, i).
+    Sources are anything with `faces` and `degeneracies`."""
+    return structure_maps(
+        cap,
+        lambda n, i: rule(n, *(x.faces[(n, i)] for x in sources)),
+        lambda n, j: rule(n, *(x.degeneracies[(n, j)] for x in sources)),
+    )
+
+
+def objectwise(levels: list, image):
+    """The `lifted_maps` rule of a simplicial diagram given elementwise:
+    its table at (n, i) sends x in the level-n value at obj to
+    `image(t, obj, x)`, with t the source map at (n, i)."""
+    return lambda n, t: {
+        obj: {x: image(t, obj, x) for x in levels[n].value(obj)} for obj in levels[n].objects()
+    }
+
+
+def _kinds(cap: int, faces: dict, degeneracies: dict) -> tuple:
+    """(name, maps, keys, step) for each kind of structure map: a face
+    lowers the level by one, a degeneracy raises it by one."""
+    return (("face d", faces, face_keys(cap), -1),
+            ("degeneracy s", degeneracies, degeneracy_keys(cap), 1))
+
+
+def _index_problem(cap: int, faces: dict, degeneracies: dict, parts) -> str | None:
+    """Why per-part structure maps do not fit the cap, or None: their
+    keys must be exactly `face_keys(cap)` and `degeneracy_keys(cap)`,
+    and each map needs a table at every part (object or sort)."""
+    for name, maps, keys, _ in _kinds(cap, faces, degeneracies):
+        index = set(keys)
+        for key in maps:
+            if key not in index:
+                return f"{name} key {key!r} is not an index below the cap {cap}"
+        for n, i in keys:
+            if (n, i) not in maps:
+                return f"{name}_{i} at level {n} missing"
+            for part in parts:
+                if part not in maps[(n, i)]:
+                    return f"{name}_{i} at level {n} has no table at {part}"
+    return None
 
 
 class TruncSimplicialSet:
@@ -46,22 +111,15 @@ class TruncSimplicialSet:
 
     def identity_problems(self) -> list[str]:
         out = []
-        for n in range(1, self.cap + 1):
-            for i in range(n + 1):
-                table = self.faces.get((n, i))
+        for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
+            for n, i in keys:
+                table = maps.get((n, i))
                 if table is None or set(table) != set(self.levels[n]):
-                    out.append(f"face d_{i} at level {n} missing or partial")
+                    out.append(f"{name}_{i} at level {n} missing or partial")
                     return out
-                if any(v not in set(self.levels[n - 1]) for v in table.values()):
-                    out.append(f"face d_{i} at level {n} leaves the level set")
-        for n in range(self.cap):
-            for j in range(n + 1):
-                table = self.degeneracies.get((n, j))
-                if table is None or set(table) != set(self.levels[n]):
-                    out.append(f"degeneracy s_{j} at level {n} missing or partial")
-                    return out
-                if any(v not in set(self.levels[n + 1]) for v in table.values()):
-                    out.append(f"degeneracy s_{j} at level {n} leaves the level set")
+                image = set(self.levels[n + step])
+                if any(v not in image for v in table.values()):
+                    out.append(f"{name}_{i} at level {n} leaves the level set")
         if out:
             return out  # identity checks below assume total, in-range maps
         # d_i d_j = d_{j-1} d_i (i < j)
@@ -99,12 +157,7 @@ class TruncSimplicialSet:
         return out
 
     def degenerate_at(self, n: int) -> set:
-        if n == 0:
-            return set()
-        out = set()
-        for j in range(n):
-            out.update(self.degeneracies[(n - 1, j)].values())
-        return out
+        return {y for j in range(n) for y in self.degeneracies[(n - 1, j)].values()}
 
     def nondegenerate(self, n: int) -> list:
         degen = self.degenerate_at(n)
@@ -143,14 +196,7 @@ def standard(kind: str, n: int, k: int | None = None, cap: int = DEFAULT_DIM_CAP
             seq for seq in itertools.combinations_with_replacement(range(n + 1), m + 1)
             if member(seq)
         )
-    faces, degens = {}, {}
-    for m in range(1, cap + 1):
-        for i in range(m + 1):
-            faces[(m, i)] = {s: s[:i] + s[i + 1:] for s in levels[m]}
-    for m in range(cap):
-        for j in range(m + 1):
-            degens[(m, j)] = {s: s[: j + 1] + s[j:] for s in levels[m]}
-    return TruncSimplicialSet(cap, levels, faces, degens)
+    return _sequence_sset(cap, levels)
 
 
 def nerve_of_preorder(elements, leq, cap: int = DEFAULT_DIM_CAP) -> TruncSimplicialSet:
@@ -164,34 +210,31 @@ def nerve_of_preorder(elements, leq, cap: int = DEFAULT_DIM_CAP) -> TruncSimplic
             for e in elements
             if leq(chain[-1], e)
         )
-    faces, degens = {}, {}
-    for m in range(1, cap + 1):
-        for i in range(m + 1):
-            faces[(m, i)] = {s: s[:i] + s[i + 1:] for s in levels[m]}
-    for m in range(cap):
-        for j in range(m + 1):
-            degens[(m, j)] = {s: s[: j + 1] + s[j:] for s in levels[m]}
-    return TruncSimplicialSet(cap, levels, faces, degens)
+    return _sequence_sset(cap, levels)
+
+
+def _sequence_sset(cap: int, levels: dict) -> TruncSimplicialSet:
+    """Level m holds (m+1)-tuples; d_i drops entry i, s_j repeats entry
+    j: both keep `copies` of the entry, 0 for a face, 2 for a degeneracy."""
+
+    def keep(copies):
+        return lambda m, i: {s: s[:i] + s[i:i + 1] * copies + s[i + 1:] for s in levels[m]}
+
+    return TruncSimplicialSet(cap, levels, *structure_maps(cap, keep(0), keep(2)))
 
 
 def disjoint_union(a: TruncSimplicialSet, b: TruncSimplicialSet) -> TruncSimplicialSet:
     cap = min(a.cap, b.cap)
-    levels, faces, degens = {}, {}, {}
-    for m in range(cap + 1):
-        levels[m] = tuple((0, x) for x in a.levels[m]) + tuple((1, x) for x in b.levels[m])
-    for m in range(1, cap + 1):
-        for i in range(m + 1):
-            faces[(m, i)] = {
-                **{(0, x): (0, y) for x, y in a.faces[(m, i)].items()},
-                **{(1, x): (1, y) for x, y in b.faces[(m, i)].items()},
-            }
-    for m in range(cap):
-        for j in range(m + 1):
-            degens[(m, j)] = {
-                **{(0, x): (0, y) for x, y in a.degeneracies[(m, j)].items()},
-                **{(1, x): (1, y) for x, y in b.degeneracies[(m, j)].items()},
-            }
-    return TruncSimplicialSet(cap, levels, faces, degens, check=False)
+    levels = {
+        m: tuple((0, x) for x in a.levels[m]) + tuple((1, x) for x in b.levels[m])
+        for m in range(cap + 1)
+    }
+
+    def tagged(n, ta, tb):
+        return {**{(0, x): (0, y) for x, y in ta.items()},
+                **{(1, x): (1, y) for x, y in tb.items()}}
+
+    return TruncSimplicialSet(cap, levels, *lifted_maps(cap, tagged, a, b), check=False)
 
 
 # -- integral homology ---------------------------------------------------
@@ -308,7 +351,7 @@ class SimplicialDiagram:
     degeneracy transformations between consecutive levels."""
 
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[DiagramOnTruncation],
-                 faces: dict, degeneracies: dict, check: bool = True):
+                 faces: dict, degeneracies: dict):
         if len(levels) != cap + 1:
             raise InvalidParameter("need one diagram per level up to the cap")
         self.doctrine = doctrine
@@ -318,15 +361,19 @@ class SimplicialDiagram:
         self.degeneracies = {
             k: {o: dict(t) for o, t in v.items()} for k, v in degeneracies.items()
         }
-        if check:
-            problems = self.structure_problems()
-            if problems:
-                raise InvalidParameter("bad simplicial diagram: " + problems[0])
+        problems = self.structure_problems()
+        if problems:
+            raise InvalidParameter("bad simplicial diagram: " + problems[0])
 
     def objects(self):
         return self.levels[0].objects()
 
     def structure_problems(self) -> list[str]:
+        if any(L.objects() != self.objects() for L in self.levels):
+            return ["level diagrams disagree on their objects"]
+        problem = _index_problem(self.cap, self.faces, self.degeneracies, self.objects())
+        if problem:
+            return [problem]
         problems = []
         for obj in self.objects():
             try:
@@ -334,34 +381,26 @@ class SimplicialDiagram:
             except InvalidParameter as err:
                 problems.append(f"at {obj}: {err}")
         # naturality of structure maps against the level diagrams
-        for (n, i), tables in self.faces.items():
-            lower = self.levels[n - 1]
-            upper = self.levels[n]
-            for m, table in upper.arrows.items():
-                ltable = lower.arrows.get(m, {})
-                for x, y in table.items():
-                    fx = tables[m.source].get(x)
-                    fy = tables[m.target].get(y)
-                    if fx is not None and fx in ltable and fy is not None:
-                        if ltable[fx] != fy:
-                            problems.append(
-                                f"face d_{i} at level {n} not natural for {m} at {x!r}"
-                            )
+        for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
+            for n, i in keys:
+                tables, image = maps[(n, i)], self.levels[n + step]
+                for m, table in self.levels[n].arrows.items():
+                    itable = image.arrows.get(m, {})
+                    for x, y in table.items():
+                        fx = tables[m.source].get(x)
+                        fy = tables[m.target].get(y)
+                        if fx is not None and fx in itable and fy is not None:
+                            if itable[fx] != fy:
+                                problems.append(
+                                    f"{name}_{i} at level {n} not natural for {m} at {x!r}"
+                                )
         return problems
 
     def object_sset(self, obj: TheoryObject, check: bool = False) -> TruncSimplicialSet:
         levels = {n: self.levels[n].value(obj) for n in range(self.cap + 1)}
-        faces = {
-            (n, i): self.faces[(n, i)][obj]
-            for n in range(1, self.cap + 1)
-            for i in range(n + 1)
-        }
-        degens = {
-            (n, j): self.degeneracies[(n, j)][obj]
-            for n in range(self.cap)
-            for j in range(n + 1)
-        }
-        return TruncSimplicialSet(self.cap, levels, faces, degens, check=check)
+        return TruncSimplicialSet(
+            self.cap, levels, *lifted_maps(self.cap, lambda n, t: t[obj], self), check=check
+        )
 
     def product_sset(self, obj: TheoryObject) -> TruncSimplicialSet:
         """Levelwise product of the size-one values of obj's sorts."""
@@ -370,20 +409,14 @@ class SimplicialDiagram:
             n: tuple(itertools.product(*(self.levels[n].value(o) for o in singles)))
             for n in range(self.cap + 1)
         }
-        faces, degens = {}, {}
-        for n in range(1, self.cap + 1):
-            for i in range(n + 1):
-                tables = [self.faces[(n, i)][o] for o in singles]
-                faces[(n, i)] = {
-                    x: tuple(t[c] for t, c in zip(tables, x)) for x in levels[n]
-                }
-        for n in range(self.cap):
-            for j in range(n + 1):
-                tables = [self.degeneracies[(n, j)][o] for o in singles]
-                degens[(n, j)] = {
-                    x: tuple(t[c] for t, c in zip(tables, x)) for x in levels[n]
-                }
-        return TruncSimplicialSet(self.cap, levels, faces, degens, check=False)
+
+        def coordinatewise(n, per_obj):
+            tables = [per_obj[o] for o in singles]
+            return {x: tuple(t[c] for t, c in zip(tables, x)) for x in levels[n]}
+
+        return TruncSimplicialSet(
+            self.cap, levels, *lifted_maps(self.cap, coordinatewise, self), check=False
+        )
 
 
 def check_strict(X: SimplicialDiagram):
@@ -441,24 +474,27 @@ def homotopy_probe(X: SimplicialDiagram) -> ProbeResult:
 class SimplicialAlgebra:
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[FiniteAlgebra],
                  faces: dict, degeneracies: dict, check: bool = True):
+        if len(levels) != cap + 1:
+            raise InvalidParameter("need one algebra per level up to the cap")
+        problem = _index_problem(cap, faces, degeneracies, doctrine.sorts)
+        if problem:
+            raise InvalidParameter("bad simplicial algebra: " + problem)
         self.doctrine = doctrine
         self.cap = cap
         self.levels = list(levels)
         self.faces = faces
         self.degeneracies = degeneracies
         if check:
-            from .models import check_equations
-
             for alg in levels:
                 bad = check_equations(alg)
                 if bad:
                     raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
-            for (n, i), comp in faces.items():
-                self._check_hom(self.levels[n], self.levels[n - 1], comp, f"d_{i}@{n}")
-            for (n, j), comp in degeneracies.items():
-                self._check_hom(self.levels[n], self.levels[n + 1], comp, f"s_{j}@{n}")
-            for s in doctrine.sorts:
+            for s in doctrine.sorts:  # total, in-range tables before the homomorphism check
                 self._sort_sset(s, check=True)
+            for name, maps, keys, step in _kinds(cap, faces, degeneracies):
+                for n, i in keys:
+                    label = f"{name}_{i} at level {n}"
+                    self._check_hom(self.levels[n], self.levels[n + step], maps[(n, i)], label)
 
     def _check_hom(self, A, B, comp, label):
         for op in self.doctrine.ops:
@@ -469,45 +505,24 @@ class SimplicialAlgebra:
 
     def _sort_sset(self, sort: Sort, check=False) -> TruncSimplicialSet:
         levels = {n: self.levels[n].carriers[sort] for n in range(self.cap + 1)}
-        faces = {
-            (n, i): dict(self.faces[(n, i)][sort]) for n in range(1, self.cap + 1)
-            for i in range(n + 1)
-        }
-        degens = {
-            (n, j): dict(self.degeneracies[(n, j)][sort]) for n in range(self.cap)
-            for j in range(n + 1)
-        }
-        return TruncSimplicialSet(self.cap, levels, faces, degens, check=check)
+        return TruncSimplicialSet(
+            self.cap, levels, *lifted_maps(self.cap, lambda n, comp: comp[sort], self),
+            check=check,
+        )
 
     def as_diagram(self, object_bound: int = 2, term_bound: int = 2) -> SimplicialDiagram:
-        from .models import as_functor
-
         levels = [as_functor(a, object_bound, term_bound) for a in self.levels]
-        objs = objects_up_to(self.doctrine, object_bound)
-        faces, degens = {}, {}
-        for (n, i), comp in self.faces.items():
-            faces[(n, i)] = {
-                obj: {
-                    x: tuple(comp[s][c] for s, c in zip(obj.sorts, x))
-                    for x in levels[n].value(obj)
-                }
-                for obj in objs
-            }
-        for (n, j), comp in self.degeneracies.items():
-            degens[(n, j)] = {
-                obj: {
-                    x: tuple(comp[s][c] for s, c in zip(obj.sorts, x))
-                    for x in levels[n].value(obj)
-                }
-                for obj in objs
-            }
-        return SimplicialDiagram(self.doctrine, self.cap, levels, faces, degens)
+
+        def slotwise(comp, obj, x):
+            return tuple(comp[s][c] for s, c in zip(obj.sorts, x))
+
+        maps = lifted_maps(self.cap, objectwise(levels, slotwise), self)
+        return SimplicialDiagram(self.doctrine, self.cap, levels, *maps)
 
 
 def constant_simplicial_algebra(alg: FiniteAlgebra, cap: int = DEFAULT_DIM_CAP) -> SimplicialAlgebra:
     ident = {s: {e: e for e in alg.carriers[s]} for s in alg.carriers}
-    faces = {(n, i): ident for n in range(1, cap + 1) for i in range(n + 1)}
-    degens = {(n, j): ident for n in range(cap) for j in range(n + 1)}
+    faces, degens = structure_maps(cap, lambda n, i: ident, lambda n, j: ident)
     return SimplicialAlgebra(alg.doctrine, cap, [alg] * (cap + 1), faces, degens)
 
 
@@ -532,24 +547,21 @@ def classifying_simplicial_algebra(group_alg: FiniteAlgebra, cap: int = DEFAULT_
             "e": {(): tuple(unit for _ in range(k))},
         }
         levels.append(FiniteAlgebra(doc, {g: carrier}, tables, f"{group_alg.name}^{k}"))
-    faces, degens = {}, {}
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            table = {}
-            for a in levels[n].carriers[g]:
-                if i == 0:
-                    table[a] = a[1:]
-                elif i == n:
-                    table[a] = a[:-1]
-                else:
-                    table[a] = a[: i - 1] + (mul[(a[i - 1], a[i])],) + a[i + 1:]
-            faces[(n, i)] = {g: table}
-    for n in range(cap):
-        for j in range(n + 1):
-            degens[(n, j)] = {
-                g: {a: a[:j] + (unit,) + a[j:] for a in levels[n].carriers[g]}
-            }
-    return SimplicialAlgebra(doc, cap, levels, faces, degens)
+
+    def face(n, i):
+        def image(a):
+            if i == 0:
+                return a[1:]
+            if i == n:
+                return a[:-1]
+            return a[: i - 1] + (mul[(a[i - 1], a[i])],) + a[i + 1:]
+
+        return {g: {a: image(a) for a in levels[n].carriers[g]}}
+
+    def degeneracy(n, j):
+        return {g: {a: a[:j] + (unit,) + a[j:] for a in levels[n].carriers[g]}}
+
+    return SimplicialAlgebra(doc, cap, levels, *structure_maps(cap, face, degeneracy))
 
 
 # -- degreewise free simplicial algebras ----------------------------------
@@ -563,8 +575,6 @@ class DegreewiseFreeDiagram:
 
     def __init__(self, doctrine: Doctrine, sort: Sort, Y: TruncSimplicialSet):
         if not doctrine.exact:
-            from .errors import UnsupportedDoctrine
-
             raise UnsupportedDoctrine("degreewise free algebras need an exact engine")
         self.doctrine = doctrine
         self.sort = sort
@@ -590,23 +600,19 @@ class DegreewiseFreeDiagram:
     def context(self, k: int) -> Context:
         return Context(tuple(self._gen[k].values()))
 
-    def _rename(self, k_from: int, structure_table: dict, k_to: int):
-        mapping = {}
-        for simplex, var in self._gen[k_from].items():
-            mapping[var.name] = self._gen[k_to][structure_table[simplex]]
-        return mapping
+    def _act(self, k: int, table: dict, k_to: int, term: Term) -> Term:
+        """The term with each level-k generator renamed to the level-k_to
+        generator of its simplex's image under the structure map `table`."""
+        ren = {var.name: self._gen[k_to][table[s]] for s, var in self._gen[k].items()}
+        return self.doctrine.engine.substitute((term,), ren)[0]
 
     def face_on_term(self, k: int, i: int, term: Term) -> Term:
-        ren = self._rename(k, self.Y.faces[(k, i)], k - 1)
-        return self.doctrine.engine.substitute((term,), ren)[0]
+        return self._act(k, self.Y.faces[(k, i)], k - 1, term)
 
     def degeneracy_on_term(self, k: int, j: int, term: Term) -> Term:
-        ren = self._rename(k, self.Y.degeneracies[(k, j)], k + 1)
-        return self.doctrine.engine.substitute((term,), ren)[0]
+        return self._act(k, self.Y.degeneracies[(k, j)], k + 1, term)
 
     def enumerate_value(self, k: int, obj: TheoryObject, bound: int) -> list[tuple]:
-        from .signature import enumerate_terms
-
         ctx = self.context(k)
         per_slot = [enumerate_terms(ctx, s, self.doctrine, bound) for s in obj.sorts]
         return list(itertools.product(*per_slot))
@@ -614,8 +620,6 @@ class DegreewiseFreeDiagram:
     def check_identities(self, bound: int = 2) -> list[str]:
         """Simplicial identities on the enumerated term fragments."""
         problems = []
-        from .signature import enumerate_terms
-
         for k in range(2, self.cap + 1):
             terms = enumerate_terms(self.context(k), self.sort, self.doctrine, bound)
             for j in range(1, k + 1):

@@ -42,6 +42,9 @@ class TheoryObject(Interned):
     def of(cls, *sorts: Sort) -> "TheoryObject":
         return cls(sorts)
 
+    def __reduce__(self):
+        return TheoryObject, (self.sorts,)
+
     @property
     def size(self) -> int:
         return len(self.sorts)
@@ -93,7 +96,7 @@ class TheoryMorphism(Interned):
 
 
 def make_morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject,
-                  terms, normalize: bool = True) -> TheoryMorphism:
+                  terms) -> TheoryMorphism:
     """Validate and (for exact engines) normalize a term tuple."""
     terms = tuple(terms)
     if len(terms) != target.size:
@@ -105,7 +108,7 @@ def make_morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject
         got = typecheck(t, ctx, doctrine)
         if got != want:
             raise ObjectMismatch(f"term {print_term(t)} has sort {got.name}, slot wants {want.name}")
-    if normalize and doctrine.exact:
+    if doctrine.exact:
         terms = tuple(doctrine.engine.normalize(t) for t in terms)
     return TheoryMorphism(source, target, terms)
 

@@ -332,6 +332,46 @@ def test_simplicial_verbs(tmp_path, trivial):
     assert code == 1 and report["data"]["refuted_at"]
 
 
+def _drop_face_2_1(data):
+    data["faces"] = [e for e in data["faces"] if (e["level"], e["index"]) != (2, 1)]
+
+
+def _drop_terminal_table(data):
+    del data["faces"][0]["maps"][""]
+
+
+def _add_face_at_level_7(data):
+    data["faces"].append({"level": 7, "index": 0, "maps": {}})
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_face_2_1, "face d_1 at level 2 missing"),
+    (_drop_terminal_table, "face d_0 at level 1 has no table at ()"),
+    (_add_face_at_level_7, "face d key (7, 0) is not an index below the cap 3"),
+], ids=["missing-map", "missing-table", "extra-key"])
+def test_malformed_simplicial_diagram_is_a_typed_error(tmp_path, trivial, capsys,
+                                                        corrupt, message):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=3)))
+    corrupt(data)
+    path = tmp_path / "bad_sd.json"
+    path.write_text(json.dumps(data))
+    for verb in (["homotopy-probe"], ["strict-check", "--simplicial"]):
+        report, code = run(verb + ["--theory", "builtin:trivial", "--diagram", str(path)])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"] == "InvalidParameter: bad simplicial diagram: " + message
+        assert capsys.readouterr().err == ""
+
+
+def test_text_report_is_bytes():
+    report, _ = run(["hom", "--theory", "builtin:group", "--from", "G", "--to", "G"])
+    text = emit_report(report, "text")
+    assert isinstance(text, bytes)
+    assert text.decode("utf-8") == "hom: pass (count=%d)\n" % report["data"]["count"]
+
+
 def test_rigidify_localize_verify(tmp_path, trivial):
     path = _toy_diagram_json(tmp_path, trivial)
     report, code = run(["rigidify", "--theory", "builtin:trivial", "--diagram", path])

@@ -124,7 +124,7 @@ class TestStrictlyLocal:
         arrows = dict(X.arrows)
         arrows[projection(T2, [1])] = {"z": "a"}
         X2 = DiagramOnTruncation(trivial, 2, 2, X.values, arrows)
-        SD = SimplicialDiagram(trivial, 0, [X2], {}, {}, check=False)
+        SD = SimplicialDiagram(trivial, 0, [X2], {}, {})
         for failures in (check_strictly_local(X2)[1], check_product_preservation(X2)[1],
                          check_strict(SD)[1]):
             assert [f.get("error") for f in failures] == ["projection tables partial"]

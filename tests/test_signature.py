@@ -495,3 +495,27 @@ def test_generic_engine_unit_law_with_compound_operand(ident, lhs, rhs):
     ctx = parse_context_text(f"a:{sort}, b:{sort}", doc)
     t1, t2 = parse_term_text(lhs, ctx, doc), parse_term_text(rhs, ctx, doc)
     assert doc.engine.equal(t1, t2) is EqResult.EQUAL
+
+
+def test_interned_values_copy_and_pickle_to_themselves(group):
+    import copy
+    import pickle
+
+    from msat.catalog import cyclic_group
+    from msat.models import as_functor
+    from msat.theory_cat import TheoryMorphism, TheoryObject
+
+    G = group.sort("G")
+    a = Var("a", G)
+    obj = TheoryObject.of(G, G)
+    values = [G, group.op("mul"), a, App(group.op("inv"), (a,)), obj,
+              TheoryMorphism(obj, TheoryObject.of(G), (obj.context().vars[1],))]
+    for x in values:
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    z3 = cyclic_group(group, 3)
+    twin = copy.deepcopy(z3)
+    assert twin.carriers == z3.carriers and twin.tables == z3.tables
+    X = as_functor(z3, 2, 2)
+    assert copy.deepcopy(X).arrows == X.arrows

@@ -7,6 +7,8 @@ from msat.errors import InvalidParameter
 from msat.fuzz import make_rng, product_simplicial_diagram, random_sset
 from msat.signature import normalize, print_term, substitute
 from msat.simplicial import (
+    SimplicialAlgebra,
+    SimplicialDiagram,
     TruncSimplicialSet,
     check_strict,
     classifying_simplicial_algebra,
@@ -54,6 +56,14 @@ class TestStandard:
         broken_faces[(2, 0)][x] = d.faces[(2, 0)][y]
         with pytest.raises(InvalidParameter):
             TruncSimplicialSet(3, d.levels, broken_faces, d.degeneracies)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_nerve_of_total_order_is_delta(self, n):
+        nerve = nerve_of_preorder(range(n + 1), lambda a, b: a <= b)
+        delta = standard("delta", n)
+        assert nerve.levels == delta.levels
+        assert nerve.faces == delta.faces
+        assert nerve.degeneracies == delta.degeneracies
 
 
 class TestPi0AndHomology:
@@ -148,6 +158,28 @@ class TestSimplicialDiagrams:
         SD = product_simplicial_diagram(trivial, interval)
         assert homotopy_probe(SD).passed
 
+    def test_degeneracy_naturality_checked(self, trivial):
+        # a circle: vertex v, degenerate edge e = s_0 v and a loop l
+        circle = TruncSimplicialSet(1, {0: ("v",), 1: ("e", "l")},
+                                    {(1, 0): {"e": "v", "l": "v"}, (1, 1): {"e": "v", "l": "v"}},
+                                    {(0, 0): {"v": "e"}})
+        SD = product_simplicial_diagram(trivial, circle)
+        degens = {k: dict(v) for k, v in SD.degeneracies.items()}
+        # still a simplicial set at el, but not natural along the diagonal
+        degens[(0, 0)][TheoryObject.of(trivial.sort("el"))] = {"v": "l"}
+        with pytest.raises(InvalidParameter, match="degeneracy s_0 at level 0 not natural"):
+            SimplicialDiagram(trivial, 1, SD.levels, SD.faces, degens)
+
+    def test_levels_must_fit_the_cap_and_share_objects(self, trivial, group):
+        from msat.diagram import DiagramOnTruncation
+
+        L0, L1 = (DiagramOnTruncation(trivial, bound, 2, {}, {}) for bound in (2, 1))
+        with pytest.raises(InvalidParameter, match="level diagrams disagree on their objects"):
+            SimplicialDiagram(trivial, 1, [L0, L1], {}, {})
+        sa = constant_simplicial_algebra(cyclic_group(group, 2), 2)
+        with pytest.raises(InvalidParameter, match="need one algebra per level up to the cap"):
+            SimplicialAlgebra(group, 2, sa.levels[:2], sa.faces, sa.degeneracies)
+
     def test_strict_implies_probe_passes_fuzzed(self, trivial):
         rng = make_rng(11)
         for _ in range(25):
@@ -156,6 +188,23 @@ class TestSimplicialDiagrams:
             ok, _ = check_strict(SD)
             assert ok
             assert homotopy_probe(SD).passed
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda faces: faces.pop((2, 1)), "bad simplicial algebra: face d_1 at level 2 missing"),
+        (lambda faces: faces.__setitem__((1, 0), {}),
+         "bad simplicial algebra: face d_0 at level 1 has no table at G"),
+        (lambda faces: faces.__setitem__((7, 0), faces[(1, 0)]),
+         "bad simplicial algebra: face d key (7, 0) is not an index below the cap 3"),
+        (lambda faces: faces.__setitem__((1, 0), {next(iter(faces[(1, 0)])): {0: 0}}),
+         "not a simplicial set: face d_0 at level 1 missing or partial"),
+    ], ids=["missing-map", "missing-table", "extra-key", "partial-table"])
+    def test_malformed_simplicial_algebra_is_a_typed_error(self, group, corrupt, message):
+        sa = constant_simplicial_algebra(cyclic_group(group, 2), 3)
+        faces = dict(sa.faces)
+        corrupt(faces)
+        with pytest.raises(InvalidParameter) as err:
+            SimplicialAlgebra(group, 3, sa.levels, faces, sa.degeneracies)
+        assert str(err.value) == message
 
 
 class TestDegreewiseFree:

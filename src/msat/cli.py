@@ -49,7 +49,7 @@ from .rigidify import (
 )
 from .signature import EqResult, normalize, print_term, terms_equal
 from .simplicial import check_strict, degreewise_free, homotopy_probe, standard
-from .theory_cat import compose, hom_enumerate, morphism_to_json, projection
+from .theory_cat import compose, hom_enumerate, morphism_to_json
 
 # every public engine operation is reachable through exactly one verb
 VERB_OPERATIONS = {
@@ -92,35 +92,31 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_input(path: str, key: str, inputs: dict) -> str:
+    """The text of an input file; records its SHA-256 under `key`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    inputs[key] = _sha256(raw)
+    return raw.decode("utf-8")
+
+
 def _load_theory(spec: str, inputs: dict):
     if spec.startswith("builtin:"):
         inputs["theory"] = _sha256(spec.encode())
         return resolve_builtin(spec)
-    with open(spec, "rb") as fh:
-        raw = fh.read()
-    inputs["theory"] = _sha256(raw)
-    return parse_theory(raw.decode("utf-8"))
+    return parse_theory(_read_input(spec, "theory", inputs))
 
 
 def _load_model(path: str, doctrine, inputs: dict):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    inputs["model"] = _sha256(raw)
-    return parse_model(raw.decode("utf-8"), doctrine)
+    return parse_model(_read_input(path, "model", inputs), doctrine)
 
 
 def _load_diagram(path: str, doctrine, inputs: dict):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    inputs["diagram"] = _sha256(raw)
-    return diagram_from_data(json.loads(raw.decode("utf-8")), doctrine)
+    return diagram_from_data(json.loads(_read_input(path, "diagram", inputs)), doctrine)
 
 
 def _load_sdiagram(path: str, doctrine, inputs: dict):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    inputs["diagram"] = _sha256(raw)
-    return simplicial_from_data(json.loads(raw.decode("utf-8")), doctrine)
+    return simplicial_from_data(json.loads(_read_input(path, "diagram", inputs)), doctrine)
 
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
@@ -445,8 +441,7 @@ def _dispatch(ns, report, inputs) -> int:
 
     if verb == "verify-ktk":
         obj = parse_object_text(ns.object, doctrine)
-        p = ProjectionMap(obj, tuple(projection(obj, [i]) for i in range(1, obj.size + 1)))
-        ok, per_model = verify_ktk(doctrine, p, ns.model_bound,
+        ok, per_model = verify_ktk(doctrine, ProjectionMap.of(obj), ns.model_bound,
                                    object_bound=ns.object_bound, term_bound=ns.size)
         data["models"] = per_model
         report["verdict"] = "pass" if ok else "fail"

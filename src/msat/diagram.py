@@ -6,11 +6,15 @@ Tables may be partial (truncated representables drop images that leave
 the enumerated fragment); checks and solvers only constrain where a
 table is defined.  Natural transformations into a functor are the
 solutions of one constraint per defined table entry (`search.solve`).
+
+`DiagramOnTruncation.comparison` is the one canonical map
+X(T) -> X(T_1) x ... x X(T_n) read off the projection tables; the
+strictness check, both routes of `rigidify` and the universal-property
+check all read it.  `is_bijection` is the one bijection test that
+those checks, `verify_ktk` and `models.adjunction_check` use.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import InvalidParameter
 from .search import solve
@@ -167,45 +171,27 @@ class DiagramOnTruncation:
         problems.extend(conflicts)
         return problems
 
-    def act(self, m: TheoryMorphism, x):
-        """Apply the action of a (possibly composite) morphism; None if
-        it is not derivable or not defined at x."""
-        if m in self.arrows and x in self.arrows[m]:
-            return self.arrows[m][x]
-        closure, _ = self.arrow_closure()
-        table = closure.get(m)
-        if table is None:
+    def comparison(self, obj: TheoryObject):
+        """The canonical map X(obj) -> X(T_1) x ... x X(T_n) into the
+        product of the size-one values at the sorts of obj: each element
+        goes to the tuple of its images under the projections
+        obj -> T_i.  Returned as a dict on the elements where every
+        projection table is defined; None when a projection table is
+        missing.  At the terminal object every element goes to ()."""
+        tables = [self.arrows.get(projection(obj, [i])) for i in range(1, obj.size + 1)]
+        if any(t is None for t in tables):
             return None
-        return table.get(x)
-
-    def projection_table(self, obj: TheoryObject, i: int):
-        return self.arrows.get(projection(obj, [i]))
-
-    def singleton_product(self, obj: TheoryObject):
-        factors = [self.values[TheoryObject.of(s)] for s in obj.sorts]
-        return list(itertools.product(*factors))
+        return {
+            x: tuple([t[x] for t in tables])
+            for x in self.values[obj] if all(x in t for t in tables)
+        }
 
 
-def product_comparison(X: DiagramOnTruncation, obj: TheoryObject):
-    """(verdict, detail) for the canonical map at one object; the detail
-    says when a projection table is missing or partial."""
-    detail = {"object": obj.key(), "value": len(X.value(obj))}
-    if obj.size == 0:
-        detail["product"] = 1
-        return detail["value"] == 1, detail
-    prod = X.singleton_product(obj)
-    detail["product"] = len(prod)
-    tables = [X.projection_table(obj, i) for i in range(1, obj.size + 1)]
-    if any(t is None for t in tables):
-        detail["error"] = "projection tables missing"
-        return False, detail
-    try:
-        images = [tuple(t[x] for t in tables) for x in X.value(obj)]
-    except KeyError:
-        detail["error"] = "projection tables partial"
-        return False, detail
-    ok = len(set(images)) == len(images) and set(images) == set(prod)
-    return ok, detail
+def is_bijection(images, codomain) -> bool:
+    """True when `images`, the list of the images of a map's domain
+    elements, hits every element of `codomain` exactly once."""
+    hit = set(images)
+    return len(hit) == len(images) and hit == set(codomain)
 
 
 # -- functors induced by algebras and representables --------------------

@@ -17,14 +17,15 @@ Model grammar:
                | "table" IDENT "=" "[" [entry ("," entry)*] "]"
     entry     := "(" [elem ("," elem)*] ")" "->" elem
 
-Elements are identifiers or integers and are handled as strings.
+Elements are identifiers or integers and are handled as strings.  A
+sort takes one `carrier` statement and an op one `table` statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import DiagramOnTruncation
+from .diagram import DiagramOnTruncation, diagram_to_json, element_key
 from .engines import BoundedGenericEngine
 from .errors import ParseError
 from .models import FiniteAlgebra
@@ -307,6 +308,8 @@ def parse_model(text: str, doctrine: Doctrine) -> FiniteAlgebra:
                     sort = cand
             if sort is None:
                 raise ParseError(f"unknown sort {s.value!r}", s.line, s.col)
+            if sort in carriers:
+                raise ParseError(f"duplicate carrier for sort {s.value!r}", s.line, s.col)
             st.next("=")
             st.next("{")
             elems = []
@@ -321,6 +324,10 @@ def parse_model(text: str, doctrine: Doctrine) -> FiniteAlgebra:
             opname = st.next("ident", "op name")
             if not doctrine.has_op(opname.value):
                 raise ParseError(f"unknown op {opname.value!r}", opname.line, opname.col)
+            if opname.value in tables:
+                raise ParseError(
+                    f"duplicate table for op {opname.value!r}", opname.line, opname.col
+                )
             st.next("=")
             st.next("[")
             table: dict = {}
@@ -413,8 +420,6 @@ def parse_morphism_text(text: str, doctrine: Doctrine) -> TheoryMorphism:
 
 
 def diagram_to_data(X: DiagramOnTruncation) -> dict:
-    from .diagram import diagram_to_json
-
     return diagram_to_json(X)
 
 
@@ -437,8 +442,6 @@ def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
 
 
 def simplicial_to_data(SD: SimplicialDiagram) -> dict:
-    from .diagram import diagram_to_json, element_key
-
     def tables(maps):
         out = []
         for (n, i), per_obj in sorted(maps.items()):

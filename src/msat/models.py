@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import DiagramOnTruncation, product_comparison
+from .diagram import DiagramOnTruncation, is_bijection
 from .errors import (
     DoctrineMismatch,
     ElementNotInCarrier,
@@ -68,6 +68,13 @@ class FiniteAlgebra:
         for s in self.doctrine.sorts:
             if s not in self.carriers:
                 raise InvalidParameter(f"{self.name}: missing carrier for sort {s.name}")
+            seen = set()
+            for e in self.carriers[s]:
+                if e in seen:
+                    raise InvalidParameter(
+                        f"{self.name}: carrier of sort {s.name} repeats element {e!r}"
+                    )
+                seen.add(e)
         for op in self.doctrine.ops:
             table = self.tables.get(op.name)
             if table is None:
@@ -305,7 +312,7 @@ class AlgebraFunctor:
         if m not in self._maps:
             table = {}
             for x in self.value(m.source):
-                env = {f"v{i+1}": e for i, e in enumerate(x)}
+                env = dict(zip(m.source.names, x))
                 table[x] = tuple(_value(self.alg, t, env) for t in m.terms)
             self._maps[m] = table
         return self._maps[m]
@@ -321,15 +328,25 @@ def as_functor(alg: FiniteAlgebra, object_bound: int = 2, term_bound: int = 2) -
 
 
 def check_product_preservation(X: DiagramOnTruncation):
-    """(strict, failures): bijectivity of every canonical map into the
-    product of size-one values, including the terminal condition."""
+    """(strict, failures): bijectivity of every canonical map
+    `X.comparison(obj)` into the product of size-one values, including
+    the terminal condition.  A failure's detail says when a projection
+    table is missing or partial."""
     failures = []
     for obj in X.objects():
         if obj.size == 1:
             continue
-        ok, detail = product_comparison(X, obj)
-        if not ok:
-            failures.append(detail)
+        values = X.value(obj)
+        product = list(itertools.product(*(X.value(TheoryObject.of(s)) for s in obj.sorts)))
+        detail = {"object": obj.key(), "value": len(values), "product": len(product)}
+        images = X.comparison(obj)
+        if images is None:
+            detail["error"] = "projection tables missing"
+        elif any(x not in images for x in values):
+            detail["error"] = "projection tables partial"
+        elif is_bijection([images[x] for x in values], product):
+            continue
+        failures.append(detail)
     return (not failures), failures
 
 
@@ -407,10 +424,5 @@ def adjunction_check(doctrine: Doctrine, sort: Sort, Y, X: FiniteAlgebra) -> boo
         raise InvalidParameter("generator names must be distinct")
     P = free_algebra(doctrine, {sort: Y})
     alg_side = homs_into(P, X)
-    transposes = []
-    for h in alg_side:
-        transposes.append(tuple(h[y] for y in Y))
-    set_side = list(itertools.product(X.carriers[sort], repeat=len(Y)))
-    return len(transposes) == len(set(transposes)) == len(set_side) and set(
-        transposes
-    ) == set(set_side)
+    transposes = [tuple(h[y] for y in Y) for h in alg_side]
+    return is_bijection(transposes, itertools.product(X.carriers[sort], repeat=len(Y)))

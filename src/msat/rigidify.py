@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .catalog import models_for
 from .diagram import (
     DiagramOnTruncation,
     coproduct_diagram,
     element_key,
+    is_bijection,
     natural_transformations,
     representable_diagram,
 )
@@ -53,18 +55,18 @@ class ProjectionMap:
     def factors(self) -> list[TheoryObject]:
         return [TheoryObject.of(s) for s in self.target.sorts]
 
+    @classmethod
+    def of(cls, target: TheoryObject) -> "ProjectionMap":
+        """The projection map of `target`, through its canonical
+        projections target -> T_i in slot order."""
+        return cls(target, tuple(projection(target, [i]) for i in range(1, target.size + 1)))
+
 
 def projection_map_set(doctrine: Doctrine, bound: int) -> list[ProjectionMap]:
     """One projection map per object of size 2..bound."""
     if bound < 2:
         raise InvalidParameter("projection map set needs bound >= 2")
-    out = []
-    for obj in objects_up_to(doctrine, bound):
-        if obj.size < 2:
-            continue
-        projs = tuple(projection(obj, [i]) for i in range(1, obj.size + 1))
-        out.append(ProjectionMap(obj, projs))
-    return out
+    return [ProjectionMap.of(obj) for obj in objects_up_to(doctrine, bound) if obj.size >= 2]
 
 
 # Mapping in along every projection map is bijective exactly when, at
@@ -221,12 +223,11 @@ def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
     equal projections has its entire representable image identified.
     `bound` is unused; it keeps the signature of `surjectivity_step`."""
     exact, closure = _step_preamble(X, approximate)
-    proj_tables = [X.arrows.get(m, {}) for m in p.projections]
-    tgt_vals = X.value(p.target)
-    pairs = []
-    for u, v in itertools.combinations(tgt_vals, 2):
-        if all(u in t and v in t and t[u] == t[v] for t in proj_tables):
-            pairs.append((u, v))
+    images = X.comparison(p.target) or {}
+    pairs = [
+        (u, v) for u, v in itertools.combinations(X.value(p.target), 2)
+        if u in images and v in images and images[u] == images[v]
+    ]
     membership = {obj: [("x", x) for x in X.value(obj)] for obj in X.objects()}
     uf = UnionFind()
     from_target = [
@@ -338,18 +339,17 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
         if w.target.size != 1:
             continue
         src = w.source
-        proj_tables = [X.arrows.get(projection(src, [i]), {}) for i in range(1, src.size + 1)]
-        tgt_obj = TheoryObject.of(w.target.sorts[0])
+        images = X.comparison(src) or {}
+        factors = [TheoryObject.of(s) for s in src.sorts]
         for z, img in table.items():
-            try:
-                asg = {
-                    f"v{i+1}": gens[(TheoryObject.of(src.sorts[i]), proj_tables[i][z])]
-                    for i in range(src.size)
-                }
-            except KeyError:
+            if z not in images:
                 continue
+            asg = {
+                name: gens[(factor, y)]
+                for name, factor, y in zip(src.names, factors, images[z])
+            }
             lhs = substitute(w.terms[0], asg)
-            rhs = gens[(tgt_obj, img)]
+            rhs = gens[(w.target, img)]
             if lhs == rhs:
                 continue
             key = (lhs, rhs)
@@ -360,27 +360,19 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
     return AlgebraPresentation(X.doctrine, generators_t, tuple(relations), name="strictified")
 
 
-def _transpose_hom(X: DiagramOnTruncation, gens, hom):
-    """The natural transformation X -> H_A induced by a generator
-    assignment; None when a needed projection entry is missing."""
-    nat = {}
+def _generator_names(X: DiagramOnTruncation, gens):
+    """(obj, x) -> the names of the generators at the projections of x,
+    read off `X.comparison`; None when a projection table is missing or
+    partial, so that no generator assignment transposes."""
+    names = {}
     for obj in X.objects():
-        if obj.size == 0:
-            for x in X.value(obj):
-                nat[(obj, x)] = ()
-            continue
-        proj_tables = [
-            X.arrows.get(projection(obj, [i]), {}) for i in range(1, obj.size + 1)
-        ]
-        for x in X.value(obj):
-            try:
-                nat[(obj, x)] = tuple(
-                    hom[gens[(TheoryObject.of(obj.sorts[i]), proj_tables[i][x])].name]
-                    for i in range(obj.size)
-                )
-            except KeyError:
-                return None
-    return nat
+        images = X.comparison(obj) or {}
+        if any(x not in images for x in X.value(obj)):
+            return None
+        factors = [TheoryObject.of(s) for s in obj.sorts]
+        for x, ys in images.items():
+            names[(obj, x)] = tuple(gens[(f, y)].name for f, y in zip(factors, ys))
+    return names
 
 
 def verify_universal_property(X: DiagramOnTruncation, P: AlgebraPresentation,
@@ -388,28 +380,21 @@ def verify_universal_property(X: DiagramOnTruncation, P: AlgebraPresentation,
     """For every catalog model A: generator assignments P -> A must
     biject with natural transformations X -> H_A under the canonical
     transpose.  Returns (ok, per-model report)."""
-    from .catalog import models_for
-
     if models is None:
         models = models_for(X.doctrine, model_bound)
-    gens = _generator_table(X)
+    names = _generator_names(X, _generator_table(X))
     report = []
     ok = True
     for A in models:
         H = AlgebraFunctor(A, X.object_bound)
         nats = natural_transformations(X, H)
         homs = homs_into(P, A)
-        transposed = []
-        for h in homs:
-            nat = _transpose_hom(X, gens, h)
-            transposed.append(nat)
-        nat_keys = {frozenset(n.items()) for n in nats}
-        trans_keys = [frozenset(n.items()) for n in transposed if n is not None]
-        model_ok = (
-            len(homs) == len(nats)
-            and len(trans_keys) == len(homs)
-            and len(set(trans_keys)) == len(trans_keys)
-            and set(trans_keys) == nat_keys
+        transposed = [] if names is None else [
+            frozenset((key, tuple(h[n] for n in ns)) for key, ns in names.items())
+            for h in homs
+        ]
+        model_ok = len(transposed) == len(homs) == len(nats) and is_bijection(
+            transposed, [frozenset(n.items()) for n in nats]
         )
         ok = ok and model_ok
         report.append({
@@ -426,8 +411,6 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
     """Strictifying both sides of a projection map must give the same
     finite-model hom sets: maps out of either presented algebra into A
     biject with the product of A's carriers at the factor sorts."""
-    from .catalog import models_for
-
     if models is None:
         models = models_for(doctrine, model_bound)
     rep_big = representable_diagram(doctrine, p.target, object_bound, term_bound)
@@ -460,8 +443,8 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
                 ident_elem = (i, (factor.context().vars[0],))
                 key.append(h[gens_sum[(factor, ident_elem)].name])
             sum_keys.append(tuple(key))
-        big_ok = len(big_keys) == len(set(big_keys)) and set(big_keys) == set(want)
-        sum_ok = len(sum_keys) == len(set(sum_keys)) and set(sum_keys) == set(want)
+        big_ok = is_bijection(big_keys, want)
+        sum_ok = is_bijection(sum_keys, want)
         ok = ok and big_ok and sum_ok
         report.append({
             "model": A.name,

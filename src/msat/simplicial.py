@@ -103,12 +103,6 @@ class TruncSimplicialSet:
     def level(self, n: int):
         return self.levels[n]
 
-    def face(self, n: int, i: int) -> dict:
-        return self.faces[(n, i)]
-
-    def degeneracy(self, n: int, j: int) -> dict:
-        return self.degeneracies[(n, j)]
-
     def identity_problems(self) -> list[str]:
         out = []
         for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
@@ -473,7 +467,7 @@ def homotopy_probe(X: SimplicialDiagram) -> ProbeResult:
 
 class SimplicialAlgebra:
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[FiniteAlgebra],
-                 faces: dict, degeneracies: dict, check: bool = True):
+                 faces: dict, degeneracies: dict):
         if len(levels) != cap + 1:
             raise InvalidParameter("need one algebra per level up to the cap")
         problem = _index_problem(cap, faces, degeneracies, doctrine.sorts)
@@ -484,17 +478,16 @@ class SimplicialAlgebra:
         self.levels = list(levels)
         self.faces = faces
         self.degeneracies = degeneracies
-        if check:
-            for alg in levels:
-                bad = check_equations(alg)
-                if bad:
-                    raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
-            for s in doctrine.sorts:  # total, in-range tables before the homomorphism check
-                self._sort_sset(s, check=True)
-            for name, maps, keys, step in _kinds(cap, faces, degeneracies):
-                for n, i in keys:
-                    label = f"{name}_{i} at level {n}"
-                    self._check_hom(self.levels[n], self.levels[n + step], maps[(n, i)], label)
+        for alg in levels:
+            bad = check_equations(alg)
+            if bad:
+                raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
+        for s in doctrine.sorts:  # total, in-range tables before the homomorphism check
+            self._sort_sset(s, check=True)
+        for name, maps, keys, step in _kinds(cap, faces, degeneracies):
+            for n, i in keys:
+                label = f"{name}_{i} at level {n}"
+                self._check_hom(self.levels[n], self.levels[n + step], maps[(n, i)], label)
 
     def _check_hom(self, A, B, comp, label):
         for op in self.doctrine.ops:

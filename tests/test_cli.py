@@ -191,6 +191,22 @@ def test_check_model_pass_and_fail(z2_file, faulted_file):
     assert "inv" in report["counterexamples"][0]["equation"]
 
 
+@pytest.mark.parametrize("theory, text, message", [
+    ("trivial", "model d of trivial carrier el = {a, a, b} end",
+     "d: carrier of sort el repeats element 'a'"),
+    ("group", "model z of group carrier G = {0, 1, 0} table mul = [(0,0)->0, (0,1)->1, "
+     "(1,0)->1, (1,1)->0] table inv = [(0)->0, (1)->1] table e = [()->0] end",
+     "z: carrier of sort G repeats element '0'"),
+], ids=["trivial", "group"])
+def test_check_model_repeated_carrier_element(tmp_path, capsys, theory, text, message):
+    path = tmp_path / "rep.model"
+    path.write_text(text)
+    report, code = run(["check-model", "--theory", f"builtin:{theory}", "--model", str(path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == "InvalidParameter: " + message
+    assert capsys.readouterr().err == ""
+
+
 def test_check_model_homs(z2_file):
     report, code = run([
         "check-model", "--theory", "builtin:group", "--model", z2_file,

@@ -6,10 +6,10 @@ import random
 import pytest
 
 import msat.diagram as diagram
-from msat.catalog import models_for
+from msat.catalog import action_model, models_for
 from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
 from msat.models import as_functor
-from msat.theory_cat import TheoryObject, generating_morphisms, objects_up_to
+from msat.theory_cat import TheoryObject, generating_morphisms, objects_up_to, projection
 
 from oracles import naive_arrow_closure, representable_by_compose
 
@@ -99,3 +99,28 @@ def test_representable_matches_composites(request, name):
         assert list(X.arrows) == list(arrows)
         for m, table in arrows.items():
             assert list(X.arrows[m].items()) == list(table.items()), m
+
+
+def test_comparison_at_terminal_missing_and_partial_tables(trivial):
+    X = random_trivial_diagram(make_rng(0), trivial, "any")
+    el = trivial.sorts[0]
+    T2 = TheoryObject.of(el, el)
+    assert X.comparison(TheoryObject(())) == {x: () for x in X.value(TheoryObject(()))}
+    first = projection(T2, [1])
+    partial = dict(X.arrows)
+    dropped = X.value(T2)[0]
+    partial[first] = {x: y for x, y in X.arrows[first].items() if x != dropped}
+    Y = diagram.DiagramOnTruncation(trivial, 2, 2, X.values, partial)
+    assert list(Y.comparison(T2)) == list(X.value(T2)[1:])
+    del partial[first]
+    Z = diagram.DiagramOnTruncation(trivial, 2, 2, X.values, partial)
+    assert Z.comparison(T2) is None
+
+
+def test_comparison_of_a_two_sorted_functor(action):
+    X = as_functor(action_model(action, "z2-swap"), 2)
+    G, S = action.sort("G"), action.sort("X")
+    obj = TheoryObject.of(G, S)
+    images = X.comparison(obj)
+    assert list(images) == list(X.value(obj))
+    assert all(images[(a, b)] == ((a,), (b,)) for a, b in X.value(obj))

@@ -91,6 +91,17 @@ def test_model_missing_table(group):
         parse_model(text, group)
 
 
+@pytest.mark.parametrize("statement, message, position", [
+    ("carrier G = {1}", "duplicate carrier for sort 'G'", (6, 9)),
+    ("table e = [()->1]", "duplicate table for op 'e'", (6, 7)),
+], ids=["carrier", "table"])
+def test_model_repeated_statement(group, statement, message, position):
+    text = print_model(cyclic_group(group, 2)).replace("end\n", statement + "\nend\n")
+    with pytest.raises(ParseError, match=message) as err:
+        parse_model(text, group)
+    assert (err.value.line, err.value.col) == position
+
+
 def test_faulted_models_round_trip():
     for alg, _ in faulted_catalog():
         text = print_model(alg)

@@ -14,9 +14,11 @@ from msat.catalog import (
     valid_catalog,
 )
 from msat.diagram import natural_transformations, representable_diagram
-from msat.errors import ElementNotInCarrier, UnboundVariable, UnsupportedDoctrine
+from msat.dsl import parse_model, print_model
+from msat.errors import ElementNotInCarrier, InvalidParameter, UnboundVariable, UnsupportedDoctrine
 from msat.models import (
     AlgebraFunctor,
+    FiniteAlgebra,
     _carrier_context,
     _value,
     adjunction_check,
@@ -264,6 +266,17 @@ def test_table_leaving_carrier_raises_typed_error(group, check):
     z2.tables["inv"][(1,)] = 5
     with pytest.raises(ElementNotInCarrier, match=r"inv\(1,\) = 5"):
         check(z2)
+
+
+def test_repeated_carrier_element_rejected(trivial, group):
+    """A carrier that names an element twice would double-count homs
+    (8 into set2 at the parent, where 4 is right) instead of failing."""
+    el = trivial.sort("el")
+    with pytest.raises(InvalidParameter, match="carrier of sort el repeats element 'a'"):
+        FiniteAlgebra(trivial, {el: ("a", "a", "b")}, {}, "d")
+    text = print_model(cyclic_group(group, 2)).replace("{0, 1}", "{0, 1, 0}")
+    with pytest.raises(InvalidParameter, match="carrier of sort G repeats element '0'"):
+        parse_model(text, group)
 
 
 class TestAsFunctor:

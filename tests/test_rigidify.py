@@ -70,8 +70,8 @@ def repeated_element_diagram(trivial):
 
 def projection_images(X, obj):
     """The image of every element of X(obj) under the projection tables."""
-    tables = [X.projection_table(obj, i) for i in range(1, obj.size + 1)]
-    return [tuple(t[x] for t in tables) for x in X.value(obj)]
+    images = X.comparison(obj)
+    return [images[x] for x in X.value(obj)]
 
 
 class TestProjectionMaps:
@@ -131,6 +131,17 @@ class TestStrictlyLocal:
         del arrows[projection(T2, [1])]
         X3 = DiagramOnTruncation(trivial, 2, 2, X.values, arrows)
         assert check_product_preservation(X3)[1][0]["error"] == "projection tables missing"
+
+    def test_partial_projection_table_transposes_no_hom(self, trivial):
+        X = toy_diagram(trivial)
+        T2 = TheoryObject.of(trivial.sort("el"), trivial.sort("el"))
+        arrows = dict(X.arrows)
+        arrows[projection(T2, [1])] = {"z": "a"}
+        X2 = DiagramOnTruncation(trivial, 2, 2, X.values, arrows)
+        ok, report = verify_universal_property(X2, rigidify_presentation(X2), 3)
+        assert not ok
+        assert [(r["model"], r["bijection"]) for r in report] == [
+            ("set1", False), ("set2", False), ("set3", False)]
 
     def test_repeated_element_fails(self, trivial):
         X = repeated_element_diagram(trivial)
@@ -216,7 +227,8 @@ class TestStepsAgainstOracle:
         for _ in range(10):
             X = random_trivial_diagram(rng, trivial, "any")
             X2 = surjectivity_step(X, p).diagram
-            assert set(projection_images(X2, T2)) == set(X2.singleton_product(T2))
+            points = X2.value(TheoryObject.of(el))
+            assert set(projection_images(X2, T2)) == set(itertools.product(points, points))
 
     def test_injectivity_collapses_fibers(self, trivial):
         X = toy_diagram(trivial)

@@ -12,6 +12,10 @@ X(T) -> X(T_1) x ... x X(T_n) read off the projection tables; the
 strictness check, both routes of `rigidify` and the universal-property
 check all read it.  `is_bijection` is the one bijection test that
 those checks, `verify_ktk` and `models.adjunction_check` use.
+
+A representable diagram and a composite met by the closure are pure
+functions of the doctrine and the bounds; both are built once and kept
+in `Doctrine.memo`, so a representable is shared and read-only.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .theory_cat import (
     objects_up_to,
     projection,
 )
+
+
+_UNSEEN = object()
 
 
 class DiagramOnTruncation:
@@ -78,11 +85,14 @@ class DiagramOnTruncation:
 
         Semi-naive fixpoint (Bancilhon & Ramakrishnan, 1986): rounds
         visit the composable pairs (f outer, g inner) of a snapshot of
-        the closure, but a pair is composed once and its table is
-        recomputed only when f's or g's table grew since the pair was
-        last evaluated; an unchanged pair could only repeat a merge that
-        already happened.  Keys, table order and the first conflict are
-        those of recomposing every pair each round."""
+        the closure, but a pair's table is recomputed only when f's or
+        g's table grew since the pair was last evaluated; an unchanged
+        pair could only repeat a merge that already happened.  Keys,
+        table order and the first conflict are those of recomposing
+        every pair each round.  A pair is composed at most once per
+        doctrine and term bound: its composite (None past the bound) is
+        kept in the doctrine's `memo`, where every closure over that
+        doctrine reads it."""
         if self._closure_cache is not None:
             return self._closure_cache
         closure: dict[TheoryMorphism, dict] = {}
@@ -122,7 +132,8 @@ class DiagramOnTruncation:
         # (f, g) -> (tick when last evaluated, g after f); the composite
         # is None when it exceeds the term bound
         evaluated: dict[tuple, tuple] = {}
-        fits: dict[TheoryMorphism, bool] = {}
+        # (f, g) -> g after f, or None past the term bound
+        composites = self.doctrine.memo.setdefault(("composites", self.term_bound), {})
         changed = True
         while changed:
             changed = False
@@ -134,11 +145,13 @@ class DiagramOnTruncation:
                 for g, gtab in by_source.get(f.target, ()):
                     seen = evaluated.get((f, g))
                     if seen is None:
-                        h = compose(self.doctrine, g, f)
-                        ok = fits.get(h)
-                        if ok is None:
-                            ok = fits[h] = self.morphism_size(h) <= self.term_bound
-                        if not ok:
+                        h = composites.get((f, g), _UNSEEN)
+                        if h is _UNSEEN:
+                            h = compose(self.doctrine, g, f)
+                            if self.morphism_size(h) > self.term_bound:
+                                h = None
+                            composites[(f, g)] = h
+                        if h is None:
                             evaluated[(f, g)] = (clock, None)
                             continue
                     else:
@@ -189,9 +202,11 @@ class DiagramOnTruncation:
 
 def is_bijection(images, codomain) -> bool:
     """True when `images`, the list of the images of a map's domain
-    elements, hits every element of `codomain` exactly once."""
+    elements, hits every element of `codomain` exactly once.  A
+    `codomain` that lists an element twice has no bijection onto it."""
+    codomain = list(codomain)
     hit = set(images)
-    return len(hit) == len(images) and hit == set(codomain)
+    return len(hit) == len(images) == len(codomain) and hit == set(codomain)
 
 
 # -- functors induced by algebras and representables --------------------
@@ -201,7 +216,18 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
                           term_bound: int) -> DiagramOnTruncation:
     """Hom(rep, -) restricted to the truncation.  Elements are the term
     tuples of the enumerated morphisms; arrow images outside the
-    enumerated fragment are left undefined."""
+    enumerated fragment are left undefined.  Built once per
+    (rep, object_bound, term_bound) and kept in `doctrine.memo`, so
+    every caller shares one diagram and its closure cache: the result
+    is read-only, and nothing may write its `values` or `arrows`."""
+    key = ("representable_diagram", rep, object_bound, term_bound)
+    X = doctrine.memo.get(key)
+    if X is None:
+        X = doctrine.memo[key] = _representable_diagram(doctrine, rep, object_bound, term_bound)
+    return X
+
+
+def _representable_diagram(doctrine, rep, object_bound, term_bound):
     values = {}
     for obj in objects_up_to(doctrine, object_bound):
         values[obj] = tuple(m.terms for m in hom_enumerate(rep, obj, doctrine, term_bound))
@@ -246,7 +272,8 @@ def natural_transformations(X: DiagramOnTruncation, Y):
     Y must expose value(obj) and morphism_map(m) (total on its values).
     Each arrow entry x -> y of X(m) is the constraint
     eta(y) = Y(m)(eta(x)) for `search.solve`."""
-    unknowns = [(obj, x) for obj in X.objects() for x in X.value(obj)]
+    # a value list may name an element twice; it is one unknown
+    unknowns = list(dict.fromkeys((obj, x) for obj in X.objects() for x in X.value(obj)))
     index = {u: i for i, u in enumerate(unknowns)}
     constraints = []
     for m, table in X.arrows.items():

@@ -319,7 +319,16 @@ class Engine:
 
 @dataclass(frozen=True, eq=False)
 class Doctrine:
-    """A sorted equational presentation plus its normal-form engine."""
+    """A sorted equational presentation plus its normal-form engine.
+
+    `memo` holds the doctrine's pure truncation results, built once
+    each: the generating morphisms per object bound
+    (`theory_cat.generating_morphisms`), the representable diagrams per
+    (representable, object bound, term bound)
+    (`diagram.representable_diagram`), and per term bound the composites
+    met by `DiagramOnTruncation.arrow_closure`.  It is created with the
+    doctrine and freed with it, and each entry is bounded by the finite
+    truncation asked for."""
 
     name: str
     sorts: tuple[Sort, ...]
@@ -327,6 +336,7 @@ class Doctrine:
     equations: tuple[Equation, ...]
     engine: Engine = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         sort_names = [s.name for s in self.sorts]

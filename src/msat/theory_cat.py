@@ -230,11 +230,21 @@ def variable_morphisms(src: TheoryObject, tgt: TheoryObject) -> list[TheoryMorph
     return out
 
 
-def generating_morphisms(doctrine: Doctrine, object_bound: int) -> list[TheoryMorphism]:
+def generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[TheoryMorphism, ...]:
     """Arrows generating the truncated category: every variable-tuple
     morphism between objects of size <= object_bound, plus every single
     operation applied to a variable assignment (allowing repeats, so
-    operations of arity above the object bound still act)."""
+    operations of arity above the object bound still act).  Built once
+    per object bound and kept in `doctrine.memo`; every caller gets the
+    same tuple."""
+    key = ("generating_morphisms", object_bound)
+    gens = doctrine.memo.get(key)
+    if gens is None:
+        gens = doctrine.memo[key] = _generating_morphisms(doctrine, object_bound)
+    return gens
+
+
+def _generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[TheoryMorphism, ...]:
     objs = objects_up_to(doctrine, object_bound)
     out: list[TheoryMorphism] = []
     for a in objs:
@@ -255,7 +265,7 @@ def generating_morphisms(doctrine: Doctrine, object_bound: int) -> list[TheoryMo
         if not op.domain:
             term = _app_normalized(doctrine, op, ())
             out.append(TheoryMorphism(TERMINAL, tgt, (term,)))
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))
 
 
 def _app_normalized(doctrine, op, args):

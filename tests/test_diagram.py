@@ -64,7 +64,20 @@ def test_closure_matches_naive_on_algebras(request, name):
     assert_same_closure(twisted_algebra_diagram(make_rng(0), alg, 2, 2, duplicates=1))
 
 
-def test_each_pair_composed_once(ring_module, monkeypatch):
+@pytest.mark.parametrize("name", ["trivial", "monoid", "action"])
+def test_closure_on_warm_memo_matches_naive(fresh_doctrine, name):
+    d = fresh_doctrine(name)
+    for seed in range(20):
+        # the second diagram is the same one, closed over the composites
+        # the first closure left in the doctrine's memo
+        for _ in range(2):
+            assert_same_closure(random_partial_diagram(random.Random(seed), d))
+    assert any(key[0] == "composites" for key in d.memo)
+
+
+def test_each_pair_composed_once(fresh_doctrine, monkeypatch):
+    # a fresh doctrine: a warm memo would compose no pair at all
+    ring_module = fresh_doctrine("ring_module")
     X = as_functor(models_for(ring_module, 3)[0], 2)
     pairs = []
     compose = diagram.compose
@@ -89,16 +102,33 @@ def test_broken_diagram_lists_each_conflict_once(trivial):
 
 
 @pytest.mark.parametrize("name", DOCTRINES)
-def test_representable_matches_composites(request, name):
-    d = request.getfixturevalue(name)
-    for sort in d.sorts:
-        rep = TheoryObject.of(sort)
-        X = diagram.representable_diagram(d, rep, 2, 2)
-        values, arrows = representable_by_compose(d, rep, 2, 2)
-        assert X.values == values
-        assert list(X.arrows) == list(arrows)
-        for m, table in arrows.items():
-            assert list(X.arrows[m].items()) == list(table.items()), m
+def test_representable_matches_composites(request, fresh_doctrine, name):
+    warm = request.getfixturevalue(name)
+    for d in (warm, fresh_doctrine(name)):
+        for sort in d.sorts:
+            rep = TheoryObject.of(sort)
+            X = diagram.representable_diagram(d, rep, 2, 2)
+            values, arrows = representable_by_compose(d, rep, 2, 2)
+            assert X.values == values
+            assert list(X.arrows) == list(arrows)
+            for m, table in arrows.items():
+                assert list(X.arrows[m].items()) == list(table.items()), m
+            assert diagram.representable_diagram(d, rep, 2, 2) is X
+
+
+def test_truncation_is_built_once_per_doctrine(group, fresh_doctrine):
+    rep = TheoryObject.of(group.sorts[0])
+    gens = generating_morphisms(group, 2)
+    X = diagram.representable_diagram(group, rep, 2, 2)
+    assert isinstance(gens, tuple)
+    assert generating_morphisms(group, 2) is gens
+    assert diagram.representable_diagram(group, rep, 2, 2) is X
+    assert diagram.representable_diagram(group, rep, 2, 1) is not X
+    other = fresh_doctrine("group")
+    assert other.memo == {} and other.memo is not group.memo
+    assert generating_morphisms(other, 2) == gens
+    assert generating_morphisms(other, 2) is not gens
+    assert diagram.representable_diagram(other, rep, 2, 2) is not X
 
 
 def test_comparison_at_terminal_missing_and_partial_tables(trivial):

@@ -51,12 +51,14 @@ def toy_diagram(trivial, t2_cells=("z", "w")):
     return DiagramOnTruncation(trivial, 2, 2, values, arrows)
 
 
-def repeated_element_diagram(trivial):
-    """X(T1) = [a] and X(T2) = [p, p]: the value list of T2 names one
-    element twice, so the canonical map X(T2) -> X(T1)^2 is not injective."""
+def repeated_element_diagram(trivial, t1=("a",), t2=("p", "p")):
+    """By default X(T1) = [a] and X(T2) = [p, p]: the value list of T2
+    names one element twice, so the canonical map X(T2) -> X(T1)^2 is
+    not injective.  With t1=("a", "a") and t2=("p",) the product
+    X(T1)^2 lists (a, a) four times, so that map is not onto it."""
     el = trivial.sort("el")
     T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
-    values = {TERMINAL: ("pt",), T1: ("a",), T2: ("p", "p")}
+    values = {TERMINAL: ("pt",), T1: t1, T2: t2}
     arrows = {}
     for m in generating_morphisms(trivial, 2):
         if m.target == TERMINAL:
@@ -148,6 +150,12 @@ class TestStrictlyLocal:
         for ok, failures in (check_strictly_local(X), check_product_preservation(X)):
             assert not ok
             assert failures == [{"object": "el,el", "value": 2, "product": 1}]
+
+    def test_repeated_factor_element_fails(self, trivial):
+        X = repeated_element_diagram(trivial, t1=("a", "a"), t2=("p",))
+        for ok, failures in (check_strictly_local(X), check_product_preservation(X)):
+            assert not ok
+            assert failures == [{"object": "el,el", "value": 1, "product": 4}]
 
     def test_agrees_with_product_preservation_fuzzed(self, trivial):
         rng = make_rng(5)
@@ -332,6 +340,19 @@ class TestPresentation:
         assert ok
         two = [r for r in report if r["model"] == "set2"]
         assert two and two[0]["homs"] == 4 and two[0]["nats"] == 4
+
+    def test_repeated_element_is_one_unknown(self, trivial):
+        # X(T2) = [p, p] names p twice: one transformation per choice
+        # of eta(a), whatever the value list repeats
+        X = repeated_element_diagram(trivial)
+        counts = [
+            len(natural_transformations(X, AlgebraFunctor(alg, 2)))
+            for alg in models_for(trivial, 3)
+        ]
+        assert counts == [1, 2, 3]
+        ok, report = verify_universal_property(X, rigidify_presentation(X), 3)
+        assert ok
+        assert [(r["homs"], r["nats"]) for r in report] == [(1, 1), (2, 2), (3, 3)]
 
     def test_universal_property_round_trip(self, group, ocat, monoid):
         for doc in (group, ocat, monoid):

@@ -2,8 +2,9 @@
 the engine, and emit deterministic JSON or one-line text reports.
 
 Exit codes: 0 verdict pass, 1 verdict fail (counterexample in the
-report), 2 usage, parse or any other error (reported with its type),
-3 budget exhausted / unknown.
+report), 2 usage, parse, I/O or any other error (reported with its
+type; an unwritable --out is one line on stderr), 3 budget exhausted /
+unknown.
 The MSAT_SEED environment variable fixes all fuzzing seeds.
 """
 
@@ -255,7 +256,8 @@ def run(argv) -> tuple[dict, int]:
         report["error"] = str(err)
         report["data"]["trace"] = err.trace
         code = EXIT_BUDGET
-    except FileNotFoundError as err:
+    except OSError as err:
+        # an unreadable input: missing, a directory, no permission
         report["verdict"] = "error"
         report["error"] = str(err)
         code = EXIT_USAGE
@@ -270,6 +272,12 @@ def run(argv) -> tuple[dict, int]:
     return report, code
 
 
+def _verdict(report: dict, ok: bool) -> int:
+    """Record a pass or fail verdict in `report`; returns its exit code."""
+    report["verdict"] = "pass" if ok else "fail"
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
 def _dispatch(ns, report, inputs) -> int:
     doctrine = _load_theory(ns.theory, inputs)
     data = report["data"]
@@ -282,8 +290,7 @@ def _dispatch(ns, report, inputs) -> int:
         data["equations"] = len(doctrine.equations)
         text = print_theory(doctrine)
         data["round_trip"] = print_theory(parse_theory(text)) == text
-        report["verdict"] = "pass" if data["round_trip"] else "fail"
-        return EXIT_PASS if data["round_trip"] else EXIT_FAIL
+        return _verdict(report, data["round_trip"])
 
     if verb == "normalize":
         ctx = parse_context_text(ns.context, doctrine)
@@ -295,17 +302,15 @@ def _dispatch(ns, report, inputs) -> int:
             data["size"] = doctrine.engine.size(nf)
         else:
             data["normal_form"] = None  # generic engines decide equality only
-        report["verdict"] = "pass"
-        if ns.equal_to is not None:
-            other = parse_term_text(ns.equal_to, ctx, doctrine)
-            verdict = terms_equal(term, other, doctrine, budget=ns.budget)
-            data["equality"] = verdict.value
-            if verdict is EqResult.UNKNOWN:
-                report["verdict"] = "unknown"
-                return EXIT_BUDGET
-            report["verdict"] = "pass" if verdict is EqResult.EQUAL else "fail"
-            return EXIT_PASS if verdict is EqResult.EQUAL else EXIT_FAIL
-        return EXIT_PASS
+        if ns.equal_to is None:
+            return _verdict(report, True)
+        other = parse_term_text(ns.equal_to, ctx, doctrine)
+        verdict = terms_equal(term, other, doctrine, budget=ns.budget)
+        data["equality"] = verdict.value
+        if verdict is EqResult.UNKNOWN:
+            report["verdict"] = "unknown"
+            return EXIT_BUDGET
+        return _verdict(report, verdict is EqResult.EQUAL)
 
     if verb == "hom":
         src = parse_object_text(ns.src, doctrine)
@@ -313,16 +318,14 @@ def _dispatch(ns, report, inputs) -> int:
         morphisms = hom_enumerate(src, tgt, doctrine, ns.size)
         data["count"] = len(morphisms)
         data["morphisms"] = [morphism_to_json(m) for m in morphisms]
-        report["verdict"] = "pass"
-        return EXIT_PASS
+        return _verdict(report, True)
 
     if verb == "compose":
         f = parse_morphism_text(ns.first, doctrine)
         g = parse_morphism_text(ns.second, doctrine)
         h = compose(doctrine, g, f)
         data["composite"] = morphism_to_json(h)
-        report["verdict"] = "pass"
-        return EXIT_PASS
+        return _verdict(report, True)
 
     if verb == "check-model":
         alg = _load_model(ns.model, doctrine, inputs)
@@ -337,8 +340,7 @@ def _dispatch(ns, report, inputs) -> int:
         if ns.homs_against:
             other = _load_model(ns.homs_against, doctrine, inputs)
             data["homs"] = len(enumerate_homs(alg, other))
-        report["verdict"] = "pass" if not bad else "fail"
-        return EXIT_PASS if not bad else EXIT_FAIL
+        return _verdict(report, not bad)
 
     if verb == "monad-laws":
         alg = _load_model(ns.model, doctrine, inputs)
@@ -346,8 +348,7 @@ def _dispatch(ns, report, inputs) -> int:
         data["model"] = alg.name
         data["failures"] = len(failures)
         report["counterexamples"] = failures[:5]
-        report["verdict"] = "pass" if not failures else "fail"
-        return EXIT_PASS if not failures else EXIT_FAIL
+        return _verdict(report, not failures)
 
     if verb == "free":
         sort = doctrine.sort(ns.sort)
@@ -364,16 +365,14 @@ def _dispatch(ns, report, inputs) -> int:
             }
             problems = free.check_identities(ns.size)
             data["identity_violations"] = problems
-            report["verdict"] = "pass" if not problems else "fail"
-            return EXIT_PASS if not problems else EXIT_FAIL
+            return _verdict(report, not problems)
         P = free_algebra(doctrine, {sort: gens})
         data["presentation"] = P.to_json()
         data["enumeration"] = [
             print_term(t) for t in P.enumerate(sort, ns.size)
         ]
         data["count"] = len(data["enumeration"])
-        report["verdict"] = "pass"
-        return EXIT_PASS
+        return _verdict(report, True)
 
     if verb == "adjunction":
         alg = _load_model(ns.model, doctrine, inputs)
@@ -383,8 +382,7 @@ def _dispatch(ns, report, inputs) -> int:
         data["model"] = alg.name
         data["generators"] = len(gens)
         data["bijection"] = ok
-        report["verdict"] = "pass" if ok else "fail"
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, ok)
 
     if verb == "strict-check":
         if ns.model:
@@ -403,8 +401,7 @@ def _dispatch(ns, report, inputs) -> int:
         else:
             raise ParseError("strict-check needs --model or --diagram")
         data["failures"] = failures
-        report["verdict"] = "pass" if ok else "fail"
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, ok)
 
     if verb == "homotopy-probe":
         SD = _load_sdiagram(ns.diagram, doctrine, inputs)
@@ -412,23 +409,20 @@ def _dispatch(ns, report, inputs) -> int:
         data["passed_necessary_checks"] = res.passed
         data["refuted_at"] = list(res.refuted_at) if res.refuted_at else None
         data["terminal_flag"] = res.terminal_flag
-        report["verdict"] = "pass" if res.passed else "fail"
-        return EXIT_PASS if res.passed else EXIT_FAIL
+        return _verdict(report, res.passed)
 
     if verb == "rigidify":
         X = _load_diagram(ns.diagram, doctrine, inputs)
         P = rigidify_presentation(X)
         data["presentation"] = P.to_json()
-        report["verdict"] = "pass"
-        return EXIT_PASS
+        return _verdict(report, True)
 
     if verb == "localize":
         X = _load_diagram(ns.diagram, doctrine, inputs)
         res = localize(X, ns.budget, bound=ns.size)
         data["trace"] = res.trace
         data["sizes"] = {obj.key(): len(res.diagram.value(obj)) for obj in res.diagram.objects()}
-        report["verdict"] = "pass"
-        return EXIT_PASS
+        return _verdict(report, True)
 
     if verb == "verify-up":
         X = _load_diagram(ns.diagram, doctrine, inputs)
@@ -436,16 +430,14 @@ def _dispatch(ns, report, inputs) -> int:
         ok, per_model = verify_universal_property(X, P, ns.model_bound)
         data["presentation"] = P.to_json()
         data["models"] = per_model
-        report["verdict"] = "pass" if ok else "fail"
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, ok)
 
     if verb == "verify-ktk":
         obj = parse_object_text(ns.object, doctrine)
         ok, per_model = verify_ktk(doctrine, ProjectionMap.of(obj), ns.model_bound,
                                    object_bound=ns.object_bound, term_bound=ns.size)
         data["models"] = per_model
-        report["verdict"] = "pass" if ok else "fail"
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _verdict(report, ok)
 
     raise ParseError(f"unknown verb {verb!r}")
 
@@ -457,11 +449,15 @@ def main(argv=None) -> int:
     fmt = report.pop("format", "json") or "json"
     out_path = report.pop("out", None)
     payload = emit_report(report, fmt).decode("utf-8")
-    if out_path:
+    if not out_path:
+        sys.stdout.write(payload)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as err:
+        sys.stderr.write(f"msat: cannot write the report to {out_path}: {err}\n")
+        return EXIT_USAGE
     return code
 
 

@@ -15,7 +15,9 @@ those checks, `verify_ktk` and `models.adjunction_check` use.
 
 A representable diagram and a composite met by the closure are pure
 functions of the doctrine and the bounds; both are built once and kept
-in `Doctrine.memo`, so a representable is shared and read-only.
+in `Doctrine.memo`, so a representable is shared and read-only.  The
+closure's only composite store is that memo, and the surjectivity step
+of `rigidify` glues copies of the memoized representable.
 """
 
 from __future__ import annotations
@@ -83,55 +85,37 @@ class DiagramOnTruncation:
         (closure dict, conflicts list); a conflict is a functoriality
         violation, each distinct one listed once, in the order found.
 
-        Semi-naive fixpoint (Bancilhon & Ramakrishnan, 1986): rounds
-        visit the composable pairs (f outer, g inner) of a snapshot of
-        the closure, but a pair's table is recomputed only when f's or
-        g's table grew since the pair was last evaluated; an unchanged
-        pair could only repeat a merge that already happened.  Keys,
-        table order and the first conflict are those of recomposing
-        every pair each round.  A pair is composed at most once per
-        doctrine and term bound: its composite (None past the bound) is
-        kept in the doctrine's `memo`, where every closure over that
-        doctrine reads it."""
+        A plain fixpoint: each round composes every composable pair
+        (f outer, g inner) of a snapshot of the closure and merges the
+        composite's table, until a round adds nothing.  A composite
+        (None past the term bound) is read from the doctrine's `memo`,
+        so a pair is composed at most once per doctrine and term bound."""
         if self._closure_cache is not None:
             return self._closure_cache
         closure: dict[TheoryMorphism, dict] = {}
         conflicts: dict[str, None] = {}
-        # clock ticks whenever a table is created or grows; stamp[m] is
-        # the tick of m's last change
-        stamp: dict[TheoryMorphism, int] = {}
-        clock = 0
 
         def merge(m, table):
-            nonlocal clock
             existing = closure.get(m)
             if existing is None:
                 closure[m] = dict(table)
-            else:
-                grew = False
-                for x, y in table.items():
-                    if x in existing:
-                        if existing[x] != y:
-                            conflicts[
-                                f"arrow {m}: composite images disagree at {x!r}: "
-                                f"{existing[x]!r} vs {y!r}"
-                            ] = None
-                    else:
-                        existing[x] = y
-                        grew = True
-                if not grew:
-                    return False
-            clock += 1
-            stamp[m] = clock
-            return True
+                return True
+            grew = False
+            for x, y in table.items():
+                if x not in existing:
+                    existing[x] = y
+                    grew = True
+                elif existing[x] != y:
+                    conflicts[
+                        f"arrow {m}: composite images disagree at {x!r}: "
+                        f"{existing[x]!r} vs {y!r}"
+                    ] = None
+            return grew
 
         for obj in self._objects:
             merge(identity(obj), {x: x for x in self.values[obj]})
         for m, table in self.arrows.items():
             merge(m, table)
-        # (f, g) -> (tick when last evaluated, g after f); the composite
-        # is None when it exceeds the term bound
-        evaluated: dict[tuple, tuple] = {}
         # (f, g) -> g after f, or None past the term bound
         composites = self.doctrine.memo.setdefault(("composites", self.term_bound), {})
         changed = True
@@ -143,27 +127,15 @@ class DiagramOnTruncation:
                 by_source.setdefault(g.source, []).append((g, gtab))
             for f, ftab in items:
                 for g, gtab in by_source.get(f.target, ()):
-                    seen = evaluated.get((f, g))
-                    if seen is None:
-                        h = composites.get((f, g), _UNSEEN)
-                        if h is _UNSEEN:
-                            h = compose(self.doctrine, g, f)
-                            if self.morphism_size(h) > self.term_bound:
-                                h = None
-                            composites[(f, g)] = h
-                        if h is None:
-                            evaluated[(f, g)] = (clock, None)
-                            continue
-                    else:
-                        at, h = seen
-                        if h is None or (stamp[f] <= at and stamp[g] <= at):
-                            continue
-                    # stamped before merging: h may be f or g itself
-                    evaluated[(f, g)] = (clock, h)
-                    htab = {}
-                    for x, y in ftab.items():
-                        if y in gtab:
-                            htab[x] = gtab[y]
+                    h = composites.get((f, g), _UNSEEN)
+                    if h is _UNSEEN:
+                        h = compose(self.doctrine, g, f)
+                        if self.morphism_size(h) > self.term_bound:
+                            h = None
+                        composites[(f, g)] = h
+                    if h is None:
+                        continue
+                    htab = {x: gtab[y] for x, y in ftab.items() if y in gtab}
                     if htab and merge(h, htab):
                         changed = True
         self._closure_cache = (closure, list(conflicts))

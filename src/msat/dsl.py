@@ -8,7 +8,7 @@ Theory grammar (LL(1), `#` comments, newline-insensitive):
                | "op" IDENT ":" IDENT* "->" IDENT
                | "eq" "(" [binding ("," binding)*] ")" term "=" term
     binding   := IDENT ":" IDENT
-    term      := IDENT | IDENT "(" term ("," term)* ")"
+    term      := IDENT | IDENT "(" [term ("," term)*] ")"
 
 Model grammar:
 
@@ -132,6 +132,27 @@ class _Stream:
             raise ParseError(f"expected {word!r}, found {tok.value!r}", tok.line, tok.col)
         return tok
 
+    def items(self, close: str, item) -> list:
+        """`[item ("," item)*]` up to the `close` token, which is
+        consumed: an empty list when `close` comes first, and a missing
+        or trailing comma is an error at the offending token."""
+        out = []
+        tok = self.peek()
+        if tok is None or tok.kind != close:
+            out.append(item())
+            while self.peek() is not None and self.peek().kind == ",":
+                self.next(",")
+                out.append(item())
+        self.next(close)
+        return out
+
+
+def _element(st: _Stream) -> str:
+    tok = st.next(None, "an element")
+    if tok.kind not in ("ident", "int"):
+        raise ParseError(f"expected an element, found {tok.value!r}", tok.line, tok.col)
+    return tok.value
+
 
 def _parse_term(st: _Stream, ops: dict, variables: dict) -> Term:
     tok = st.next(None, "a term")
@@ -141,13 +162,7 @@ def _parse_term(st: _Stream, ops: dict, variables: dict) -> Term:
     following = st.peek()
     if following is not None and following.kind == "(" and name in ops:
         st.next("(")
-        args = []
-        if st.peek() is not None and st.peek().kind != ")":
-            args.append(_parse_term(st, ops, variables))
-            while st.peek() is not None and st.peek().kind == ",":
-                st.next(",")
-                args.append(_parse_term(st, ops, variables))
-        st.next(")")
+        args = st.items(")", lambda: _parse_term(st, ops, variables))
         op = ops[name]
         if len(args) != op.arity:
             raise ParseError(
@@ -216,8 +231,9 @@ def parse_theory(text: str) -> Doctrine:
             st.next()
             st.next("(")
             variables: dict[str, Var] = {}
-            while st.peek() is not None and st.peek().kind == "ident":
-                v = st.next("ident")
+
+            def binding():
+                v = st.next("ident", "variable name")
                 if v.value in variables:
                     raise ParseError(f"duplicate variable {v.value!r}", v.line, v.col)
                 if v.value in ops:
@@ -229,9 +245,8 @@ def parse_theory(text: str) -> Doctrine:
                 if s.value not in sorts:
                     raise ParseError(f"unknown sort {s.value!r}", s.line, s.col)
                 variables[v.value] = Var(v.value, sorts[s.value])
-                if st.peek() is not None and st.peek().kind == ",":
-                    st.next(",")
-            st.next(")")
+
+            st.items(")", binding)
             lhs = _parse_term(st, ops, variables)
             eq_tok = st.next("=")
             rhs = _parse_term(st, ops, variables)
@@ -312,13 +327,7 @@ def parse_model(text: str, doctrine: Doctrine) -> FiniteAlgebra:
                 raise ParseError(f"duplicate carrier for sort {s.value!r}", s.line, s.col)
             st.next("=")
             st.next("{")
-            elems = []
-            while st.peek() is not None and st.peek().kind in ("ident", "int"):
-                elems.append(st.next().value)
-                if st.peek() is not None and st.peek().kind == ",":
-                    st.next(",")
-            st.next("}")
-            carriers[sort] = tuple(elems)
+            carriers[sort] = tuple(st.items("}", lambda: _element(st)))
         elif tok.kind == "ident" and tok.value == "table":
             st.next()
             opname = st.next("ident", "op name")
@@ -330,24 +339,14 @@ def parse_model(text: str, doctrine: Doctrine) -> FiniteAlgebra:
                 )
             st.next("=")
             st.next("[")
-            table: dict = {}
-            while st.peek() is not None and st.peek().kind == "(":
+
+            def entry():
                 st.next("(")
-                args = []
-                while st.peek() is not None and st.peek().kind in ("ident", "int"):
-                    args.append(st.next().value)
-                    if st.peek() is not None and st.peek().kind == ",":
-                        st.next(",")
-                st.next(")")
+                args = tuple(st.items(")", lambda: _element(st)))
                 st.next("->")
-                val = st.next(None, "an element")
-                if val.kind not in ("ident", "int"):
-                    raise ParseError("expected an element", val.line, val.col)
-                table[tuple(args)] = val.value
-                if st.peek() is not None and st.peek().kind == ",":
-                    st.next(",")
-            st.next("]")
-            tables[opname.value] = table
+                return args, _element(st)
+
+            tables[opname.value] = dict(st.items("]", entry))
         else:
             raise ParseError(f"unknown statement {tok.value!r}", tok.line, tok.col)
     return FiniteAlgebra(doctrine, carriers, tables, name.value)

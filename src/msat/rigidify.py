@@ -167,52 +167,50 @@ def _step_preamble(X: DiagramOnTruncation, approximate: bool):
 
 def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
                       bound: int | None = None, approximate: bool = False) -> StepResult:
-    """Pushout gluing one representable cell onto X for every tuple in
-    the product of the size-one values, making the restriction along the
-    projection map surjective."""
+    """Pushout gluing one copy of the representable R = Hom(p.target, -),
+    the doctrine's memoized `representable_diagram`, onto X for every
+    tuple z in the product of the size-one values, making the
+    restriction along the projection map surjective.  Copy z is attached
+    along each f: T_i -> obj by identifying f after the i-th projection
+    with f's action on z[i]."""
     doctrine = X.doctrine
     s = X.term_bound if bound is None else bound
     exact, closure = _step_preamble(X, approximate)
+    R = representable_diagram(doctrine, p.target, X.object_bound, s)
     factors = p.factors()
     tuples = sorted(
         itertools.product(*(X.value(o) for o in factors)), key=element_key
     )
-    rep_values = {
-        obj: [m.terms for m in hom_enumerate(p.target, obj, doctrine, s)]
-        for obj in X.objects()
-    }
-    rep_sets = {obj: set(v) for obj, v in rep_values.items()}
     membership = {
         obj: [("x", x) for x in X.value(obj)]
-        + [("b", zi, b) for zi in range(len(tuples)) for b in rep_values[obj]]
+        + [("b", zi, b) for zi in range(len(tuples)) for b in R.value(obj)]
         for obj in X.objects()
     }
+    # (slot, obj, b, f, f's derived action or None) per attaching morphism
+    attaching = []
+    for i, factor in enumerate(factors):
+        for obj in X.objects():
+            rep = set(R.value(obj))
+            for f in hom_enumerate(factor, obj, doctrine, s):
+                b = compose_terms(doctrine, f, p.projections[i].terms)
+                if b in rep:
+                    attaching.append((i, obj, b, f, closure.get(f)))
     uf = UnionFind()
     for zi, z in enumerate(tuples):
-        for i, factor in enumerate(factors):
-            for obj in X.objects():
-                for f in hom_enumerate(factor, obj, doctrine, s):
-                    b = compose_terms(doctrine, f, p.projections[i].terms)
-                    if b not in rep_sets[obj]:
-                        continue
-                    table = closure.get(f)
-                    if table is None or z[i] not in table:
-                        if not approximate:
-                            raise HomEnumerationIncomplete(
-                                f"no derived action for {f}"
-                            )
-                        continue
-                    uf.union((obj, ("b", zi, b)), (obj, ("x", table[z[i]])))
+        for i, obj, b, f, table in attaching:
+            if table is None or z[i] not in table:
+                if not approximate:
+                    raise HomEnumerationIncomplete(f"no derived action for {f}")
+                continue
+            uf.union((obj, ("b", zi, b)), (obj, ("x", table[z[i]])))
 
     def member_image(member, w):
         if member[0] == "x":
             img = X.arrows.get(w, {}).get(member[1])
             return None if img is None else ("x", img)
         _, zi, terms = member
-        composite = compose_terms(doctrine, w, terms)
-        if composite in rep_sets[w.target]:
-            return ("b", zi, composite)
-        return None
+        img = R.arrows[w].get(terms)
+        return None if img is None else ("b", zi, img)
 
     return _finish_step(X, "surjectivity", p, membership, uf, member_image, not exact)
 

@@ -325,8 +325,10 @@ class Doctrine:
     each: the generating morphisms per object bound
     (`theory_cat.generating_morphisms`), the representable diagrams per
     (representable, object bound, term bound)
-    (`diagram.representable_diagram`), and per term bound the composites
-    met by `DiagramOnTruncation.arrow_closure`.  It is created with the
+    (`diagram.representable_diagram`, also read by
+    `rigidify.surjectivity_step`, which glues copies of the product
+    object's representable), and per term bound the composites met by
+    `DiagramOnTruncation.arrow_closure`.  It is created with the
     doctrine and freed with it, and each entry is bounded by the finite
     truncation asked for."""
 

@@ -424,6 +424,25 @@ def test_out_file_and_text_format(tmp_path):
     assert "format" not in data and "out" not in data
 
 
+@pytest.mark.parametrize("out", ["directory", "missing-parent"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, out):
+    path = tmp_path if out == "directory" else tmp_path / "missing" / "report.json"
+    code = cli.main(["hom", "--theory", "builtin:group", "--from", "G", "--to", "G",
+                     "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("msat: cannot write the report to ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    report, code = run(["check-model", "--theory", "builtin:group", "--model", str(tmp_path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert "Is a directory" in report["error"]
+    assert capsys.readouterr().err == ""
+
+
 def _run_cli_process(argv, **env) -> subprocess.CompletedProcess:
     """`python -m msat.cli` in a child process that imports the same msat
     as this one, whether or not PYTHONPATH names its source tree."""

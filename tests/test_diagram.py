@@ -1,5 +1,6 @@
-"""The semi-naive composition closure and term-level composition in
-representable diagrams, against the naive oracles in `oracles.py`."""
+"""The composition closure over the doctrine's memoized composites and
+term-level composition in representable diagrams, against the naive
+oracles in `oracles.py`."""
 
 import random
 
@@ -36,8 +37,8 @@ def test_closure_matches_naive_on_fuzzed(trivial, flavor):
 def random_partial_diagram(rng, doctrine):
     """Up to four values per object and a random partial table on every
     generating morphism.  Tables here keep growing after their pairs
-    were first evaluated, so a pair must be evaluated again; the fuzzed
-    and catalog diagrams never need that."""
+    were first evaluated, so a pair's table must be joined again; the
+    fuzzed and catalog diagrams never need that."""
     values = {
         obj: tuple(f"{obj.key()}#{i}" for i in range(rng.randint(1, 4)))
         for obj in objects_up_to(doctrine, 2)

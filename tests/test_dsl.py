@@ -102,6 +102,44 @@ def test_model_repeated_statement(group, statement, message, position):
     assert (err.value.line, err.value.col) == position
 
 
+THEORY_HEAD = "theory t\nsorts s\nop f : s s -> s\n"
+MODEL_HEAD = "model m of group\n"
+
+
+@pytest.mark.parametrize("text, position", [
+    (THEORY_HEAD + "eq (x:s y:s) f(x,y) = f(y,x)\nend", (4, 9)),
+    (THEORY_HEAD + "eq (x:s, y:s,) f(x,y) = f(y,x)\nend", (4, 14)),
+], ids=["binding-missing-comma", "binding-trailing-comma"])
+def test_theory_lists_follow_the_grammar(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert (err.value.line, err.value.col) == position
+
+
+@pytest.mark.parametrize("statement, position", [
+    ("carrier G = {0 1}", (2, 16)),
+    ("carrier G = {0, 1,}", (2, 19)),
+    ("table e = [()->0 ()->0]", (2, 18)),
+    ("table e = [()->0,]", (2, 18)),
+    ("table mul = [(0 0)->0]", (2, 17)),
+    ("table inv = [(0,)->0]", (2, 17)),
+], ids=["element-missing-comma", "element-trailing-comma", "entry-missing-comma",
+        "entry-trailing-comma", "argument-missing-comma", "argument-trailing-comma"])
+def test_model_lists_follow_the_grammar(group, statement, position):
+    with pytest.raises(ParseError) as err:
+        parse_model(MODEL_HEAD + statement + "\nend\n", group)
+    assert (err.value.line, err.value.col) == position
+
+
+def test_empty_lists_parse():
+    doc = parse_theory("theory t\nsorts s, u\nop c : -> u\nop f : s -> s\neq () c = c\nend")
+    assert len(doc.equations[0].context.vars) == 0
+    text = "model m of t\ncarrier s = {}\ncarrier u = {0}\ntable c = [()->0]\ntable f = []\nend\n"
+    alg = parse_model(text, doc)
+    assert print_model(alg) == text
+    assert print_theory(parse_theory(print_theory(doc))) == print_theory(doc)
+
+
 def test_faulted_models_round_trip():
     for alg, _ in faulted_catalog():
         text = print_model(alg)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import msat.rigidify as rigidify
 from msat.catalog import models_for, trivial_model
 from msat.diagram import (
     DiagramOnTruncation,
@@ -29,13 +30,14 @@ from msat.theory_cat import TERMINAL, TheoryObject, generating_morphisms, projec
 from oracles import pushout_classes, trivial_homset
 
 
-def toy_diagram(trivial, t2_cells=("z", "w")):
+def toy_diagram(trivial, t2_cells=("z", "w"), points=("a", "b")):
     """X(T1) = {a, b} with only diagonal cells upstairs: functorial but
-    not strictly local (2 != 4)."""
+    not strictly local (2 != 4).  `points` replaces a, b; `t2_cells`
+    lists one diagonal cell per point."""
     el = trivial.sort("el")
     T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
-    values = {TERMINAL: ("pt",), T1: ("a", "b"), T2: tuple(t2_cells)}
-    diag = dict(zip(("a", "b"), t2_cells))
+    values = {TERMINAL: ("pt",), T1: tuple(points), T2: tuple(t2_cells)}
+    diag = dict(zip(points, t2_cells))
     arrows = {}
     for m in generating_morphisms(trivial, 2):
         if m.source == T1 and m.target == T2:
@@ -45,7 +47,7 @@ def toy_diagram(trivial, t2_cells=("z", "w")):
         elif m.source == T2 and m.target == T2:
             arrows[m] = {c: c for c in t2_cells}
         elif m.source == T1 and m.target == T1:
-            arrows[m] = {"a": "a", "b": "b"}
+            arrows[m] = {x: x for x in points}
         elif m.target == TERMINAL:
             arrows[m] = {x: "pt" for x in values[m.source]}
     return DiagramOnTruncation(trivial, 2, 2, values, arrows)
@@ -216,6 +218,33 @@ class TestStepsAgainstOracle:
         res = surjectivity_step(X, p)
         assert res.sizes == self._oracle_surjectivity_sizes(X, trivial)
         assert res.sizes["el,el"] == 10  # 2 + 4*4 - 8 glued cells
+
+    def test_surjectivity_composes_once_per_attaching_morphism(self, fresh_doctrine,
+                                                                monkeypatch):
+        """The attaching data and the glued copies' arrow tables do not
+        depend on the tuple a copy is glued at: with the representable
+        already in the doctrine's memo, 3 points (9 tuples) compose no
+        more often than 2 points (4 tuples)."""
+        trivial = fresh_doctrine("trivial")
+        p = projection_map_set(trivial, 2)[0]
+        two = toy_diagram(trivial)
+        three = toy_diagram(trivial, ("z", "w", "u"), points=("a", "b", "c"))
+        surjectivity_step(two, p)  # warms the doctrine's memo
+        calls = []
+        compose_terms = rigidify.compose_terms
+
+        def counting(doctrine, g, terms):
+            calls.append(g)
+            return compose_terms(doctrine, g, terms)
+
+        monkeypatch.setattr(rigidify, "compose_terms", counting)
+        counts = []
+        for X in (two, three):
+            calls.clear()
+            res = surjectivity_step(X, p)
+            assert res.sizes == self._oracle_surjectivity_sizes(X, trivial)
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1]
 
     def test_surjectivity_matches_oracle_fuzzed(self, trivial):
         rng = make_rng(23)

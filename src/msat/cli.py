@@ -317,7 +317,8 @@ def _dispatch(ns, report, inputs) -> int:
         tgt = parse_object_text(ns.tgt, doctrine)
         morphisms = hom_enumerate(src, tgt, doctrine, ns.size)
         data["count"] = len(morphisms)
-        data["morphisms"] = [morphism_to_json(m) for m in morphisms]
+        printed: dict = {}
+        data["morphisms"] = [morphism_to_json(m, printed) for m in morphisms]
         return _verdict(report, True)
 
     if verb == "compose":

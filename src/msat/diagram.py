@@ -29,7 +29,6 @@ from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
     compose,
-    compose_terms,
     generating_morphisms,
     hom_enumerate,
     identity,
@@ -77,7 +76,8 @@ class DiagramOnTruncation:
         return problems
 
     def morphism_size(self, m: TheoryMorphism) -> int:
-        return max((self.doctrine.engine.size(t) for t in m.terms), default=0)
+        size = self.doctrine.engine.value_size
+        return max((size(v, s) for v, s in zip(m.values, m.target.sorts)), default=0)
 
     def arrow_closure(self):
         """All morphism actions derivable from the given arrows by
@@ -187,11 +187,14 @@ def is_bijection(images, codomain) -> bool:
 def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: int,
                           term_bound: int) -> DiagramOnTruncation:
     """Hom(rep, -) restricted to the truncation.  Elements are the term
-    tuples of the enumerated morphisms; arrow images outside the
-    enumerated fragment are left undefined.  Built once per
+    tuples of the enumerated morphisms, each rendered once; its
+    `element_of` maps each enumerated morphism to its element, so an
+    arrow's image is found by composing, not by rendering.  Arrow images
+    outside the enumerated fragment are left undefined.  Built once per
     (rep, object_bound, term_bound) and kept in `doctrine.memo`, so
     every caller shares one diagram and its closure cache: the result
-    is read-only, and nothing may write its `values` or `arrows`."""
+    is read-only, and nothing may write its `values`, `arrows` or
+    `element_of`."""
     key = ("representable_diagram", rep, object_bound, term_bound)
     X = doctrine.memo.get(key)
     if X is None:
@@ -200,19 +203,21 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
 
 
 def _representable_diagram(doctrine, rep, object_bound, term_bound):
-    values = {}
-    for obj in objects_up_to(doctrine, object_bound):
-        values[obj] = tuple(m.terms for m in hom_enumerate(rep, obj, doctrine, term_bound))
+    homs = {obj: hom_enumerate(rep, obj, doctrine, term_bound)
+            for obj in objects_up_to(doctrine, object_bound)}
+    element_of = {m: m.terms for ms in homs.values() for m in ms}
+    values = {obj: tuple([element_of[m] for m in ms]) for obj, ms in homs.items()}
     arrows = {}
     for w in generating_morphisms(doctrine, object_bound):
         table = {}
-        allowed = set(values[w.target])
-        for x in values[w.source]:
-            terms = compose_terms(doctrine, w, x)
-            if terms in allowed:
-                table[x] = terms
+        for m in homs[w.source]:
+            image = element_of.get(compose(doctrine, w, m))
+            if image is not None:
+                table[element_of[m]] = image
         arrows[w] = table
-    return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
+    X = DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
+    X.element_of = element_of
+    return X
 
 
 def coproduct_diagram(doctrine: Doctrine, summands, object_bound: int,

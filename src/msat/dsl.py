@@ -18,7 +18,8 @@ Model grammar:
     entry     := "(" [elem ("," elem)*] ")" "->" elem
 
 Elements are identifiers or integers and are handled as strings.  A
-sort takes one `carrier` statement and an op one `table` statement.
+sort takes one `carrier` statement and an op one `table` statement,
+with one entry per argument tuple.
 """
 
 from __future__ import annotations
@@ -339,14 +340,20 @@ def parse_model(text: str, doctrine: Doctrine) -> FiniteAlgebra:
                 )
             st.next("=")
             st.next("[")
+            table = tables[opname.value] = {}
 
             def entry():
-                st.next("(")
+                opening = st.next("(")
                 args = tuple(st.items(")", lambda: _element(st)))
+                if args in table:
+                    raise ParseError(
+                        f"duplicate entry ({','.join(args)}) in table for op {opname.value!r}",
+                        opening.line, opening.col,
+                    )
                 st.next("->")
-                return args, _element(st)
+                table[args] = _element(st)
 
-            tables[opname.value] = dict(st.items("]", entry))
+            st.items("]", entry)
         else:
             raise ParseError(f"unknown statement {tok.value!r}", tok.line, tok.col)
     return FiniteAlgebra(doctrine, carriers, tables, name.value)

@@ -1,17 +1,20 @@
 """Normal-form engines for the built-in doctrines.
 
-Each exact engine implements the four hooks of `signature.Engine`:
-`value` maps a term to a semantic value (reduced word, polynomial,
-labeled tree, edge path) where equality is literal, `bind` substitutes
-values for the variable atoms of a value (concatenate and reduce words,
+Each exact engine implements the hooks of `signature.Engine`: `value`
+maps a term to a semantic value (reduced word, polynomial, labeled
+tree, edge path) where equality is literal, `bind` substitutes values
+for the variable atoms of a value (concatenate and reduce words,
 substitute into polynomials, graft trees, concatenate paths), `fold`
 walks a value along its canonical term (one `var` call per variable,
-one `node` call per operation), and `value_size` measures it.  The base
-class derives render (the fold that builds the term), normalize, size,
-equal and substitution from them; a finite algebra evaluates a value by
-folding it with its tables, without building the term.
-Enumeration produces all normal forms below a size bound in a fixed
-order, so every hom-level API downstream is deterministic.
+one `node` call per operation), `value_size` measures it and
+`enumerate_values` lists the values below a size bound in a fixed
+order, so every hom-level API downstream is deterministic.  Values are
+hashable, and the value of a lone variable is that `Var` itself: each
+engine expands it where it computes and folds a result that is a lone
+variable back to it.  The base class derives render (the fold that
+builds the term), normalize, size, equal and substitution from them; a
+finite algebra evaluates a value by folding it with its tables, without
+building the term.  No engine keeps a cache.
 
 Theories without an exact engine get `BoundedGenericEngine`, which
 proves equalities by equality saturation on an `EGraph` and answers
@@ -21,6 +24,7 @@ EQUAL or UNKNOWN, never DISTINCT.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .errors import SortMismatch, UnknownSymbol, UnsupportedDoctrine
 from .search import UnionFind
@@ -37,14 +41,40 @@ from .signature import (
 
 LEAF = ("leaf",)
 
+
+class ExactEngine(Engine):
+    """An engine whose values are equal exactly when their terms are
+    equal in the free algebra.
+
+    An exact engine is a pure function of its constructor arguments, so
+    it is hash-consed on them, as `signature.Interned` values are:
+    doctrines built alike share one engine, and so the morphisms they
+    make, which are interned on their engine, are the same objects."""
+
+    exact = True
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args):
+        key = (cls, tuple([tuple(a.items()) if isinstance(a, dict) else a for a in args]))
+        engine = cls._table.get(key)
+        if engine is None:
+            engine = cls._table[key] = super().__new__(cls)
+            engine._args = args
+        return engine
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through the constructor, which
+        returns the live engine."""
+        return type(self), self._args
+
+
 # perfbench's tracer wraps `normalize` on each exact engine class's own
 # __dict__, so every class below names the derived method once more.
 
 
-class TrivialEngine(Engine):
+class TrivialEngine(ExactEngine):
     """No operations: every term is a variable and already normal."""
 
-    exact = True
     normalize = Engine.normalize
 
     def value(self, term: Term):
@@ -61,14 +91,26 @@ class TrivialEngine(Engine):
     def value_size(self, value, sort: Sort) -> int:
         return 0
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         return [v for v in context.vars if v.sort == sort]
 
 
-class WordEngine(Engine):
-    """Flattened (monoid) or reduced (group) words in one sort."""
+def _letters(word):
+    """The letters of a word value: a lone variable is one letter."""
+    return ((word, 1),) if word.__class__ is Var else word
 
-    exact = True
+
+def _word_value(word):
+    """The value of a tuple of letters: the variable of a lone letter."""
+    if len(word) == 1 and word[0][1] == 1:
+        return word[0][0]
+    return word
+
+
+class WordEngine(ExactEngine):
+    """Flattened (monoid) or reduced (group) words in one sort: tuples of
+    (Var, +1|-1) letters, monoids only using +1."""
+
     normalize = Engine.normalize
 
     def __init__(self, sort: Sort, mul: OpSymbol, unit: OpSymbol, inv: OpSymbol | None = None):
@@ -76,37 +118,46 @@ class WordEngine(Engine):
         self.mul = mul
         self.unit = unit
         self.inv = inv
-        self._tcache: dict = {}
 
-    # words are tuples of (Var, +1|-1) letters; monoids only use +1
     def value(self, term: Term):
+        return _word_value(self.word(term))
+
+    def word(self, term: Term):
+        """The letters of a term's reduced word."""
         if isinstance(term, Var):
             return ((term, 1),)
         name = term.op.name
         if name == self.unit.name:
             return ()
         if name == self.mul.name:
-            return self._reduce(self.value(term.args[0]) + self.value(term.args[1]))
+            return self._reduce(self.word(term.args[0]) + self.word(term.args[1]))
         if self.inv is not None and name == self.inv.name:
-            return tuple((v, -e) for v, e in reversed(self.value(term.args[0])))
+            return tuple((v, -e) for v, e in reversed(self.word(term.args[0])))
         raise UnknownSymbol(f"unknown op {name!r} in word engine")
 
     def bind(self, word, env, sort: Sort):
+        if word.__class__ is Var:
+            return env[word.name]
         if self.inv is None:
             out = ()
             for v, _ in word:
-                out += env[v.name]
-            return out
+                w = env[v.name]
+                out += ((w, 1),) if w.__class__ is Var else w
+            return _word_value(out)
         out = []
         for v, e in word:
             w = env[v.name]
-            if e == -1:
+            if w.__class__ is Var:
+                w = ((w, e),)
+            elif e == -1:
                 w = [(x, -f) for x, f in reversed(w)]
             for letter in w:
                 if out and out[-1][0] is letter[0] and out[-1][1] == -letter[1]:
                     out.pop()
                 else:
                     out.append(letter)
+        if len(out) == 1 and out[0][1] == 1:
+            return out[0][0]
         return tuple(out)
 
     def _reduce(self, word):
@@ -125,6 +176,8 @@ class WordEngine(Engine):
         return var(v) if e == 1 else node(self.inv, (var(v),))
 
     def fold(self, word, sort: Sort, var, node):
+        if word.__class__ is Var:
+            return var(word)
         if not word:
             return node(self.unit, ())
         out = self.fold_letter(word[-1], var, node)
@@ -132,15 +185,8 @@ class WordEngine(Engine):
             out = node(self.mul, (self.fold_letter(letter, var, node), out))
         return out
 
-    def render(self, word, sort: Sort) -> Term:
-        # a render memo: terms are interned anyway, this skips rebuilding them
-        cached = self._tcache.get(word)
-        if cached is None:
-            cached = self._tcache[word] = Engine.render(self, word, sort)
-        return cached
-
     def value_size(self, word, sort: Sort) -> int:
-        return len(word)
+        return len(_letters(word))
 
     def words(self, context: Context, bound: int):
         letters = []
@@ -163,18 +209,17 @@ class WordEngine(Engine):
             frontier = nxt
         return out
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         if sort != self.sort:
             return []
-        return [self.render(w, sort) for w in self.words(context, bound)]
+        return [_word_value(w) for w in self.words(context, bound)]
 
 
-class GroupActionEngine(Engine):
+class GroupActionEngine(ExactEngine):
     """Reduced group words acting on point variables: the value of an
-    action-sort term is a (reduced word, point) pair, the value of a
-    group-sort term its reduced word."""
+    action-sort term is a (nonempty reduced word, point) pair or the
+    lone point, the value of a group-sort term its word value."""
 
-    exact = True
     normalize = Engine.normalize
 
     def __init__(self, word_engine: WordEngine, x_sort: Sort, act: OpSymbol):
@@ -185,62 +230,72 @@ class GroupActionEngine(Engine):
     def value(self, term: Term):
         if term.sort is self.wordeng.sort:
             return self.wordeng.value(term)
+        return self._action_value(*self._acting(term))
+
+    def _acting(self, term: Term):
+        """(reduced word, point) of an action-sort term."""
         if isinstance(term, Var):
-            return ((), term)
+            return (), term
         if term.op.name != self.act.name:
             raise UnknownSymbol(f"unknown group-action op {term.op.name!r}")
-        word = self.wordeng.value(term.args[0])
-        inner, point = self.value(term.args[1])
-        return (self.wordeng._reduce(word + inner), point)
+        word = self.wordeng.word(term.args[0])
+        inner, point = self._acting(term.args[1])
+        return self.wordeng._reduce(word + inner), point
+
+    @staticmethod
+    def _action_value(word, point):
+        return (word, point) if word else point
 
     def bind(self, value, env, sort: Sort):
         wordeng = self.wordeng
         if sort is wordeng.sort:
             return wordeng.bind(value, env, sort)
+        if value.__class__ is Var:
+            return env[value.name]
         word, point = value
-        inner, point = env[point.name]
-        if not word:
-            return (inner, point)
-        return (wordeng._reduce(wordeng.bind(word, env, wordeng.sort) + inner), point)
+        inner = env[point.name]
+        inner, point = ((), inner) if inner.__class__ is Var else inner
+        word = _letters(wordeng.bind(word, env, wordeng.sort))
+        return self._action_value(wordeng._reduce(word + inner), point)
 
     def fold(self, value, sort: Sort, var, node):
         wordeng = self.wordeng
         if sort is wordeng.sort:
             return wordeng.fold(value, sort, var, node)
+        if value.__class__ is Var:
+            return var(value)
         word, point = value
         out = var(point)
         for letter in reversed(word):
             out = node(self.act, (wordeng.fold_letter(letter, var, node), out))
         return out
 
-    def render(self, value, sort: Sort) -> Term:
-        if sort is self.wordeng.sort:
-            return self.wordeng.render(value, sort)  # through its term cache
-        return Engine.render(self, value, sort)
-
     def value_size(self, value, sort: Sort) -> int:
-        return len(value) if sort is self.wordeng.sort else len(value[0])
+        if sort is self.wordeng.sort:
+            return self.wordeng.value_size(value, sort)
+        return 0 if value.__class__ is Var else len(value[0])
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         if sort == self.wordeng.sort:
-            return self.wordeng.enumerate(context, sort, bound)
+            return self.wordeng.enumerate_values(context, sort, bound)
         if sort != self.x_sort:
             return []
         points = [v for v in context.vars if v.sort == self.x_sort]
         words = self.wordeng.words(context, bound)
-        return [self.render((w, p), sort) for p in points for w in words]
+        return [self._action_value(w, p) for p in points for w in words]
 
 
-class RingModuleEngine(Engine):
+class RingModuleEngine(ExactEngine):
     """Integer-coefficient polynomials (ring sort) and formal linear
     combinations of (monomial, point) pairs (module sort).
 
-    Values: poly = dict monomial -> nonzero int, monomial = sorted tuple
-    of (Var, exponent); module value = dict (monomial, Var) -> int.
-    Coefficients are arbitrary-precision by construction.
+    A polynomial is computed as a dict monomial -> nonzero int,
+    monomial = sorted tuple of (Var, exponent); a module element as a
+    dict (monomial, Var) -> int.  Its value is the frozenset of the
+    dict's items, or the variable of a lone variable.  Coefficients are
+    arbitrary-precision by construction.
     """
 
-    exact = True
     normalize = Engine.normalize
 
     def __init__(self, r_sort, m_sort, add, mul, neg, zero, one, madd, mneg, mzero, smul):
@@ -249,6 +304,9 @@ class RingModuleEngine(Engine):
         self.madd, self.mneg, self.mzero, self.smul = madd, mneg, mzero, smul
 
     def value(self, term: Term):
+        return self._frozen(self._poly(term), term.sort)
+
+    def _poly(self, term: Term) -> dict:
         if isinstance(term, Var):
             return {((term, 1),): 1} if term.sort is self.r_sort else {((), term): 1}
         name = term.op.name
@@ -258,41 +316,56 @@ class RingModuleEngine(Engine):
         if name == self.one.name:
             return {(): 1}
         if name == self.add.name or name == self.madd.name:
-            return _poly_add(self.value(args[0]), self.value(args[1]))
+            return _poly_add(self._poly(args[0]), self._poly(args[1]))
         if name == self.neg.name or name == self.mneg.name:
-            return {k: -c for k, c in self.value(args[0]).items()}
+            return {k: -c for k, c in self._poly(args[0]).items()}
         if name == self.mul.name:
-            return _poly_mul(self.value(args[0]), self.value(args[1]))
+            return _poly_mul(self._poly(args[0]).items(), self._poly(args[1]).items())
         if name == self.smul.name:
             out: dict = {}
-            _smul_into(out, self.value(args[0]), self.value(args[1]), 1)
+            _smul_into(out, self._poly(args[0]).items(), self._poly(args[1]).items(), 1)
             return out
         raise UnknownSymbol(f"unknown ring-module op {name!r}")
 
+    def _frozen(self, poly: dict, sort: Sort):
+        """The value of a polynomial or module dict."""
+        if len(poly) == 1:
+            ((key, c),) = poly.items()
+            if c == 1:
+                if sort is self.r_sort:
+                    if len(key) == 1 and key[0][1] == 1:
+                        return key[0][0]
+                elif not key[0]:
+                    return key[1]
+        return frozenset(poly.items())
+
     def bind(self, value, env, sort: Sort):
+        if value.__class__ is Var:
+            return env[value.name]
         # accumulate in place: a `_poly_add` copy per monomial makes
         # binding slower than walking the term with the values
         out: dict = {}
         if sort is self.r_sort:
-            for mono, c in value.items():
+            for mono, c in value:
                 _poly_add_into(out, _mono_bind(mono, env), c)
         else:
-            for (mono, pt), c in value.items():
-                _smul_into(out, _mono_bind(mono, env), env[pt.name], c)
-        return out
+            for (mono, pt), c in value:
+                _smul_into(out, _mono_bind(mono, env), _module_items(env[pt.name]), c)
+        return self._frozen(out, sort)
 
     def fold(self, value, sort: Sort, var, node):
         # a right-nested sum in monomial order of scaled monomials, each
         # acting on its point in the module sort (a lone point if it is 1)
+        if value.__class__ is Var:
+            return var(value)
         if sort is self.r_sort:
             zero, add = self.zero, self.add
-            parts = [self._fold_scaled(value[m], m, var, node)
-                     for m in sorted(value, key=_mono_key)]
+            parts = [self._fold_scaled(c, m, var, node)
+                     for m, c in sorted(value, key=lambda p: _mono_key(p[0]))]
         elif sort is self.m_sort:
             zero, add = self.mzero, self.madd
             parts = []
-            for m, pt in sorted(value, key=lambda k: (_mono_key(k[0]), k[1].name)):
-                c = value[(m, pt)]
+            for (m, pt), c in sorted(value, key=lambda p: (_mono_key(p[0][0]), p[0][1].name)):
                 if c == 1 and not m:
                     parts.append(var(pt))
                 else:
@@ -320,15 +393,15 @@ class RingModuleEngine(Engine):
 
     def value_size(self, value, sort: Sort) -> int:
         if sort == self.r_sort:
-            return sum(abs(c) + _mono_deg(m) for m, c in value.items())
-        return sum(abs(c) + _mono_deg(m) for (m, _), c in value.items())
+            return sum(abs(c) + _mono_deg(m) for m, c in _ring_items(value))
+        return sum(abs(c) + _mono_deg(m) for (m, _), c in _module_items(value))
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         rvars = [v for v in context.vars if v.sort == self.r_sort]
         if sort == self.r_sort:
             monos = _monomials(rvars, bound)
             vals = _combinations(monos, bound, _mono_deg)
-            return [self.render(v, sort) for v in vals]
+            return [self._frozen(v, sort) for v in vals]
         if sort == self.m_sort:
             mvars = [v for v in context.vars if v.sort == self.m_sort]
             keys = [
@@ -336,8 +409,18 @@ class RingModuleEngine(Engine):
             ]
             keys.sort(key=lambda k: (_mono_key(k[0]), k[1].name))
             vals = _combinations(keys, bound, lambda k: _mono_deg(k[0]))
-            return [self.render(v, sort) for v in vals]
+            return [self._frozen(v, sort) for v in vals]
         return []
+
+
+def _ring_items(value):
+    """The (monomial, coefficient) pairs of a ring-sort value."""
+    return ((((value, 1),), 1),) if value.__class__ is Var else value
+
+
+def _module_items(value):
+    """The ((monomial, point), coefficient) pairs of a module-sort value."""
+    return ((((), value), 1),) if value.__class__ is Var else value
 
 
 def _mono_key(mono):
@@ -356,21 +439,21 @@ def _mono_mul(m1, m2):
 
 
 def _mono_bind(mono, env):
-    """The polynomial of a monomial with env's polynomials for its
-    variables; env's own dict for a lone variable, so read it only."""
+    """The (monomial, coefficient) pairs of a monomial with env's ring
+    values for its variables."""
     if len(mono) == 1 and mono[0][1] == 1:
-        return env[mono[0][0].name]
+        return _ring_items(env[mono[0][0].name])
     out = {(): 1}
     for v, e in mono:
-        p = env[v.name]
+        p = _ring_items(env[v.name])
         for _ in range(e):
-            out = _poly_mul(out, p)
-    return out
+            out = _poly_mul(out.items(), p)
+    return out.items()
 
 
-def _poly_add_into(out, p, scale):
-    """out += scale * p, in place."""
-    for m, c in p.items():
+def _poly_add_into(out, pairs, scale):
+    """out += scale * p, in place, for the (key, coefficient) pairs of p."""
+    for m, c in pairs:
         s = out.get(m, 0) + scale * c
         if s:
             out[m] = s
@@ -379,10 +462,11 @@ def _poly_add_into(out, p, scale):
 
 
 def _smul_into(out, poly, mod, scale):
-    """out += scale * (poly . mod) on module values, in place."""
-    for pm, pc in poly.items():
+    """out += scale * (poly . mod) on module values, in place; `poly`
+    and `mod` are (key, coefficient) pairs."""
+    for pm, pc in poly:
         pc *= scale
-        for (mm, pt), mc in mod.items():
+        for (mm, pt), mc in mod:
             key = (_mono_mul(pm, mm), pt)
             c = out.get(key, 0) + pc * mc
             if c:
@@ -393,19 +477,16 @@ def _smul_into(out, poly, mod, scale):
 
 def _poly_add(p1, p2):
     out = dict(p1)
-    for m, c in p2.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+    _poly_add_into(out, p2.items(), 1)
     return out
 
 
 def _poly_mul(p1, p2):
+    """The product of two polynomials given as (monomial, coefficient)
+    pairs, as a dict."""
     out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
+    for m1, c1 in p1:
+        for m2, c2 in p2:
             m = _mono_mul(m1, m2)
             s = out.get(m, 0) + c1 * c2
             if s:
@@ -446,16 +527,16 @@ def _combinations(keys, budget, deg_of):
     return results
 
 
-class OperadEngine(Engine):
+class OperadEngine(ExactEngine):
     """Planar trees with generator-labeled nodes; symmetric variant adds a
     bijective leaf labeling acted on by the permutation symbols.
 
     A value is (tree, labels): tree = LEAF or ("node", Var, children);
     labels is the tuple of input indices carried by the leaves in planar
-    order.  Non-symmetric doctrines force labels to the identity.
+    order.  Non-symmetric doctrines force labels to the identity.  A lone
+    generator with its leaves in order is the generator's `Var`.
     """
 
-    exact = True
     normalize = Engine.normalize
 
     def __init__(self, symmetric: bool, level_cap: int, sorts_by_level: dict,
@@ -472,43 +553,46 @@ class OperadEngine(Engine):
 
     def value(self, term: Term):
         if isinstance(term, Var):
-            k = term.sort.level
-            return (("node", term, (LEAF,) * k), tuple(range(1, k + 1)))
+            return term
         name = term.op.name
         if name == self.unit.name:
             return (LEAF, (1,))
         if name in self._gamma_by_name:
             p = self.value(term.args[0])
             qs = [self.value(a) for a in term.args[1:]]
-            return self.graft(p, qs)
+            return _tree_value(self.graft(p, qs))
         if name in self._perm_by_name:
             _, sigma = self._perm_by_name[name]
-            tree, labels = self.value(term.args[0])
-            return (tree, tuple(sigma[l - 1] for l in labels))
+            tree, labels = _tree_of(self.value(term.args[0]))
+            return _tree_value((tree, tuple(sigma[l - 1] for l in labels)))
         raise UnknownSymbol(f"unknown operad op {name!r}")
 
     def bind(self, value, env, sort: Sort):
+        if value.__class__ is Var:
+            return env[value.name]
         tree, labels = value
         btree, order = self._bind_tree(tree, env)
         # order[j] is the planar leaf of `tree` that leaf j now stands
         # for; `labels` numbers those leaves (the identity unless symmetric)
         if self.symmetric:
             order = tuple([labels[i - 1] for i in order])
-        return (btree, order)
+        return _tree_value((btree, order))
 
     def _bind_tree(self, tree, env):
-        """The value of `tree`, leaves numbered in planar order, with
-        env's values grafted in for its generator nodes."""
+        """The (tree, labels) of `tree`, leaves numbered in planar order,
+        with env's values grafted in for its generator nodes."""
         if tree == LEAF:
             return (LEAF, (1,))
         _, gen, children = tree
         if children.count(LEAF) == len(children):
-            return env[gen.name]  # grafting units changes nothing
+            return _tree_of(env[gen.name])  # grafting units changes nothing
         return self.graft(env[gen.name], [self._bind_tree(c, env) for c in children])
 
     def graft(self, p, qs):
-        """Attach qs[i-1] onto the leaf of p labeled i."""
-        ptree, plabels = p
+        """Attach qs[i-1] onto the leaf of p labeled i; the result is a
+        (tree, labels) pair, even where it is a lone generator."""
+        ptree, plabels = _tree_of(p)
+        qs = [_tree_of(q) for q in qs]
         levels = [len(q[1]) for q in qs]
         offsets = [0]
         for lv in levels:
@@ -530,32 +614,35 @@ class OperadEngine(Engine):
         return (splice(ptree), tuple(new_labels))
 
     def fold(self, value, sort: Sort, var, node):
+        if value.__class__ is Var:
+            return var(value)
         tree, labels = value
-        out = self._fold_tree(tree, var, node)
+        out, _ = self._fold_tree(tree, var, node)
         k = len(labels)
         if self.symmetric and labels != tuple(range(1, k + 1)):
             return node(self.perms[(k, labels)], (out,))
         return out
 
     def _fold_tree(self, tree, var, node):
+        """The fold of `tree` and its leaf count, from one walk."""
         if tree == LEAF:
-            return node(self.unit, ())
+            return node(self.unit, ()), 1
         _, gen, children = tree
-        if all(c == LEAF for c in children):
-            return var(gen)
-        k = len(children)
-        levels = tuple(_tree_leaves(c) for c in children)
-        gamma = self.gammas.get((k, levels))
+        if children.count(LEAF) == len(children):
+            return var(gen), len(children)
+        folded = [self._fold_tree(c, var, node) for c in children]
+        levels = tuple([n for _, n in folded])
+        gamma = self.gammas.get((len(children), levels))
         if gamma is None:
             raise UnsupportedDoctrine(
                 f"composition at levels {levels} exceeds level cap {self.level_cap}"
             )
-        return node(gamma, (var(gen), *(self._fold_tree(c, var, node) for c in children)))
+        return node(gamma, (var(gen), *[f for f, _ in folded])), sum(levels)
 
     def value_size(self, value, sort: Sort) -> int:
-        return _tree_nodes(value[0])
+        return 1 if value.__class__ is Var else _tree_nodes(value[0])
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         level = sort.level
         gens = [v for v in context.vars if v.sort.level is not None]
         trees = _trees_at(level, bound, gens)
@@ -568,7 +655,23 @@ class OperadEngine(Engine):
             else:
                 vals.append((tree, tuple(range(1, n + 1))))
         vals.sort(key=lambda v: (_tree_nodes(v[0]), _tree_key(v[0]), v[1]))
-        return [self.render(v, sort) for v in vals]
+        return [_tree_value(v) for v in vals]
+
+
+def _tree_of(value):
+    """The (tree, labels) pair of an operad value."""
+    if value.__class__ is Var:
+        k = value.sort.level
+        return (("node", value, (LEAF,) * k), tuple(range(1, k + 1)))
+    return value
+
+
+def _tree_value(pair):
+    """The value of a (tree, labels) pair: the generator of a lone
+    generator with its leaves in order."""
+    tree, labels = pair
+    lone = tree != LEAF and tree[2].count(LEAF) == len(tree[2])
+    return tree[1] if lone and labels == tuple(range(1, len(labels) + 1)) else pair
 
 
 def _tree_leaves(tree) -> int:
@@ -625,10 +728,10 @@ def _child_lists(levels, budget, gens):
             yield (head, *tail)
 
 
-class PathEngine(Engine):
-    """Composable edge paths: the free category on context edges."""
+class PathEngine(ExactEngine):
+    """Composable edge paths: the free category on context edges.  A
+    value is ((x, y), edges), or the edge of a one-edge path."""
 
-    exact = True
     normalize = Engine.normalize
 
     def __init__(self, pair_of_sort: dict, comp_ops: dict, id_ops: dict):
@@ -641,27 +744,40 @@ class PathEngine(Engine):
         self._comp_by_name = {op.name: key for key, op in comp_ops.items()}
 
     def value(self, term: Term):
+        return self._path_value(*self._path(term))
+
+    def _path(self, term: Term):
+        """((x, y), edges) of a term."""
         if isinstance(term, Var):
-            return (self.pair_of_sort[term.sort], (term,))
+            return self.pair_of_sort[term.sort], (term,)
         name = term.op.name
         if name in self._id_by_name:
             x = self._id_by_name[name]
-            return ((x, x), ())
+            return (x, x), ()
         if name in self._comp_by_name:
-            (x1, _), e1 = self.value(term.args[0])
-            (_, y2), e2 = self.value(term.args[1])
-            return ((x1, y2), e1 + e2)
+            (x1, _), e1 = self._path(term.args[0])
+            (_, y2), e2 = self._path(term.args[1])
+            return (x1, y2), e1 + e2
         raise UnknownSymbol(f"unknown path op {name!r}")
+
+    @staticmethod
+    def _path_value(ends, edges):
+        return edges[0] if len(edges) == 1 else (ends, edges)
 
     def bind(self, value, env, sort: Sort):
         # each edge is replaced by a path between the same objects
+        if value.__class__ is Var:
+            return env[value.name]
         ends, edges = value
         out = ()
         for e in edges:
-            out += env[e.name][1]
-        return (ends, out)
+            w = env[e.name]
+            out += (w,) if w.__class__ is Var else w[1]
+        return self._path_value(ends, out)
 
     def fold(self, value, sort: Sort, var, node):
+        if value.__class__ is Var:
+            return var(value)
         (x, y), edges = value
         if not edges:
             return node(self.id_ops[x], ())
@@ -674,9 +790,9 @@ class PathEngine(Engine):
         return out
 
     def value_size(self, value, sort: Sort) -> int:
-        return len(value[1])
+        return 1 if value.__class__ is Var else len(value[1])
 
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
         x, y = self.pair_of_sort[sort]
         edges = [v for v in context.vars if v.sort in self.pair_of_sort]
         paths = []
@@ -697,7 +813,7 @@ class PathEngine(Engine):
 
         extend(x, [])
         paths.sort(key=lambda p: (len(p), tuple(e.name for e in p)))
-        return [self.render(((x, y), p), sort) for p in paths]
+        return [self._path_value((x, y), p) for p in paths]
 
 
 _MAX_NODES = 800  # e-node budget of BoundedGenericEngine.equal
@@ -860,14 +976,18 @@ class BoundedGenericEngine(Engine):
     separates terms.  An equation is used only where every variable of
     its context, named in its sides or not, can be bound to a class: a
     model may leave a sort empty, and then the equation says nothing.
+    Its values are the terms themselves (`signature.Engine`), so
+    morphisms compose by substitution; it has no normal forms.
     """
 
-    exact = False
     _doctrine = None  # set by `attach`
 
     def attach(self, doctrine):
         self._doctrine = doctrine
         return self
+
+    def normalize(self, term: Term) -> Term:
+        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
 
     def equal(self, t1: Term, t2: Term, budget: int = 2) -> EqResult:
         doc = self._doctrine

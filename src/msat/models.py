@@ -25,8 +25,7 @@ catamorphism over the canonical term that builds no term).  It
 memoizes, for one (slot shape, target sort) at a time, the evaluated
 flattenings of each distinct normal form of its outer terms and each
 outer term's composed values.  No memo outlives that loop or is kept
-on the algebra, whose tables may change between calls, and the
-engine's own value cache (`Engine._vcache`) is not touched.
+on the algebra, whose tables may change between calls.
 """
 
 from __future__ import annotations
@@ -215,8 +214,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     evaluated once per normal form by folding it with the tables, which
     walks the canonical term without building it.  Each outer term's
     composed value is computed once per tuple of inner values.  No memo
-    outlives one (shape, target) loop, and the flattening calls the
-    engine's hooks directly, so the engine's own cache is left untouched.
+    outlives one (shape, target) loop.
     """
     alg._validate()
     failures = []
@@ -266,10 +264,9 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
                     nf_value = value(nf)
                     for venv in nf_envs:
                         bound = bind(nf_value, venv, target)
-                        key = frozenset(bound.items()) if isinstance(bound, dict) else bound
-                        lhs = memo.get(key, _MISSING)
+                        lhs = memo.get(bound, _MISSING)
                         if lhs is _MISSING:
-                            lhs = memo[key] = fold(bound, target, var, node)
+                            lhs = memo[bound] = fold(bound, target, var, node)
                         flattened_values.append(lhs)
                 composed_values = {}
                 for (terms, values), lhs in zip(combos, flattened_values):
@@ -311,9 +308,10 @@ class AlgebraFunctor:
     def morphism_map(self, m: TheoryMorphism) -> dict:
         if m not in self._maps:
             table = {}
+            terms = m.terms
             for x in self.value(m.source):
                 env = dict(zip(m.source.names, x))
-                table[x] = tuple(_value(self.alg, t, env) for t in m.terms)
+                table[x] = tuple(_value(self.alg, t, env) for t in terms)
             self._maps[m] = table
         return self._maps[m]
 

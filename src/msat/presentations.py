@@ -89,7 +89,7 @@ def homs_into(P: AlgebraPresentation, alg) -> list[dict]:
     from the other side's value; any other relation is checked once its
     generators are fixed (`search.solve`).
     """
-    from .models import _value
+    from .models import _value  # a cycle: `models` imports this module at its top
 
     gens = P.context().vars
     index = {g.name: i for i, g in enumerate(gens)}

@@ -32,7 +32,7 @@ from .signature import Doctrine, Sort, Var, substitute
 from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
-    compose_terms,
+    compose,
     generating_morphisms,
     hom_enumerate,
     objects_up_to,
@@ -190,10 +190,9 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
     attaching = []
     for i, factor in enumerate(factors):
         for obj in X.objects():
-            rep = set(R.value(obj))
             for f in hom_enumerate(factor, obj, doctrine, s):
-                b = compose_terms(doctrine, f, p.projections[i].terms)
-                if b in rep:
+                b = R.element_of.get(compose(doctrine, f, p.projections[i]))
+                if b is not None:
                     attaching.append((i, obj, b, f, closure.get(f)))
     uf = UnionFind()
     for zi, z in enumerate(tuples):

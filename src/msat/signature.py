@@ -61,7 +61,7 @@ class Sort(Interned):
     their arity level; other doctrines leave `level` unset.
 
     Sorts, operation symbols, variables and terms are interned, so the
-    hom tables, arrow maps and normal-form caches that compare them
+    hom tables, arrow maps and engine values that compare them
     constantly compare by identity.
     """
 
@@ -224,57 +224,70 @@ class EqResult(Enum):
 
 
 class Engine:
-    """Normal-form engine interface.
+    """Normal-form engine interface: the free algebra of a doctrine, as
+    values.
 
-    Exact engines decide equality in the free algebra: two terms are
-    equal iff their normal forms coincide.  An exact engine supplies
-    four hooks: `value` maps a term to its semantic value (an element
-    of the free algebra on the term's variables), `bind` substitutes
-    values for the variables of a value, `fold` walks a value along its
-    canonical term, and `value_size` measures a value.  `render` (the
-    fold that builds the term), normalization, size, equality and
-    substitution are derived from them here; substitution is `bind`, so
-    composing morphisms of the theory category is the free-algebra
-    monad's Kleisli composition on values.  The generic engine overrides
-    `equal`: it only proves equalities (equality saturation on an
-    e-graph, up to a round budget and a node budget) and never separates
-    terms.
+    An engine supplies five hooks.  `value` maps a term to its value,
+    an element of the free algebra on the term's variables; `bind`
+    substitutes values for the variables of a value (the free-algebra
+    monad's Kleisli extension, so composing morphisms of the theory
+    category is binding); `fold` walks a value along its canonical term,
+    `var(v)` at each variable and `node(op, args)` at each operation;
+    `value_size` measures a value; and `enumerate_values` lists the
+    values of a sort up to a size bound in a fixed order.  Values are
+    hashable, and the value of a lone variable is that `Var` in every
+    engine, so a morphism made of variables needs no engine
+    (`theory_cat.TheoryMorphism`).  `render` (the fold that builds the
+    term), normalization, size, equality and substitution are derived
+    here.
+
+    This base class is the syntactic free algebra: a value is the term
+    itself, `bind` is `substitute` and `fold` walks the term.  The
+    generic engine keeps it and overrides `equal`: it only proves
+    equalities (equality saturation on an e-graph, up to a round budget
+    and a node budget) and never separates terms, so it has no normal
+    forms.  Exact engines (`engines.ExactEngine`) replace the hooks by
+    values whose equality is equality in the free algebra.
     """
 
     exact = False
-    _vcache: dict | None = None  # term -> value, for `substitute`
 
     def value(self, term: Term):
-        """The semantic value of `term`; each variable is its own atom."""
-        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
+        """The value of `term`; each variable is its own atom."""
+        return term
 
     def bind(self, value, env: Mapping, sort: Sort):
         """The value of `sort` that replaces every variable atom of
         `value` by `env[name]` (name -> value)."""
-        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
+        return substitute(value, env)
 
     def fold(self, value, sort: Sort, var, node):
         """The catamorphism over the canonical term of a value of `sort`:
         `var(v)` at each variable `v` and `node(op, args)` at each
         operation, `args` the tuple of its folded arguments."""
-        raise UnsupportedDoctrine("doctrine has no guaranteed-canonical normal form")
+        if isinstance(value, Var):
+            return var(value)
+        return node(value.op, tuple([self.fold(a, a.sort, var, node) for a in value.args]))
 
     def render(self, value, sort: Sort) -> Term:
         """The canonical term of a value of `sort`."""
         return self.fold(value, sort, lambda v: v, App)
 
     def value_size(self, value, sort: Sort) -> int:
-        """The size of a value of `sort` (word length, node count, ...)."""
-        raise NotImplementedError
+        """The size of a value of `sort` (word length, node count, ...);
+        the syntactic size of a term."""
+        return term_size(value)
+
+    def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
+        """Every value of `sort` over `context` of size <= bound."""
+        raise UnsupportedDoctrine("doctrine does not support exact enumeration")
 
     def normalize(self, term: Term) -> Term:
         return self.render(self.value(term), term.sort)
 
     def size(self, term: Term) -> int:
-        """Size of the term's normal form (word length, node count, ...);
-        the syntactic size for engines without values."""
-        if not self.exact:
-            return term_size(term)
+        """Size of the term's normal form; the syntactic size for
+        engines without normal forms."""
         return self.value_size(self.value(term), term.sort)
 
     def equal(self, t1: Term, t2: Term, budget: int = 2) -> EqResult:
@@ -283,26 +296,12 @@ class Engine:
     def substitute(self, terms, assignment: Mapping[str, Term]) -> tuple:
         """Normal forms of `terms` after simultaneous substitution: each
         term's value bound to the assigned terms' values, rendered,
-        without building the substituted syntax.  The values of assigned
-        and substituted terms alike are cached per engine."""
-        cache = self._vcache
-        if cache is None:
-            cache = self._vcache = {}
-        value, bind, render = self.value, self.bind, self.render
-        env = {}
-        for name, t in assignment.items():
-            v = cache.get(t)
-            if v is None:
-                v = cache[t] = value(t)
-            env[name] = v
-        out = []
+        without building the substituted syntax."""
+        env = {name: self.value(t) for name, t in assignment.items()}
         try:
-            for t in terms:
-                v = cache.get(t)
-                if v is None:
-                    v = cache[t] = value(t)
-                sort = t.sort
-                out.append(render(bind(v, env, sort), sort))
+            return tuple([
+                self.render(self.bind(self.value(t), env, t.sort), t.sort) for t in terms
+            ])
         except KeyError:
             for t in terms:
                 for name in term_vars(t):
@@ -311,10 +310,6 @@ class Engine:
                             f"no assignment for variable {name!r}"
                         ) from None
             raise
-        return tuple(out)
-
-    def enumerate(self, context: Context, sort: Sort, bound: int) -> list[Term]:
-        raise UnsupportedDoctrine("doctrine does not support exact enumeration")
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,14 +432,22 @@ def terms_equal(t1: Term, t2: Term, doctrine: Doctrine, budget: int = 2) -> EqRe
     return doctrine.engine.equal(t1, t2, budget=budget)
 
 
-def enumerate_terms(context: Context, sort: Sort, doctrine: Doctrine, bound: int) -> list[Term]:
-    """All distinct normal forms of `sort` with normal-form size <= bound,
-    in a deterministic order.  Exact engines only."""
+def enumerate_values(context: Context, sort: Sort, doctrine: Doctrine, bound: int) -> list:
+    """All distinct values of `sort` with size <= bound, in a
+    deterministic order.  Exact engines only."""
     if not doctrine.exact:
         raise UnsupportedDoctrine(
             f"doctrine {doctrine.name} has no exact engine; cannot enumerate terms"
         )
-    return doctrine.engine.enumerate(context, sort, bound)
+    return doctrine.engine.enumerate_values(context, sort, bound)
+
+
+def enumerate_terms(context: Context, sort: Sort, doctrine: Doctrine, bound: int) -> list[Term]:
+    """All distinct normal forms of `sort` with normal-form size <= bound,
+    in a deterministic order: the terms of `enumerate_values`."""
+    values = enumerate_values(context, sort, doctrine, bound)
+    render = doctrine.engine.render
+    return [render(v, sort) for v in values]
 
 
 def enumerate_raw_terms(

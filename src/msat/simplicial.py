@@ -19,7 +19,7 @@ from .errors import InvalidParameter, UnsupportedDoctrine
 from .models import FiniteAlgebra, as_functor, check_equations, check_product_preservation
 from .presentations import AlgebraPresentation, free_presentation
 from .search import UnionFind
-from .signature import Context, Doctrine, Sort, Term, Var, enumerate_terms, normalize
+from .signature import Context, Doctrine, Sort, Term, Var, enumerate_terms, enumerate_values
 from .theory_cat import TheoryObject
 
 DEFAULT_DIM_CAP = 3
@@ -593,17 +593,25 @@ class DegreewiseFreeDiagram:
     def context(self, k: int) -> Context:
         return Context(tuple(self._gen[k].values()))
 
-    def _act(self, k: int, table: dict, k_to: int, term: Term) -> Term:
-        """The term with each level-k generator renamed to the level-k_to
+    def _act(self, k: int, table: dict, k_to: int, value):
+        """The value with each level-k generator renamed to the level-k_to
         generator of its simplex's image under the structure map `table`."""
         ren = {var.name: self._gen[k_to][table[s]] for s, var in self._gen[k].items()}
-        return self.doctrine.engine.substitute((term,), ren)[0]
+        return self.doctrine.engine.bind(value, ren, self.sort)
+
+    def _face(self, k: int, i: int, value):
+        return self._act(k, self.Y.faces[(k, i)], k - 1, value)
+
+    def _degeneracy(self, k: int, j: int, value):
+        return self._act(k, self.Y.degeneracies[(k, j)], k + 1, value)
 
     def face_on_term(self, k: int, i: int, term: Term) -> Term:
-        return self._act(k, self.Y.faces[(k, i)], k - 1, term)
+        engine = self.doctrine.engine
+        return engine.render(self._face(k, i, engine.value(term)), self.sort)
 
     def degeneracy_on_term(self, k: int, j: int, term: Term) -> Term:
-        return self._act(k, self.Y.degeneracies[(k, j)], k + 1, term)
+        engine = self.doctrine.engine
+        return engine.render(self._degeneracy(k, j, engine.value(term)), self.sort)
 
     def enumerate_value(self, k: int, obj: TheoryObject, bound: int) -> list[tuple]:
         ctx = self.context(k)
@@ -611,23 +619,23 @@ class DegreewiseFreeDiagram:
         return list(itertools.product(*per_slot))
 
     def check_identities(self, bound: int = 2) -> list[str]:
-        """Simplicial identities on the enumerated term fragments."""
+        """Simplicial identities on the enumerated fragments, checked on
+        the engine's values."""
         problems = []
         for k in range(2, self.cap + 1):
-            terms = enumerate_terms(self.context(k), self.sort, self.doctrine, bound)
+            values = enumerate_values(self.context(k), self.sort, self.doctrine, bound)
             for j in range(1, k + 1):
                 for i in range(j):
-                    for t in terms:
-                        lhs = self.face_on_term(k - 1, i, self.face_on_term(k, j, t))
-                        rhs = self.face_on_term(k - 1, j - 1, self.face_on_term(k, i, t))
+                    for v in values:
+                        lhs = self._face(k - 1, i, self._face(k, j, v))
+                        rhs = self._face(k - 1, j - 1, self._face(k, i, v))
                         if lhs != rhs:
                             problems.append(f"d_{i} d_{j} fails at level {k}")
         for k in range(self.cap):
-            terms = enumerate_terms(self.context(k), self.sort, self.doctrine, bound)
+            values = enumerate_values(self.context(k), self.sort, self.doctrine, bound)
             for j in range(k + 1):
-                for t in terms:
-                    back = self.face_on_term(k + 1, j, self.degeneracy_on_term(k, j, t))
-                    if back != normalize(t, self.doctrine):
+                for v in values:
+                    if self._face(k + 1, j, self._degeneracy(k, j, v)) != v:
                         problems.append(f"d_{j} s_{j} != id at level {k}")
         return problems
 

@@ -1,10 +1,15 @@
 """The multi-sorted theory category on top of a doctrine.
 
-Objects are finite sort multisets kept in a canonical order; morphisms
-are tuples of normalized terms over the source's standard context
-(v1..vn); composition is substitution followed by normalization.  Both
-are hash-consed (`signature.Interned`), so equal objects and equal
-morphisms, however they were reached, are the same Python object.
+Objects are finite sort multisets kept in a canonical order.  A
+morphism is a tuple of free-algebra elements over the source's standard
+context (v1..vn), one per target slot, held as the doctrine engine's
+values (`signature.Engine`); composition binds the outer morphism's
+values in an environment of the inner one's, the Kleisli composition of
+the free-algebra monad, and renders nothing.  Terms are rendered only
+on demand (`TheoryMorphism.terms`), for printing, JSON and the readers
+that need syntax.  Objects and morphisms are hash-consed
+(`signature.Interned`), so equal objects and equal morphisms, however
+they were reached, are the same Python object.
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ from .signature import (
     Interned,
     Sort,
     Var,
-    enumerate_terms,
+    enumerate_values,
     print_term,
-    substitute,
     typecheck,
 )
 
@@ -73,19 +77,35 @@ TERMINAL = TheoryObject(())
 
 
 class TheoryMorphism(Interned):
-    """A tuple of terms over the source context, one per target slot."""
+    """One value over the source context per target slot.
 
-    __slots__ = ("source", "target", "terms")
+    A value that is a term renders as itself: a lone variable in every
+    engine, any value of the generic engine.  So only a morphism with
+    some other value carries the engine that renders it, and is interned
+    on that engine (`engine` is None otherwise, see `_morphism`):
+    equal values of two engines never meet in one key, and morphisms of
+    variables (identities, projections, ...) need no doctrine."""
 
-    def __new__(cls, source: TheoryObject, target: TheoryObject, terms: tuple):
-        terms = tuple(terms)
-        key = (source, target, terms)
-        return cls._table.get(key) or cls._intern(key, source, target, terms)
+    __slots__ = ("source", "target", "values", "engine")
+
+    def __new__(cls, source: TheoryObject, target: TheoryObject, values: tuple,
+                engine=None):
+        key = (source, target, values, engine)
+        return cls._table.get(key) or cls._intern(key, source, target, values, engine)
 
     # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
     # the identity equality every Interned class inherits is named here.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @property
+    def terms(self) -> tuple:
+        """The canonical terms of the values, rendered on each read and
+        not stored."""
+        engine = self.engine
+        if engine is None:
+            return self.values
+        return tuple([engine.render(v, s) for v, s in zip(self.values, self.target.sorts)])
 
     def __repr__(self):
         return f"TheoryMorphism({self!s})"
@@ -95,9 +115,20 @@ class TheoryMorphism(Interned):
         return f"{self.source} -> {self.target} : {body}"
 
 
+def _morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject,
+              values: tuple) -> TheoryMorphism:
+    """The morphism of `values`, interned on the doctrine's engine
+    unless every value is a term."""
+    for v in values:
+        if not isinstance(v, (Var, App)):
+            return TheoryMorphism(source, target, values, doctrine.engine)
+    return TheoryMorphism(source, target, values)
+
+
 def make_morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject,
                   terms) -> TheoryMorphism:
-    """Validate and (for exact engines) normalize a term tuple."""
+    """The morphism of a validated term tuple (normalized, for exact
+    engines, by taking its values)."""
     terms = tuple(terms)
     if len(terms) != target.size:
         raise ObjectMismatch(
@@ -108,9 +139,8 @@ def make_morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject
         got = typecheck(t, ctx, doctrine)
         if got != want:
             raise ObjectMismatch(f"term {print_term(t)} has sort {got.name}, slot wants {want.name}")
-    if doctrine.exact:
-        terms = tuple(doctrine.engine.normalize(t) for t in terms)
-    return TheoryMorphism(source, target, terms)
+    value = doctrine.engine.value
+    return _morphism(doctrine, source, target, tuple([value(t) for t in terms]))
 
 
 def identity(obj: TheoryObject) -> TheoryMorphism:
@@ -118,22 +148,21 @@ def identity(obj: TheoryObject) -> TheoryMorphism:
 
 
 def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
-    """g after f: substitute f's terms into g's variables and normalize."""
+    """g after f: g's values bound in the environment of f's values.  A
+    slot of g that is a variable selects f's value."""
     if f.target is not g.source:
         raise ObjectMismatch(f"cannot compose: {f.target} != {g.source}")
-    return TheoryMorphism(f.source, g.target, compose_terms(doctrine, g, f.terms))
-
-
-def compose_terms(doctrine: Doctrine, g: TheoryMorphism, terms) -> tuple:
-    """The terms of g after the morphism into g's source whose terms are
-    `terms`, without building either morphism.  The caller guarantees
-    that `terms` has one term per slot of g's source, of its sort.  An
-    exact engine binds the cached values of g's terms to the values of
-    `terms` (`Engine.substitute`)."""
-    asg = dict(zip(g.source.names, terms))
-    if doctrine.exact:
-        return doctrine.engine.substitute(g.terms, asg)
-    return tuple(substitute(t, asg) for t in g.terms)
+    env = dict(zip(g.source.names, f.values))
+    bind = doctrine.engine.bind
+    values = []
+    for v, s in zip(g.values, g.target.sorts):
+        values.append(env[v.name] if v.__class__ is Var else bind(v, env, s))
+    values = tuple(values)
+    # `_morphism`, inlined on this hot path
+    for v in values:
+        if not isinstance(v, (Var, App)):
+            return TheoryMorphism(f.source, g.target, values, doctrine.engine)
+    return TheoryMorphism(f.source, g.target, values)
 
 
 def projection(obj: TheoryObject, selection) -> TheoryMorphism:
@@ -178,10 +207,9 @@ def tuple_(doctrine: Doctrine, fs) -> TheoryMorphism:
         if f.source != src:
             raise SourceMismatch(f"sources differ: {f.source} != {src}")
     target = TheoryObject(tuple(s for f in fs for s in f.target.sorts))
-    flat = [t for f in fs for t in f.terms]
+    flat = [v for f in fs for v in f.values]
     sorts = [s for f in fs for s in f.target.sorts]
-    ordered = [t for _, t in _stable_pairs(sorts, flat)]
-    return make_morphism(doctrine, src, target, ordered)
+    return _morphism(doctrine, src, target, tuple([v for _, v in _stable_pairs(sorts, flat)]))
 
 
 def _stable_pairs(sorts, items):
@@ -197,13 +225,10 @@ def _stable_by_sort(vars_):
 def hom_enumerate(src: TheoryObject, tgt: TheoryObject, doctrine: Doctrine,
                   bound: int) -> list[TheoryMorphism]:
     """All morphisms whose every component has normal-form size <= bound:
-    the cartesian product of componentwise term enumerations."""
+    the cartesian product of componentwise value enumerations."""
     ctx = src.context()
-    per_slot = [enumerate_terms(ctx, s, doctrine, bound) for s in tgt.sorts]
-    out = []
-    for combo in itertools.product(*per_slot):
-        out.append(TheoryMorphism(src, tgt, tuple(combo)))
-    return out
+    per_slot = [enumerate_values(ctx, s, doctrine, bound) for s in tgt.sorts]
+    return [_morphism(doctrine, src, tgt, combo) for combo in itertools.product(*per_slot)]
 
 
 def objects_up_to(doctrine: Doctrine, bound: int) -> list[TheoryObject]:
@@ -246,6 +271,7 @@ def generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[TheoryM
 
 def _generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[TheoryMorphism, ...]:
     objs = objects_up_to(doctrine, object_bound)
+    value = doctrine.engine.value
     out: list[TheoryMorphism] = []
     for a in objs:
         for b in objs:
@@ -260,19 +286,10 @@ def _generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[Theory
             for combo in itertools.product(*choices):
                 if set(combo) != set(ctx):
                     continue  # source must be exactly the used variables
-                term = _app_normalized(doctrine, op, combo)
-                out.append(TheoryMorphism(src, tgt, (term,)))
+                out.append(_morphism(doctrine, src, tgt, (value(App(op, combo)),)))
         if not op.domain:
-            term = _app_normalized(doctrine, op, ())
-            out.append(TheoryMorphism(TERMINAL, tgt, (term,)))
+            out.append(_morphism(doctrine, TERMINAL, tgt, (value(App(op, ())),)))
     return tuple(dict.fromkeys(out))
-
-
-def _app_normalized(doctrine, op, args):
-    t = App(op, tuple(args))
-    if doctrine.exact:
-        t = doctrine.engine.normalize(t)
-    return t
 
 
 # -- JSON encoding -----------------------------------------------------
@@ -285,9 +302,22 @@ def object_from_json(doctrine: Doctrine, data) -> TheoryObject:
     return TheoryObject(tuple(doctrine.sort(n) for n in data))
 
 
-def morphism_to_json(m: TheoryMorphism) -> dict:
+def morphism_to_json(m: TheoryMorphism, printed: dict | None = None) -> dict:
+    """The JSON of a morphism.  A `printed` dict shared by the morphisms
+    of one doctrine, say those of one report, renders and prints each
+    distinct slot value once."""
+    if printed is None:
+        terms = [print_term(t) for t in m.terms]
+    else:
+        terms = []
+        for v, s in zip(m.values, m.target.sorts):
+            text = printed.get((v, s))
+            if text is None:
+                term = v if m.engine is None else m.engine.render(v, s)
+                text = printed[(v, s)] = print_term(term)
+            terms.append(text)
     return {
         "source": object_to_json(m.source),
         "target": object_to_json(m.target),
-        "terms": [print_term(t) for t in m.terms],
+        "terms": terms,
     }

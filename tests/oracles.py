@@ -16,6 +16,8 @@ from msat.engines import (
     _mono_mul,
     _poly_add,
     _poly_mul,
+    _tree_of,
+    _tree_value,
 )
 from msat.errors import ElementNotInCarrier, UnboundVariable
 from msat.signature import (
@@ -28,11 +30,11 @@ from msat.signature import (
     substitute,
 )
 from msat.theory_cat import (
-    TheoryMorphism,
     compose,
     generating_morphisms,
     hom_enumerate,
     identity,
+    make_morphism,
     objects_up_to,
 )
 
@@ -170,13 +172,56 @@ def compose_by_substitution(doctrine, g, f) -> tuple:
 def reference_value_with_env(engine, term, env):
     """The value of `term` under an exact engine, each variable read
     from `env` (name -> value): one walk of the term, per op, instead of
-    `Engine.bind` on the term's value.  Every engine shares the variable
-    case; the op cases follow the engine's own `value`."""
+    `Engine.bind` on the term's value.  The walk computes on expanded
+    values (letter tuples, polynomial dicts, (tree, labels) pairs,
+    (ends, edges) paths) and folds the result back to the engine's value
+    form.  Every engine shares the variable case; the op cases follow
+    the engine's own `value`."""
+    expanded = {name: _expand(engine, v) for name, v in env.items()}
+    return _collapse(engine, _walk_value(engine, term, expanded), term.sort)
+
+
+def _expand(engine, value):
+    if isinstance(engine, GroupActionEngine):
+        if isinstance(value, Var) and value.sort is engine.x_sort:
+            return ((), value)
+        return _expand(engine.wordeng, value)
+    if isinstance(engine, WordEngine):
+        return ((value, 1),) if isinstance(value, Var) else value
+    if isinstance(engine, RingModuleEngine):
+        if isinstance(value, Var):
+            return {((value, 1),): 1} if value.sort is engine.r_sort else {((), value): 1}
+        return dict(value)
+    if isinstance(engine, OperadEngine):
+        return _tree_of(value)
+    if isinstance(engine, PathEngine) and isinstance(value, Var):
+        return (engine.pair_of_sort[value.sort], (value,))
+    return value
+
+
+def _collapse(engine, value, sort):
+    if isinstance(engine, GroupActionEngine):
+        if sort is engine.x_sort:
+            word, point = value
+            return (word, point) if word else point
+        return _collapse(engine.wordeng, value, sort)
+    if isinstance(engine, WordEngine):
+        return value[0][0] if len(value) == 1 and value[0][1] == 1 else value
+    if isinstance(engine, RingModuleEngine):
+        return engine._frozen(value, sort)
+    if isinstance(engine, OperadEngine):
+        return _tree_value(value)
+    if isinstance(engine, PathEngine):
+        return value[1][0] if len(value[1]) == 1 else value
+    return value
+
+
+def _walk_value(engine, term, env):
     if isinstance(term, Var):
         return env[term.name]
 
     def walk(t, eng=engine):
-        return reference_value_with_env(eng, t, env)
+        return _walk_value(eng, t, env)
 
     name, args = term.op.name, term.args
     if isinstance(engine, GroupActionEngine):
@@ -201,7 +246,7 @@ def reference_value_with_env(engine, term, env):
         if name in (engine.neg.name, engine.mneg.name):
             return {k: -c for k, c in walk(args[0]).items()}
         if name == engine.mul.name:
-            return _poly_mul(walk(args[0]), walk(args[1]))
+            return _poly_mul(walk(args[0]).items(), walk(args[1]).items())
         poly, mod = walk(args[0]), walk(args[1])
         out = {}
         for pm, pc in poly.items():
@@ -374,7 +419,7 @@ def representable_by_compose(doctrine, rep, object_bound, term_bound):
         allowed = set(values[w.target])
         table = {}
         for x in values[w.source]:
-            composite = compose(doctrine, w, TheoryMorphism(rep, w.source, x))
+            composite = compose(doctrine, w, make_morphism(doctrine, rep, w.source, x))
             if composite.terms in allowed:
                 table[x] = composite.terms
         arrows[w] = table

@@ -102,6 +102,25 @@ def test_model_repeated_statement(group, statement, message, position):
     assert (err.value.line, err.value.col) == position
 
 
+@pytest.mark.parametrize("repeat, message, position", [
+    ("(0,0)->1", r"duplicate entry \(0,0\) in table for op 'mul'", (3, 54)),
+    ("(0,0)->0", r"duplicate entry \(0,0\) in table for op 'mul'", (3, 54)),
+    ("(1)->1", r"duplicate entry \(1\) in table for op 'inv'", (4, 30)),
+], ids=["different", "identical", "unary"])
+def test_model_repeated_table_entry(group, repeat, message, position):
+    """A second entry for one argument tuple is an error at its `(`, not
+    a silent overwrite, even when it repeats the first entry."""
+    op = "mul" if "," in repeat else "inv"
+    lines = print_model(cyclic_group(group, 2)).splitlines()
+    text = "\n".join(
+        line.replace("]", f", {repeat}]") if line.startswith(f"table {op} ") else line
+        for line in lines
+    )
+    with pytest.raises(ParseError, match=message) as err:
+        parse_model(text, group)
+    assert (err.value.line, err.value.col) == position
+
+
 THEORY_HEAD = "theory t\nsorts s\nop f : s s -> s\n"
 MODEL_HEAD = "model m of group\n"
 

@@ -231,13 +231,13 @@ class TestStepsAgainstOracle:
         three = toy_diagram(trivial, ("z", "w", "u"), points=("a", "b", "c"))
         surjectivity_step(two, p)  # warms the doctrine's memo
         calls = []
-        compose_terms = rigidify.compose_terms
+        compose = rigidify.compose
 
-        def counting(doctrine, g, terms):
+        def counting(doctrine, g, f):
             calls.append(g)
-            return compose_terms(doctrine, g, terms)
+            return compose(doctrine, g, f)
 
-        monkeypatch.setattr(rigidify, "compose_terms", counting)
+        monkeypatch.setattr(rigidify, "compose", counting)
         counts = []
         for X in (two, three):
             calls.clear()

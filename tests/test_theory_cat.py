@@ -1,7 +1,10 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +38,7 @@ from msat.theory_cat import (
     variable_morphisms,
 )
 
+from conftest import BUILTIN_ARGS, new_doctrine
 from oracles import (
     compose_by_substitution,
     count_reduced_strings,
@@ -227,6 +231,11 @@ def test_morphism_json_stable(group):
     blobs = [morphism_to_json(m) for m in ms]
     assert blobs == [morphism_to_json(m) for m in ms]
     assert blobs[0]["source"] == ["G"]
+    # a shared `printed` memo prints the same JSON
+    GG = TheoryObject.of(G, G)
+    ms = hom_enumerate(GG, GG, group, 2) + hom_enumerate(GG, TheoryObject.of(G), group, 2)
+    printed = {}
+    assert [morphism_to_json(m, printed) for m in ms] == [morphism_to_json(m) for m in ms]
 
 
 def test_objects_up_to(action):
@@ -355,8 +364,8 @@ def test_engine_substitute_names_unassigned_variable(name, kw):
 
 
 def test_compose_evaluates_outer_terms_once(group, monkeypatch):
-    """Composing one g with 50 different f's takes the value of each of
-    g's terms at most once: the engine caches it and binds it per f."""
+    """Composing one g with 50 different f's takes the value of no term:
+    g holds its values and binds them per f."""
     engine = group.engine
     GG = TheoryObject.of(group.sort("G"), group.sort("G"))
     homs = hom_enumerate(GG, GG, group, 2)
@@ -380,7 +389,7 @@ def test_compose_evaluates_outer_terms_once(group, monkeypatch):
     expected = [compose_by_substitution(group, g, f)[1] for f in fs]
     monkeypatch.setattr(engine, "value", counting_value)
     assert [compose(group, g, f).terms for f in fs] == expected
-    assert all(calls.get(t, 0) <= 1 for t in g.terms)
+    assert calls == {}
 
 
 # -- interning -----------------------------------------------------------
@@ -451,3 +460,60 @@ def test_intern_tables_do_not_pin_memory(action):
     gc.collect()
     assert refs and all(r() is None for r in refs)
     assert len(App._table) <= size - len(refs)
+
+
+# -- morphisms are values ------------------------------------------------
+
+# per built-in doctrine and term bound: the count and sha256 of the
+# "a -> b : terms" lines of every hom set between objects of size <= 2,
+# recorded while morphisms still stored their normalized terms
+HOM_DIGESTS = json.loads((Path(__file__).parent / "data" / "hom_term_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_ARGS))
+def test_values_identify_morphisms(name):
+    """A morphism's identity is its values: distinct morphisms are
+    distinct normal forms, every hom set renders the recorded term
+    tuples in the recorded order, and composing with an identity selects
+    the very same morphism."""
+    d = new_doctrine(name)
+    objs = objects_up_to(d, 2)
+    for bound in (2, 3):
+        digest, count = hashlib.sha256(), 0
+        for a, b in itertools.product(objs, repeat=2):
+            homs = hom_enumerate(a, b, d, bound)
+            terms = [m.terms for m in homs]
+            assert len(set(homs)) == len(set(terms)) == len(homs)
+            ida, idb = identity(a), identity(b)
+            for f, ts in zip(homs, terms):
+                assert compose(d, idb, f) is f and compose(d, f, ida) is f
+                digest.update(f"{a} -> {b} : {';'.join(print_term(t) for t in ts)}\n".encode())
+            count += len(homs)
+        want = HOM_DIGESTS[f"{name}/{bound}"]
+        assert (count, digest.hexdigest()) == (want["count"], want["sha256"]), bound
+
+
+@pytest.mark.parametrize("name, kw", BUILTINS, ids=[name for name, _ in BUILTINS])
+def test_engines_hold_no_growing_state(name, kw):
+    """An engine keeps nothing between calls: after composing every pair
+    of a bound-2 endomorphism hom set, and checking the monad laws of a
+    model, no attribute of the engine has grown."""
+    from msat.catalog import models_for
+    from msat.models import check_monad_laws
+
+    d = builtin_doctrine(name, **kw)
+    engine = d.engine
+
+    def sizes():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(engine).items()}
+
+    before = sizes()
+    for s in d.sorts:
+        obj = TheoryObject.of(s)
+        homs = hom_enumerate(obj, obj, d, 2)
+        for g, f in itertools.product(homs, repeat=2):
+            compose(d, g, f)
+    models = models_for(d, 2)
+    if models:
+        check_monad_laws(models[0], 2)
+    assert sizes() == before

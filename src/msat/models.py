@@ -209,8 +209,8 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     flattened normal forms, since the engine's values form the free
     algebra: NF(outer[asg]) = NF(NF(outer)[asg]).  So for each (slot
     shape, target sort) the flattenings are built once per distinct
-    normal form of the outer terms, each by binding that normal form's
-    value to the inner values, and each distinct bound value is
+    value (normal form) of the outer terms, each by binding that value
+    to the inner values, and each distinct bound value is
     evaluated once per normal form by folding it with the tables, which
     walks the canonical term without building it.  Each outer term's
     composed value is computed once per tuple of inner values.  No memo
@@ -254,14 +254,13 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
         ]
         for target in sorts:
             outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=OUTER_CAP)
-            flattened_by_nf = {}  # normal form of an outer -> values, in combos order
+            flattened_by_nf = {}  # value of an outer -> evaluations, in combos order
             for outer in outers:
-                nf = engine.normalize(outer)
-                flattened_values = flattened_by_nf.get(nf)
+                nf_value = value(outer)
+                flattened_values = flattened_by_nf.get(nf_value)
                 if flattened_values is None:
                     memo = {}
-                    flattened_values = flattened_by_nf[nf] = []
-                    nf_value = value(nf)
+                    flattened_values = flattened_by_nf[nf_value] = []
                     for venv in nf_envs:
                         bound = bind(nf_value, venv, target)
                         lhs = memo.get(bound, _MISSING)

@@ -296,7 +296,10 @@ class Engine:
     def substitute(self, terms, assignment: Mapping[str, Term]) -> tuple:
         """Normal forms of `terms` after simultaneous substitution: each
         term's value bound to the assigned terms' values, rendered,
-        without building the substituted syntax."""
+        without building the substituted syntax.  Part of the engine's
+        public interface, the term-level counterpart of `bind` for
+        callers that hold terms rather than values; the library itself
+        composes on values and does not call it."""
         env = {name: self.value(t) for name, t in assignment.items()}
         try:
             return tuple([

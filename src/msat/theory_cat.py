@@ -79,19 +79,39 @@ TERMINAL = TheoryObject(())
 class TheoryMorphism(Interned):
     """One value over the source context per target slot.
 
-    A value that is a term renders as itself: a lone variable in every
-    engine, any value of the generic engine.  So only a morphism with
-    some other value carries the engine that renders it, and is interned
-    on that engine (`engine` is None otherwise, see `_morphism`):
-    equal values of two engines never meet in one key, and morphisms of
-    variables (identities, projections, ...) need no doctrine."""
+    The value of a lone variable is that `Var` in every engine, so a
+    morphism of variables (identities, projections, ...) has no engine
+    and needs no doctrine.  Any other morphism carries the doctrine
+    engine that renders its values, and is interned on it, so equal
+    values of two engines never meet in one key.  The constructor takes
+    values and rejects a value other than a `Var` without an engine:
+    build a morphism from terms with `make_morphism`."""
 
     __slots__ = ("source", "target", "values", "engine")
 
-    def __new__(cls, source: TheoryObject, target: TheoryObject, values: tuple,
+    def __new__(cls, source: TheoryObject, target: TheoryObject, values,
                 engine=None):
+        values = tuple(values)
         key = (source, target, values, engine)
-        return cls._table.get(key) or cls._intern(key, source, target, values, engine)
+        hit = cls._table.get(key)
+        if hit is not None:
+            return hit
+        if len(values) != target.size:
+            raise ObjectMismatch(
+                f"{len(values)} values supplied for target of size {target.size}"
+            )
+        if engine is None:
+            for v, want in zip(values, target.sorts):
+                if v.__class__ is not Var:
+                    raise ObjectMismatch(
+                        f"value {v!r} is not a variable and no engine is given; "
+                        "build morphisms of terms with make_morphism"
+                    )
+                if v.sort is not want:
+                    raise ObjectMismatch(
+                        f"variable {v.name} has sort {v.sort.name}, slot wants {want.name}"
+                    )
+        return cls._intern(key, source, target, values, engine)
 
     # perfbench's tracer wraps `__eq__` in the class's own __dict__, so
     # the identity equality every Interned class inherits is named here.
@@ -118,9 +138,9 @@ class TheoryMorphism(Interned):
 def _morphism(doctrine: Doctrine, source: TheoryObject, target: TheoryObject,
               values: tuple) -> TheoryMorphism:
     """The morphism of `values`, interned on the doctrine's engine
-    unless every value is a term."""
+    unless every value is a variable."""
     for v in values:
-        if not isinstance(v, (Var, App)):
+        if v.__class__ is not Var:
             return TheoryMorphism(source, target, values, doctrine.engine)
     return TheoryMorphism(source, target, values)
 
@@ -157,12 +177,7 @@ def compose(doctrine: Doctrine, g: TheoryMorphism, f: TheoryMorphism) -> TheoryM
     values = []
     for v, s in zip(g.values, g.target.sorts):
         values.append(env[v.name] if v.__class__ is Var else bind(v, env, s))
-    values = tuple(values)
-    # `_morphism`, inlined on this hot path
-    for v in values:
-        if not isinstance(v, (Var, App)):
-            return TheoryMorphism(f.source, g.target, values, doctrine.engine)
-    return TheoryMorphism(f.source, g.target, values)
+    return _morphism(doctrine, f.source, g.target, tuple(values))
 
 
 def projection(obj: TheoryObject, selection) -> TheoryMorphism:
@@ -306,16 +321,14 @@ def morphism_to_json(m: TheoryMorphism, printed: dict | None = None) -> dict:
     """The JSON of a morphism.  A `printed` dict shared by the morphisms
     of one doctrine, say those of one report, renders and prints each
     distinct slot value once."""
-    if printed is None:
-        terms = [print_term(t) for t in m.terms]
-    else:
-        terms = []
-        for v, s in zip(m.values, m.target.sorts):
-            text = printed.get((v, s))
-            if text is None:
-                term = v if m.engine is None else m.engine.render(v, s)
-                text = printed[(v, s)] = print_term(term)
-            terms.append(text)
+    printed = {} if printed is None else printed
+    terms = []
+    for v, s in zip(m.values, m.target.sorts):
+        text = printed.get((v, s))
+        if text is None:
+            term = v if m.engine is None else m.engine.render(v, s)
+            text = printed[(v, s)] = print_term(term)
+        terms.append(text)
     return {
         "source": object_to_json(m.source),
         "target": object_to_json(m.target),

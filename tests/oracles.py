@@ -16,8 +16,6 @@ from msat.engines import (
     _mono_mul,
     _poly_add,
     _poly_mul,
-    _tree_of,
-    _tree_value,
 )
 from msat.errors import ElementNotInCarrier, UnboundVariable
 from msat.signature import (
@@ -37,6 +35,8 @@ from msat.theory_cat import (
     make_morphism,
     objects_up_to,
 )
+
+LEAF = ("leaf",)  # an operad tree's leaf, as `OperadEngine` documents it
 
 
 def count_reduced_strings(n_gens: int, max_len: int) -> int:
@@ -174,9 +174,13 @@ def reference_value_with_env(engine, term, env):
     from `env` (name -> value): one walk of the term, per op, instead of
     `Engine.bind` on the term's value.  The walk computes on expanded
     values (letter tuples, polynomial dicts, (tree, labels) pairs,
-    (ends, edges) paths) and folds the result back to the engine's value
-    form.  Every engine shares the variable case; the op cases follow
-    the engine's own `value`."""
+    (ends, edges) paths) and folds the result back to the engines'
+    documented value forms, written out here rather than taken from the
+    engines: a lone variable is its `Var`, a polynomial or module
+    element is the frozenset of its dict's items, and a lone operad
+    generator with its leaves in order is its `Var`.  Every engine
+    shares the variable case; the op cases follow the engine's own
+    `value`."""
     expanded = {name: _expand(engine, v) for name, v in env.items()}
     return _collapse(engine, _walk_value(engine, term, expanded), term.sort)
 
@@ -192,8 +196,9 @@ def _expand(engine, value):
         if isinstance(value, Var):
             return {((value, 1),): 1} if value.sort is engine.r_sort else {((), value): 1}
         return dict(value)
-    if isinstance(engine, OperadEngine):
-        return _tree_of(value)
+    if isinstance(engine, OperadEngine) and isinstance(value, Var):
+        k = value.sort.level
+        return (("node", value, (LEAF,) * k), tuple(range(1, k + 1)))
     if isinstance(engine, PathEngine) and isinstance(value, Var):
         return (engine.pair_of_sort[value.sort], (value,))
     return value
@@ -208,9 +213,19 @@ def _collapse(engine, value, sort):
     if isinstance(engine, WordEngine):
         return value[0][0] if len(value) == 1 and value[0][1] == 1 else value
     if isinstance(engine, RingModuleEngine):
-        return engine._frozen(value, sort)
+        if len(value) == 1:
+            ((key, c),) = value.items()
+            if c == 1 and sort is engine.r_sort and len(key) == 1 and key[0][1] == 1:
+                return key[0][0]
+            if c == 1 and sort is not engine.r_sort and key[0] == ():
+                return key[1]
+        return frozenset(value.items())
     if isinstance(engine, OperadEngine):
-        return _tree_value(value)
+        tree, labels = value
+        in_order = labels == tuple(range(1, len(labels) + 1))
+        if tree != LEAF and all(c == LEAF for c in tree[2]) and in_order:
+            return tree[1]
+        return value
     if isinstance(engine, PathEngine):
         return value[1][0] if len(value[1]) == 1 else value
     return value
@@ -260,7 +275,7 @@ def _walk_value(engine, term, env):
         return out
     if isinstance(engine, OperadEngine):
         if name == engine.unit.name:
-            return (("leaf",), (1,))
+            return (LEAF, (1,))
         if name in engine._perm_by_name:
             _, sigma = engine._perm_by_name[name]
             tree, labels = walk(args[0])

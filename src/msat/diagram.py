@@ -32,6 +32,7 @@ from .theory_cat import (
     generating_morphisms,
     hom_enumerate,
     identity,
+    morphism_to_json,
     objects_up_to,
     projection,
 )
@@ -287,15 +288,16 @@ def diagram_to_json(X: DiagramOnTruncation) -> dict:
             "object": [s.name for s in obj.sorts],
             "elements": [element_key(e) for e in X.value(obj)],
         })
-    arrows = []
-    for m in sorted(X.arrows, key=str):
-        arrows.append({
-            "source": [s.name for s in m.source.sorts],
-            "target": [s.name for s in m.target.sorts],
-            "terms": [print_term(t) for t in m.terms],
-            "map": {element_key(x): element_key(y) for x, y in sorted(
-                X.arrows[m].items(), key=lambda p: element_key(p[0]))},
-        })
+    printed: dict = {}  # one render and print per distinct slot value
+    keyed = []
+    for m, table in X.arrows.items():
+        entry = morphism_to_json(m, printed)
+        entry["map"] = {element_key(x): element_key(y) for x, y in sorted(
+            table.items(), key=lambda p: element_key(p[0]))}
+        # sorted on str(m), spelled from the printed terms
+        keyed.append((f"{m.source} -> {m.target} : {';'.join(entry['terms'])}", entry))
+    keyed.sort(key=lambda p: p[0])
+    arrows = [entry for _, entry in keyed]
     return {
         "object_bound": X.object_bound,
         "term_bound": X.term_bound,

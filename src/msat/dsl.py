@@ -429,18 +429,29 @@ def diagram_to_data(X: DiagramOnTruncation) -> dict:
     return diagram_to_json(X)
 
 
+def _once(seen: dict, key, where: str, what: str):
+    """Record that the entry at `where` (its JSON path) gives `key`; a
+    second entry for one key, an identical one too, is a `ParseError`
+    naming both entries."""
+    first = seen.setdefault(key, where)
+    if first != where:
+        raise ParseError(f"{first} and {where} both give {what}")
+
+
 def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
-    values = {}
-    for entry in data["values"]:
+    values, seen = {}, {}
+    for i, entry in enumerate(data["values"]):
         obj = object_from_json(doctrine, entry["object"])
+        _once(seen, obj, f"values[{i}]", f"object {obj}")
         values[obj] = tuple(entry["elements"])
-    arrows = {}
-    for entry in data["arrows"]:
+    arrows, seen = {}, {}
+    for i, entry in enumerate(data["arrows"]):
         src = object_from_json(doctrine, entry["source"])
         tgt = object_from_json(doctrine, entry["target"])
         ctx = src.context()
         terms = [parse_term_text(t, ctx, doctrine) for t in entry["terms"]]
         m = make_morphism(doctrine, src, tgt, terms)
+        _once(seen, m, f"arrows[{i}]", f"morphism {m}")
         arrows[m] = dict(entry["map"])
     return DiagramOnTruncation(
         doctrine, int(data["object_bound"]), int(data["term_bound"]), values, arrows
@@ -474,20 +485,26 @@ def simplicial_to_data(SD: SimplicialDiagram) -> dict:
 
 def simplicial_from_data(data: dict, doctrine: Doctrine) -> SimplicialDiagram:
     cap = int(data["dim_cap"])
-    levels = [diagram_from_data(d, doctrine) for d in data["levels"]]
+    levels = []
+    for n, level in enumerate(data["levels"]):
+        try:
+            levels.append(diagram_from_data(level, doctrine))
+        except ParseError as err:
+            raise ParseError(f"levels[{n}]: {err}") from None
 
-    def read(entries):
-        out = {}
-        for entry in entries:
-            per_obj = {}
+    def read(field):
+        out, seen = {}, {}
+        for i, entry in enumerate(data[field]):
+            per_obj, objs = {}, {}
             for key, table in entry["maps"].items():
                 obj = parse_object_text(key, doctrine)
+                _once(objs, obj, f"{field}[{i}].maps[{key!r}]", f"object {obj}")
                 per_obj[obj] = dict(table)
-            out[(int(entry["level"]), int(entry["index"]))] = per_obj
+            n, k = int(entry["level"]), int(entry["index"])
+            _once(seen, (n, k), f"{field}[{i}]", f"level {n}, index {k}")
+            out[(n, k)] = per_obj
         return out
 
-    return SimplicialDiagram(
-        doctrine, cap, levels, read(data["faces"]), read(data["degeneracies"])
-    )
+    return SimplicialDiagram(doctrine, cap, levels, read("faces"), read("degeneracies"))
 
 

@@ -1,20 +1,23 @@
 """Normal-form engines for the built-in doctrines.
 
-Each exact engine implements the hooks of `signature.Engine`: `value`
-maps a term to a semantic value (reduced word, polynomial, labeled
-tree, edge path) where equality is literal, `bind` substitutes values
-for the variable atoms of a value (concatenate and reduce words,
-substitute into polynomials, graft trees, concatenate paths), `fold`
-walks a value along its canonical term (one `var` call per variable,
-one `node` call per operation), `value_size` measures it and
-`enumerate_values` lists the values below a size bound in a fixed
-order, so every hom-level API downstream is deterministic.  Values are
-hashable, and the value of a lone variable is that `Var` itself: each
-engine expands it where it computes and folds a result that is a lone
-variable back to it.  The base class derives render (the fold that
-builds the term), normalize, size, equal and substitution from them; a
-finite algebra evaluates a value by folding it with its tables, without
-building the term.  No engine keeps a cache.
+An exact engine states the value of each operation once, as its generic
+element: `generic[op]` is the value of op(x1, ..., xn) on fresh slot
+variables (reduced word, polynomial, labeled tree, edge path) where
+equality is literal.  Beside it are four hooks of `signature.Engine`:
+`bind` substitutes values for the variable atoms of a value
+(concatenate and reduce words, substitute into polynomials, graft
+trees, concatenate paths), `fold` walks a value along its canonical term
+(one `var` call per variable, one `node` call per operation),
+`value_size` measures it and `enumerate_values` lists the values below
+a size bound in a fixed order, so every hom-level API downstream is
+deterministic.  `ExactEngine.value` is derived: a term op(t1, ..., tn)
+is the generic element of op bound to the values of t1, ..., tn.
+Values are hashable, and the value of a lone variable is that `Var`
+itself: each engine expands it where it computes and folds a result
+that is a lone variable back to it.  The base class derives render (the
+fold that builds the term), normalize, size, equal and substitution
+from them; a finite algebra evaluates a value by folding it with its
+tables, without building the term.  No engine keeps a cache.
 
 Theories without an exact engine get `BoundedGenericEngine`, which
 proves equalities by equality saturation on an `EGraph` and answers
@@ -49,7 +52,11 @@ class ExactEngine(Engine):
     An exact engine is a pure function of its constructor arguments, so
     it is hash-consed on them, as `signature.Interned` values are:
     doctrines built alike share one engine, and so the morphisms they
-    make, which are interned on their engine, are the same objects."""
+    make, which are interned on their engine, are the same objects.
+
+    Its constructor fills `generic`, op -> (generic element, slot
+    names), with one `define` per operation; `value` reads nothing else
+    about the operations."""
 
     exact = True
     _table = weakref.WeakValueDictionary()
@@ -67,6 +74,25 @@ class ExactEngine(Engine):
         returns the live engine."""
         return type(self), self._args
 
+    def value(self, term: Term):
+        """A variable is its own value; op(t1, ..., tn) is `generic[op]`
+        with the values of t1, ..., tn bound to its slots (the term as
+        the composite of op with the tuple of its arguments)."""
+        if term.__class__ is Var:
+            return term
+        try:
+            generic, slots = self.generic[term.op]
+        except KeyError:
+            raise UnknownSymbol(f"{type(self).__name__} has no op {term.op.name!r}") from None
+        env = dict(zip(slots, map(self.value, term.args)))
+        return self.bind(generic, env, term.op.codomain)
+
+    def define(self, op: OpSymbol, element):
+        """Record the generic element of `op`: `element(x1, ..., xn)` on
+        slot variables of `op`'s domain sorts."""
+        xs = [Var(f"x{i + 1}", s) for i, s in enumerate(op.domain)]
+        self.generic[op] = (element(*xs), tuple([x.name for x in xs]))
+
 
 # perfbench's tracer wraps `normalize` on each exact engine class's own
 # __dict__, so every class below names the derived method once more.
@@ -76,11 +102,7 @@ class TrivialEngine(ExactEngine):
     """No operations: every term is a variable and already normal."""
 
     normalize = Engine.normalize
-
-    def value(self, term: Term):
-        if isinstance(term, Var):
-            return term
-        raise UnknownSymbol(f"trivial doctrine has no op {term.op.name!r}")
+    generic: dict = {}
 
     def bind(self, value, env, sort: Sort):
         return env[value.name]
@@ -118,22 +140,11 @@ class WordEngine(ExactEngine):
         self.mul = mul
         self.unit = unit
         self.inv = inv
-
-    def value(self, term: Term):
-        return _word_value(self.word(term))
-
-    def word(self, term: Term):
-        """The letters of a term's reduced word."""
-        if isinstance(term, Var):
-            return ((term, 1),)
-        name = term.op.name
-        if name == self.unit.name:
-            return ()
-        if name == self.mul.name:
-            return self._reduce(self.word(term.args[0]) + self.word(term.args[1]))
-        if self.inv is not None and name == self.inv.name:
-            return tuple((v, -e) for v, e in reversed(self.word(term.args[0])))
-        raise UnknownSymbol(f"unknown op {name!r} in word engine")
+        self.generic = {}
+        self.define(mul, lambda x, y: ((x, 1), (y, 1)))
+        self.define(unit, lambda: ())
+        if inv is not None:
+            self.define(inv, lambda x: ((x, -1),))
 
     def bind(self, word, env, sort: Sort):
         if word.__class__ is Var:
@@ -226,21 +237,8 @@ class GroupActionEngine(ExactEngine):
         self.wordeng = word_engine
         self.x_sort = x_sort
         self.act = act
-
-    def value(self, term: Term):
-        if term.sort is self.wordeng.sort:
-            return self.wordeng.value(term)
-        return self._action_value(*self._acting(term))
-
-    def _acting(self, term: Term):
-        """(reduced word, point) of an action-sort term."""
-        if isinstance(term, Var):
-            return (), term
-        if term.op.name != self.act.name:
-            raise UnknownSymbol(f"unknown group-action op {term.op.name!r}")
-        word = self.wordeng.word(term.args[0])
-        inner, point = self._acting(term.args[1])
-        return self.wordeng._reduce(word + inner), point
+        self.generic = dict(word_engine.generic)
+        self.define(act, lambda g, x: (((g, 1),), x))
 
     @staticmethod
     def _action_value(word, point):
@@ -302,30 +300,16 @@ class RingModuleEngine(ExactEngine):
         self.r_sort, self.m_sort = r_sort, m_sort
         self.add, self.mul, self.neg, self.zero, self.one = add, mul, neg, zero, one
         self.madd, self.mneg, self.mzero, self.smul = madd, mneg, mzero, smul
-
-    def value(self, term: Term):
-        return self._frozen(self._poly(term), term.sort)
-
-    def _poly(self, term: Term) -> dict:
-        if isinstance(term, Var):
-            return {((term, 1),): 1} if term.sort is self.r_sort else {((), term): 1}
-        name = term.op.name
-        args = term.args
-        if name == self.zero.name or name == self.mzero.name:
-            return {}
-        if name == self.one.name:
-            return {(): 1}
-        if name == self.add.name or name == self.madd.name:
-            return _poly_add(self._poly(args[0]), self._poly(args[1]))
-        if name == self.neg.name or name == self.mneg.name:
-            return {k: -c for k, c in self._poly(args[0]).items()}
-        if name == self.mul.name:
-            return _poly_mul(self._poly(args[0]).items(), self._poly(args[1]).items())
-        if name == self.smul.name:
-            out: dict = {}
-            _smul_into(out, self._poly(args[0]).items(), self._poly(args[1]).items(), 1)
-            return out
-        raise UnknownSymbol(f"unknown ring-module op {name!r}")
+        self.generic = {}
+        self.define(add, lambda x, y: frozenset({(((x, 1),), 1), (((y, 1),), 1)}))
+        self.define(mul, lambda x, y: frozenset({(((x, 1), (y, 1)), 1)}))
+        self.define(neg, lambda x: frozenset({(((x, 1),), -1)}))
+        self.define(zero, lambda: frozenset())
+        self.define(one, lambda: frozenset({((), 1)}))
+        self.define(madd, lambda x, y: frozenset({(((), x), 1), (((), y), 1)}))
+        self.define(mneg, lambda x: frozenset({(((), x), -1)}))
+        self.define(mzero, lambda: frozenset())
+        self.define(smul, lambda r, x: frozenset({((((r, 1),), x), 1)}))
 
     def _frozen(self, poly: dict, sort: Sort):
         """The value of a polynomial or module dict."""
@@ -342,8 +326,8 @@ class RingModuleEngine(ExactEngine):
     def bind(self, value, env, sort: Sort):
         if value.__class__ is Var:
             return env[value.name]
-        # accumulate in place: a `_poly_add` copy per monomial makes
-        # binding slower than walking the term with the values
+        # accumulate in place: a dict copy per monomial makes binding
+        # several times slower
         out: dict = {}
         if sort is self.r_sort:
             for mono, c in value:
@@ -475,12 +459,6 @@ def _smul_into(out, poly, mod, scale):
                 out.pop(key, None)
 
 
-def _poly_add(p1, p2):
-    out = dict(p1)
-    _poly_add_into(out, p2.items(), 1)
-    return out
-
-
 def _poly_mul(p1, p2):
     """The product of two polynomials given as (monomial, coefficient)
     pairs, as a dict."""
@@ -548,24 +526,13 @@ class OperadEngine(ExactEngine):
         self.unit = unit
         self.gammas = gammas
         self.perms = perms
-        self._perm_by_name = {op.name: key for key, op in perms.items()}
-        self._gamma_by_name = {op.name: key for key, op in gammas.items()}
-
-    def value(self, term: Term):
-        if isinstance(term, Var):
-            return term
-        name = term.op.name
-        if name == self.unit.name:
-            return (LEAF, (1,))
-        if name in self._gamma_by_name:
-            p = self.value(term.args[0])
-            qs = [self.value(a) for a in term.args[1:]]
-            return _tree_value(self.graft(p, qs))
-        if name in self._perm_by_name:
-            _, sigma = self._perm_by_name[name]
-            tree, labels = _tree_of(self.value(term.args[0]))
-            return _tree_value((tree, tuple(sigma[l - 1] for l in labels)))
-        raise UnknownSymbol(f"unknown operad op {name!r}")
+        self.generic = {}
+        self.define(unit, lambda: (LEAF, (1,)))
+        for gamma in gammas.values():
+            # p's node with each q's one-node tree on its leaves
+            self.define(gamma, lambda p, *qs: _tree_value(self.graft(p, qs)))
+        for (_, sigma), perm in perms.items():
+            self.define(perm, lambda p, sigma=sigma: _tree_value((_tree_of(p)[0], sigma)))
 
     def bind(self, value, env, sort: Sort):
         if value.__class__ is Var:
@@ -740,25 +707,11 @@ class PathEngine(ExactEngine):
         self.pair_of_sort = pair_of_sort
         self.comp_ops = comp_ops
         self.id_ops = id_ops
-        self._id_by_name = {op.name: x for x, op in id_ops.items()}
-        self._comp_by_name = {op.name: key for key, op in comp_ops.items()}
-
-    def value(self, term: Term):
-        return self._path_value(*self._path(term))
-
-    def _path(self, term: Term):
-        """((x, y), edges) of a term."""
-        if isinstance(term, Var):
-            return self.pair_of_sort[term.sort], (term,)
-        name = term.op.name
-        if name in self._id_by_name:
-            x = self._id_by_name[name]
-            return (x, x), ()
-        if name in self._comp_by_name:
-            (x1, _), e1 = self._path(term.args[0])
-            (_, y2), e2 = self._path(term.args[1])
-            return (x1, y2), e1 + e2
-        raise UnknownSymbol(f"unknown path op {name!r}")
+        self.generic = {}
+        for x, op in id_ops.items():
+            self.define(op, lambda x=x: ((x, x), ()))
+        for (x, _, z), op in comp_ops.items():
+            self.define(op, lambda f, g, ends=(x, z): (ends, (f, g)))
 
     @staticmethod
     def _path_value(ends, edges):

@@ -49,7 +49,7 @@ from .signature import (
     Term,
     Var,
     enumerate_raw_terms,
-    enumerate_terms,
+    enumerate_values,
     print_term,
 )
 from .theory_cat import TheoryMorphism, TheoryObject, generating_morphisms, objects_up_to
@@ -204,17 +204,18 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     tables are validated on entry, so an entry outside its carrier
     raises `ElementNotInCarrier` even when no term reaches it.
 
-    Each inner term is evaluated, in the algebra and in the engine, once
-    per call.  Outer terms with the same normal form have the same
-    flattened normal forms, since the engine's values form the free
-    algebra: NF(outer[asg]) = NF(NF(outer)[asg]).  So for each (slot
-    shape, target sort) the flattenings are built once per distinct
-    value (normal form) of the outer terms, each by binding that value
-    to the inner values, and each distinct bound value is
-    evaluated once per normal form by folding it with the tables, which
-    walks the canonical term without building it.  Each outer term's
-    composed value is computed once per tuple of inner values.  No memo
-    outlives one (shape, target) loop.
+    The inner elements are the engine's values (normal forms) of each
+    sort, each evaluated once per call by folding it with the tables,
+    which walks its canonical term without building it; an inner term is
+    rendered only when a failure names it.  Outer terms with the same
+    normal form have the same flattened normal forms, since the engine's
+    values form the free algebra: NF(outer[asg]) = NF(NF(outer)[asg]).
+    So for each (slot shape, target sort) the flattenings are built once
+    per distinct value (normal form) of the outer terms, each by binding
+    that value to the inner values, and each distinct bound value is
+    evaluated once per normal form by folding it.  Each outer term's
+    composed value is computed once per tuple of inner evaluations.  No
+    memo outlives one (shape, target) loop.
     """
     alg._validate()
     failures = []
@@ -232,13 +233,11 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     def node(op, args):
         return tables[op.name][args]
 
-    inner: dict[Sort, list[Term]] = {}
-    inner_values: dict[Sort, list] = {}
-    inner_nf_values: dict[Sort, list] = {}
+    inner: dict[Sort, list] = {}  # engine values
+    inner_evals: dict[Sort, list] = {}  # their elements of the algebra
     for s in alg.doctrine.sorts:
-        inner[s] = enumerate_terms(ctx, s, alg.doctrine, max(1, depth - 1))[:INNER_CAP]
-        inner_values[s] = [_value(alg, t, env) for t in inner[s]]
-        inner_nf_values[s] = [value(t) for t in inner[s]]
+        inner[s] = enumerate_values(ctx, s, alg.doctrine, max(1, depth - 1))[:INNER_CAP]
+        inner_evals[s] = [fold(v, s, var, node) for v in inner[s]]
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
     slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
     for shape in slot_shapes:
@@ -246,12 +245,9 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
         slots = Context(tuple(Var(n, s) for n, s in zip(names, shape)))
         combos = list(zip(
             itertools.product(*(inner[s] for s in shape)),
-            itertools.product(*(inner_values[s] for s in shape)),
+            itertools.product(*(inner_evals[s] for s in shape)),
         ))
-        nf_envs = [
-            dict(zip(names, nf_values))
-            for nf_values in itertools.product(*(inner_nf_values[s] for s in shape))
-        ]
+        envs = [dict(zip(names, values)) for values, _ in combos]
         for target in sorts:
             outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=OUTER_CAP)
             flattened_by_nf = {}  # value of an outer -> evaluations, in combos order
@@ -261,24 +257,26 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
                 if flattened_values is None:
                     memo = {}
                     flattened_values = flattened_by_nf[nf_value] = []
-                    for venv in nf_envs:
+                    for venv in envs:
                         bound = bind(nf_value, venv, target)
                         lhs = memo.get(bound, _MISSING)
                         if lhs is _MISSING:
                             lhs = memo[bound] = fold(bound, target, var, node)
                         flattened_values.append(lhs)
                 composed_values = {}
-                for (terms, values), lhs in zip(combos, flattened_values):
-                    rhs = composed_values.get(values, _MISSING)
+                for (values, evals), lhs in zip(combos, flattened_values):
+                    rhs = composed_values.get(evals, _MISSING)
                     if rhs is _MISSING:
-                        rhs = composed_values[values] = _value(
-                            alg, outer, dict(zip(names, values))
+                        rhs = composed_values[evals] = _value(
+                            alg, outer, dict(zip(names, evals))
                         )
                     if lhs != rhs:
                         failures.append({
                             "law": "assoc",
                             "outer": print_term(outer),
-                            "inner": [print_term(t) for t in terms],
+                            "inner": [
+                                print_term(engine.render(v, s)) for v, s in zip(values, shape)
+                            ],
                             "flattened": lhs,
                             "composed": rhs,
                         })

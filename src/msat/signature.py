@@ -247,7 +247,11 @@ class Engine:
     equalities (equality saturation on an e-graph, up to a round budget
     and a node budget) and never separates terms, so it has no normal
     forms.  Exact engines (`engines.ExactEngine`) replace the hooks by
-    values whose equality is equality in the free algebra.
+    values whose equality is equality in the free algebra: each states
+    one generic element per operation, the value of op(x1, ..., xn) on
+    slot variables, plus `bind`, `fold`, `value_size` and
+    `enumerate_values`, and derives `value` by binding each operation's
+    generic element to its arguments' values.
     """
 
     exact = False

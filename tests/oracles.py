@@ -14,7 +14,6 @@ from msat.engines import (
     RingModuleEngine,
     WordEngine,
     _mono_mul,
-    _poly_add,
     _poly_mul,
 )
 from msat.errors import ElementNotInCarrier, UnboundVariable
@@ -179,8 +178,9 @@ def reference_value_with_env(engine, term, env):
     engines: a lone variable is its `Var`, a polynomial or module
     element is the frozenset of its dict's items, and a lone operad
     generator with its leaves in order is its `Var`.  Every engine
-    shares the variable case; the op cases follow the engine's own
-    `value`."""
+    shares the variable case; each op case is written out by the
+    operation's name, independently of the engine's generic elements
+    and of `bind`."""
     expanded = {name: _expand(engine, v) for name, v in env.items()}
     return _collapse(engine, _walk_value(engine, term, expanded), term.sort)
 
@@ -231,6 +231,17 @@ def _collapse(engine, value, sort):
     return value
 
 
+def _poly_add(p1, p2):
+    out = dict(p1)
+    for k, c in p2.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 def _walk_value(engine, term, env):
     if isinstance(term, Var):
         return env[term.name]
@@ -276,14 +287,16 @@ def _walk_value(engine, term, env):
     if isinstance(engine, OperadEngine):
         if name == engine.unit.name:
             return (LEAF, (1,))
-        if name in engine._perm_by_name:
-            _, sigma = engine._perm_by_name[name]
+        perms = {op.name: sigma for (_, sigma), op in engine.perms.items()}
+        if name in perms:
+            sigma = perms[name]
             tree, labels = walk(args[0])
             return (tree, tuple(sigma[l - 1] for l in labels))
         return engine.graft(walk(args[0]), [walk(a) for a in args[1:]])
     if isinstance(engine, PathEngine):
-        if name in engine._id_by_name:
-            x = engine._id_by_name[name]
+        ids = {op.name: x for x, op in engine.id_ops.items()}
+        if name in ids:
+            x = ids[name]
             return ((x, x), ())
         (x1, _), e1 = walk(args[0])
         (_, y2), e2 = walk(args[1])

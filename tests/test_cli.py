@@ -313,6 +313,22 @@ def test_strict_check_diagram_route(tmp_path, trivial):
     assert report["data"]["failures"][0]["value"] == 2
 
 
+def test_strict_check_rejects_repeated_arrow(tmp_path, group):
+    """A second entry for Z3's `inv(v1)` arrow would replace its table;
+    the diagram is refused as a parse error (exit 2)."""
+    from test_dsl import z3_functor_data
+
+    data, pos = z3_functor_data(group)
+    identity = {x: x for x in data["arrows"][pos]["map"]}
+    data["arrows"].append({"source": ["G"], "target": ["G"], "terms": ["mul(inv(v1),e)"],
+                           "map": identity})
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(data))
+    report, code = run(["strict-check", "--theory", "builtin:group", "--diagram", str(path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == f"arrows[{pos}] and arrows[16] both give morphism G -> G : inv(v1)"
+
+
 def test_strict_check_repeated_element_fails(tmp_path, trivial):
     from test_rigidify import repeated_element_diagram
 

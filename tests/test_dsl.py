@@ -20,6 +20,7 @@ from msat.dsl import (
     simplicial_to_data,
 )
 from msat.errors import ParseError
+from msat.models import as_functor
 from msat.signature import print_term
 
 DATA = Path(__file__).parent / "data"
@@ -203,3 +204,78 @@ def test_simplicial_json_round_trip(trivial):
     data = simplicial_to_data(SD)
     again = simplicial_from_data(json.loads(json.dumps(data)), trivial)
     assert simplicial_to_data(again) == data
+
+
+def z3_functor_data(group):
+    """The JSON of Z3's functor, and the position of its `inv(v1)` arrow."""
+    data = diagram_to_data(as_functor(cyclic_group(group, 3)))
+    pos = next(i for i, a in enumerate(data["arrows"]) if a["terms"] == ["inv(v1)"])
+    return data, pos
+
+
+def test_diagram_repeated_arrow_entry(group):
+    data, pos = z3_functor_data(group)
+    data["arrows"].append(dict(data["arrows"][pos]))
+    with pytest.raises(ParseError, match=rf"arrows\[{pos}\] and arrows\[16\] both give "
+                                         r"morphism G -> G : inv\(v1\)$"):
+        diagram_from_data(data, group)
+
+
+def test_diagram_arrow_entry_repeated_by_normal_form(group):
+    """A second spelling of one morphism is a repeat too, whatever map
+    it gives: `mul(inv(v1),e)` normalizes to `inv(v1)`."""
+    data, pos = z3_functor_data(group)
+    identity = {x: x for x in data["arrows"][pos]["map"]}
+    data["arrows"].append({"source": ["G"], "target": ["G"], "terms": ["mul(inv(v1),e)"],
+                           "map": identity})
+    with pytest.raises(ParseError, match=rf"arrows\[{pos}\] and arrows\[16\]"):
+        diagram_from_data(data, group)
+
+
+def test_diagram_repeated_values_entry(group):
+    data, _ = z3_functor_data(group)
+    n = len(data["values"])
+    data["values"].append(dict(data["values"][1]))
+    with pytest.raises(ParseError, match=rf"values\[1\] and values\[{n}\] both give object G$"):
+        diagram_from_data(data, group)
+
+
+@pytest.mark.parametrize("field", ["faces", "degeneracies"])
+def test_simplicial_repeated_map_entry(trivial, field):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=2)))
+    n = len(data[field])
+    first = data[field][0]
+    data[field].append(first)
+    level, index = first["level"], first["index"]
+    with pytest.raises(ParseError, match=rf"{field}\[0\] and {field}\[{n}\] both give "
+                                         rf"level {level}, index {index}$"):
+        simplicial_from_data(data, trivial)
+
+
+def test_simplicial_map_keys_spelling_one_object(trivial):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=2)))
+    maps = data["faces"][0]["maps"]
+    key = next(k for k in maps if "," in k)
+    maps[key.replace(",", ", ")] = maps[key]
+    with pytest.raises(ParseError, match=rf"^faces\[0\]\.maps\['{key}'\] and "
+                                         rf"faces\[0\]\.maps\['{key.replace(',', ', ')}'\] "
+                                         rf"both give object {key}$"):
+        simplicial_from_data(data, trivial)
+
+
+def test_simplicial_level_repeat_names_its_level(trivial):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=2)))
+    arrows = data["levels"][1]["arrows"]
+    arrows.append(arrows[0])
+    with pytest.raises(ParseError, match=rf"^levels\[1\]: arrows\[0\] and "
+                                         rf"arrows\[{len(arrows) - 1}\] both give "):
+        simplicial_from_data(data, trivial)

@@ -272,6 +272,18 @@ def run(argv) -> tuple[dict, int]:
     return report, code
 
 
+def _parse_y(spec: str) -> tuple:
+    """(kind, n, k) of a `--y` spec: delta:N, boundary:N or horn:N:K,
+    with decimal N and K; anything else is a `ParseError`."""
+    kind, *fields = spec.split(":")
+    if len(fields) != {"delta": 1, "boundary": 1, "horn": 2}.get(kind) or not all(
+        f.isascii() and f.isdigit() for f in fields
+    ):
+        raise ParseError(f"--y {spec!r}: expected delta:N, boundary:N or horn:N:K")
+    numbers = [int(f) for f in fields]
+    return kind, numbers[0], numbers[1] if kind == "horn" else None
+
+
 def _verdict(report: dict, ok: bool) -> int:
     """Record a pass or fail verdict in `report`; returns its exit code."""
     report["verdict"] = "pass" if ok else "fail"
@@ -355,11 +367,7 @@ def _dispatch(ns, report, inputs) -> int:
         sort = doctrine.sort(ns.sort)
         gens = [g.strip() for g in ns.generators.split(",") if g.strip()]
         if ns.y:
-            parts = ns.y.split(":")
-            kind = parts[0]
-            n = int(parts[1]) if len(parts) > 1 else 0
-            k = int(parts[2]) if len(parts) > 2 else None
-            Y = standard(kind, n, k, cap=ns.dim_cap)
+            Y = standard(*_parse_y(ns.y), cap=ns.dim_cap)
             free = degreewise_free(doctrine, sort, Y)
             data["levels"] = {
                 str(lv): free.presentation(lv).to_json() for lv in range(Y.cap + 1)

@@ -13,7 +13,10 @@ strictness check, both routes of `rigidify` and the universal-property
 check all read it.  `is_bijection` is the one bijection test that
 those checks, `verify_ktk` and `models.adjunction_check` use.
 
-A representable diagram and a composite met by the closure are pure
+The elements of a representable Hom(T, -) are its morphisms, and an
+arrow acts on them by composition, so building one renders no term;
+`element_key` spells an element as text only on output.  A
+representable diagram and a composite met by the closure are pure
 functions of the doctrine and the bounds; both are built once and kept
 in `Doctrine.memo`, so a representable is shared and read-only.  The
 closure's only composite store is that memo, and the surjectivity step
@@ -187,15 +190,15 @@ def is_bijection(images, codomain) -> bool:
 
 def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: int,
                           term_bound: int) -> DiagramOnTruncation:
-    """Hom(rep, -) restricted to the truncation.  Elements are the term
-    tuples of the enumerated morphisms, each rendered once; its
-    `element_of` maps each enumerated morphism to its element, so an
-    arrow's image is found by composing, not by rendering.  Arrow images
-    outside the enumerated fragment are left undefined.  Built once per
-    (rep, object_bound, term_bound) and kept in `doctrine.memo`, so
-    every caller shares one diagram and its closure cache: the result
-    is read-only, and nothing may write its `values`, `arrows` or
-    `element_of`."""
+    """Hom(rep, -) restricted to the truncation.  Its elements are the
+    enumerated morphisms themselves (`hom_enumerate`), and an arrow w
+    sends m to the composite w after m when that composite is
+    enumerated; images outside the enumerated fragment are left
+    undefined.  Nothing is rendered: `element_key` prints a morphism
+    element as its term tuple on output.  Built once per (rep,
+    object_bound, term_bound) and kept in `doctrine.memo`, so every
+    caller shares one diagram and its closure cache: the result is
+    read-only, and nothing may write its `values` or `arrows`."""
     key = ("representable_diagram", rep, object_bound, term_bound)
     X = doctrine.memo.get(key)
     if X is None:
@@ -204,21 +207,18 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
 
 
 def _representable_diagram(doctrine, rep, object_bound, term_bound):
-    homs = {obj: hom_enumerate(rep, obj, doctrine, term_bound)
-            for obj in objects_up_to(doctrine, object_bound)}
-    element_of = {m: m.terms for ms in homs.values() for m in ms}
-    values = {obj: tuple([element_of[m] for m in ms]) for obj, ms in homs.items()}
+    values = {obj: tuple(hom_enumerate(rep, obj, doctrine, term_bound))
+              for obj in objects_up_to(doctrine, object_bound)}
+    members = {m for ms in values.values() for m in ms}
     arrows = {}
     for w in generating_morphisms(doctrine, object_bound):
         table = {}
-        for m in homs[w.source]:
-            image = element_of.get(compose(doctrine, w, m))
-            if image is not None:
-                table[element_of[m]] = image
+        for m in values[w.source]:
+            image = compose(doctrine, w, m)
+            if image in members:
+                table[m] = image
         arrows[w] = table
-    X = DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
-    X.element_of = element_of
-    return X
+    return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
 
 
 def coproduct_diagram(doctrine: Doctrine, summands, object_bound: int,
@@ -268,8 +268,12 @@ def natural_transformations(X: DiagramOnTruncation, Y):
 
 
 def element_key(e) -> str:
+    """The JSON text of a diagram element; a morphism (an element of a
+    representable) prints as the tuple of its terms."""
     if isinstance(e, str):
         return e
+    if isinstance(e, TheoryMorphism):
+        return element_key(e.terms)
     if isinstance(e, tuple):
         inner = []
         for part in e:

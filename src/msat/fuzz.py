@@ -144,29 +144,7 @@ def random_trivial_diagram(rng: random.Random, doctrine: Doctrine,
     for (a, b), cs in cells.items():
         for k, c in enumerate(cs):
             swap_table[c] = cells[(b, a)][k]
-    arrows = {}
-    for m in generating_morphisms(doctrine, 2):
-        if m.source == TERMINAL:
-            arrows[m] = {"pt": "pt"} if m.target == TERMINAL else {}
-        elif m.target == TERMINAL:
-            arrows[m] = {x: "pt" for x in values[m.source]}
-        elif m.source == T1 and m.target == T1:
-            arrows[m] = {a: a for a in points}
-        elif m.source == T1 and m.target == T2:
-            arrows[m] = dict(diag)
-        elif m.source == T2 and m.target == T1:
-            slot = 0 if m.terms == (T2.context().vars[0],) else 1
-            arrows[m] = {c: proj[c][slot] for c in all_cells}
-        else:
-            v1, v2 = T2.context().vars
-            if m.terms == (v1, v2):
-                arrows[m] = {c: c for c in all_cells}
-            elif m.terms == (v2, v1):
-                arrows[m] = dict(swap_table)
-            elif m.terms == (v1, v1):
-                arrows[m] = {c: diag[proj[c][0]] for c in all_cells}
-            else:
-                arrows[m] = {c: diag[proj[c][1]] for c in all_cells}
+    arrows = _variable_arrows(doctrine, values, proj, diag, swap_table)
     if flavor == "broken":
         # corrupt one projection entry; the composite through the
         # diagonal must now disagree with the stored table
@@ -175,6 +153,35 @@ def random_trivial_diagram(rng: random.Random, doctrine: Doctrine,
         current = arrows[target][victim]
         arrows[target][victim] = rng.choice([a for a in points if a != current])
     return DiagramOnTruncation(doctrine, 2, 2, values, arrows)
+
+
+def _variable_arrows(doctrine: Doctrine, values: dict, coords: dict, diagonal: dict,
+                     swap: dict) -> dict:
+    """The tables of the generating arrows of the one-sort, no-op
+    doctrine at object bound 2 on `values`, a value at the terminal
+    object, T1 and T2 (the terminal one a single point).  Every such
+    arrow is a variable map, and its values say which source slot each
+    target slot picks.  An element x at T2 has the coordinates
+    `coords[x]`, `diagonal[a]` is the element at T2 over (a, a), and
+    `swap` is the transposition of T2."""
+    (point,) = values[TERMINAL]
+    arrows = {}
+    for m in generating_morphisms(doctrine, 2):
+        src = values[m.source]
+        picks = [m.source.names.index(v.name) for v in m.values]
+        if m.target is TERMINAL:
+            arrows[m] = {x: point for x in src}
+        elif m is identity(m.source):
+            arrows[m] = {x: x for x in src}
+        elif m.source.size == 1:
+            arrows[m] = {x: diagonal[x] for x in src}
+        elif picks == [1, 0]:
+            arrows[m] = dict(swap)
+        elif m.target.size == 1:
+            arrows[m] = {x: coords[x][picks[0]] for x in src}
+        else:
+            arrows[m] = {x: diagonal[coords[x][picks[0]]] for x in src}
+    return arrows
 
 
 def random_sset(rng: random.Random, cap: int = 3) -> TruncSimplicialSet:
@@ -240,40 +247,10 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
 
     for n in range(cap + 1):
         vals = level_values(n)
-        arrows = {}
-        for m in generating_morphisms(doctrine, 2):
-            if m.source == TERMINAL:
-                arrows[m] = {(): ()} if m.target == TERMINAL else {}
-                continue
-            if m.target == TERMINAL:
-                arrows[m] = {x: () for x in vals[m.source]}
-                continue
-            if m.source == T1 and m.target == T1:
-                arrows[m] = {x: x for x in vals[T1]}
-            elif m.source == T1 and m.target == T2:
-                arrows[m] = {x: (x, x) for x in vals[T1]}
-            elif m.source == T2 and m.target == T1:
-                slot = 0 if m.terms == (T2.context().vars[0],) else 1
-                arrows[m] = {
-                    x: (x[1] if x[0] == "d" and inflate else x[slot]) for x in vals[T2]
-                }
-            else:
-                v1, v2 = T2.context().vars
-                if m.terms == (v1, v2):
-                    arrows[m] = {x: x for x in vals[T2]}
-                elif m.terms == (v2, v1):
-                    arrows[m] = {
-                        x: x if (inflate and x[0] == "d") else (x[1], x[0])
-                        for x in vals[T2]
-                    }
-                else:
-                    slot = 0 if m.terms == (v1, v1) else 1
-
-                    def dval(x, slot=slot):
-                        base = x[1] if (inflate and x[0] == "d") else x[slot]
-                        return (base, base)
-
-                    arrows[m] = {x: dval(x) for x in vals[T2]}
+        coords = {x: (x[1], x[1]) if inflate and x[0] == "d" else x for x in vals[T2]}
+        swap = {x: x if inflate and x[0] == "d" else (x[1], x[0]) for x in vals[T2]}
+        diagonal = {x: (x, x) for x in vals[T1]}
+        arrows = _variable_arrows(doctrine, vals, coords, diagonal, swap)
         levels.append(DiagramOnTruncation(doctrine, 2, 2, vals, arrows))
     rule = objectwise(levels, on_elem)
     return SimplicialDiagram(doctrine, cap, levels, *lifted_maps(cap, rule, S))

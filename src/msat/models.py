@@ -287,7 +287,10 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
 
 class AlgebraFunctor:
     """The product-preserving functor induced by a finite algebra:
-    objects go to carrier products, morphisms to term evaluation."""
+    objects go to carrier products, and a morphism acts by evaluating
+    its values, each folded with the operation tables (`Engine.fold`,
+    which builds no term) in the environment of an element's
+    coordinates.  Each morphism's table is built once."""
 
     def __init__(self, alg: FiniteAlgebra, object_bound: int):
         self.alg = alg
@@ -303,14 +306,25 @@ class AlgebraFunctor:
         return self._values[obj]
 
     def morphism_map(self, m: TheoryMorphism) -> dict:
-        if m not in self._maps:
-            table = {}
-            terms = m.terms
+        table = self._maps.get(m)
+        if table is None:
+            tables, engine, env = self.alg.tables, m.engine, {}
+
+            def var(v):
+                return env[v.name]
+
+            def node(op, args):
+                return tables[op.name][args]
+
+            slots = list(zip(m.values, m.target.sorts))
+            table = self._maps[m] = {}
             for x in self.value(m.source):
-                env = dict(zip(m.source.names, x))
-                table[x] = tuple(_value(self.alg, t, env) for t in terms)
-            self._maps[m] = table
-        return self._maps[m]
+                env.update(zip(m.source.names, x))
+                table[x] = tuple([
+                    var(v) if v.__class__ is Var else engine.fold(v, s, var, node)
+                    for v, s in slots
+                ])
+        return table
 
 
 def as_functor(alg: FiniteAlgebra, object_bound: int = 2, term_bound: int = 2) -> DiagramOnTruncation:

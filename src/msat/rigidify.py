@@ -35,6 +35,7 @@ from .theory_cat import (
     compose,
     generating_morphisms,
     hom_enumerate,
+    identity,
     objects_up_to,
     projection,
 )
@@ -187,12 +188,13 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
         for obj in X.objects()
     }
     # (slot, obj, b, f, f's derived action or None) per attaching morphism
+    elements = {b for obj in X.objects() for b in R.value(obj)}
     attaching = []
     for i, factor in enumerate(factors):
         for obj in X.objects():
             for f in hom_enumerate(factor, obj, doctrine, s):
-                b = R.element_of.get(compose(doctrine, f, p.projections[i]))
-                if b is not None:
+                b = compose(doctrine, f, p.projections[i])
+                if b in elements:
                     attaching.append((i, obj, b, f, closure.get(f)))
     uf = UnionFind()
     for zi, z in enumerate(tuples):
@@ -207,8 +209,8 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
         if member[0] == "x":
             img = X.arrows.get(w, {}).get(member[1])
             return None if img is None else ("x", img)
-        _, zi, terms = member
-        img = R.arrows[w].get(terms)
+        _, zi, b = member
+        img = R.arrows[w].get(b)
         return None if img is None else ("b", zi, img)
 
     return _finish_step(X, "surjectivity", p, membership, uf, member_image, not exact)
@@ -420,26 +422,17 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
     P_sum = rigidify_presentation(rep_sum)
     gens_big = _generator_table(rep_big)
     gens_sum = _generator_table(rep_sum)
+    # the generators at the projections of the product object, and at
+    # the identity of each summand
+    factors = p.factors()
+    big_names = [gens_big[(f, q)].name for f, q in zip(factors, p.projections)]
+    sum_names = [gens_sum[(f, (i, identity(f)))].name for i, f in enumerate(factors)]
     report = []
     ok = True
     for A in models:
         want = list(itertools.product(*(A.carriers[s] for s in p.target.sorts)))
-        homs_big = homs_into(P_big, A)
-        big_keys = [
-            tuple(
-                h[gens_big[(TheoryObject.of(p.target.sorts[i]), p.projections[i].terms)].name]
-                for i in range(p.arity)
-            )
-            for h in homs_big
-        ]
-        homs_sum = homs_into(P_sum, A)
-        sum_keys = []
-        for h in homs_sum:
-            key = []
-            for i, factor in enumerate(p.factors()):
-                ident_elem = (i, (factor.context().vars[0],))
-                key.append(h[gens_sum[(factor, ident_elem)].name])
-            sum_keys.append(tuple(key))
+        big_keys = [tuple(h[n] for n in big_names) for h in homs_into(P_big, A)]
+        sum_keys = [tuple(h[n] for n in sum_names) for h in homs_into(P_sum, A)]
         big_ok = is_bijection(big_keys, want)
         sum_ok = is_bijection(sum_keys, want)
         ok = ok and big_ok and sum_ok

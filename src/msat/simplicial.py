@@ -19,7 +19,7 @@ from .errors import InvalidParameter, UnsupportedDoctrine
 from .models import FiniteAlgebra, as_functor, check_equations, check_product_preservation
 from .presentations import AlgebraPresentation, free_presentation
 from .search import UnionFind
-from .signature import Context, Doctrine, Sort, Term, Var, enumerate_terms, enumerate_values
+from .signature import Context, Doctrine, Sort, Var, enumerate_terms, enumerate_values
 from .theory_cat import TheoryObject
 
 DEFAULT_DIM_CAP = 3
@@ -599,19 +599,13 @@ class DegreewiseFreeDiagram:
         ren = {var.name: self._gen[k_to][table[s]] for s, var in self._gen[k].items()}
         return self.doctrine.engine.bind(value, ren, self.sort)
 
-    def _face(self, k: int, i: int, value):
+    def face(self, k: int, i: int, value):
+        """d_i of a level-k value: its generators renamed along d_i of Y."""
         return self._act(k, self.Y.faces[(k, i)], k - 1, value)
 
-    def _degeneracy(self, k: int, j: int, value):
+    def degeneracy(self, k: int, j: int, value):
+        """s_j of a level-k value: its generators renamed along s_j of Y."""
         return self._act(k, self.Y.degeneracies[(k, j)], k + 1, value)
-
-    def face_on_term(self, k: int, i: int, term: Term) -> Term:
-        engine = self.doctrine.engine
-        return engine.render(self._face(k, i, engine.value(term)), self.sort)
-
-    def degeneracy_on_term(self, k: int, j: int, term: Term) -> Term:
-        engine = self.doctrine.engine
-        return engine.render(self._degeneracy(k, j, engine.value(term)), self.sort)
 
     def enumerate_value(self, k: int, obj: TheoryObject, bound: int) -> list[tuple]:
         ctx = self.context(k)
@@ -619,25 +613,21 @@ class DegreewiseFreeDiagram:
         return list(itertools.product(*per_slot))
 
     def check_identities(self, bound: int = 2) -> list[str]:
-        """Simplicial identities on the enumerated fragments, checked on
-        the engine's values."""
-        problems = []
-        for k in range(2, self.cap + 1):
-            values = enumerate_values(self.context(k), self.sort, self.doctrine, bound)
-            for j in range(1, k + 1):
-                for i in range(j):
-                    for v in values:
-                        lhs = self._face(k - 1, i, self._face(k, j, v))
-                        rhs = self._face(k - 1, j - 1, self._face(k, i, v))
-                        if lhs != rhs:
-                            problems.append(f"d_{i} d_{j} fails at level {k}")
-        for k in range(self.cap):
-            values = enumerate_values(self.context(k), self.sort, self.doctrine, bound)
-            for j in range(k + 1):
-                for v in values:
-                    if self._face(k + 1, j, self._degeneracy(k, j, v)) != v:
-                        problems.append(f"d_{j} s_{j} != id at level {k}")
-        return problems
+        """Every simplicial identity on the enumerated fragments: the
+        `identity_problems` of the truncated simplicial set of the
+        engine's values of size <= bound at each level.  The fragments
+        are closed under the structure maps, since renaming generators
+        never grows a value."""
+        levels = {
+            k: enumerate_values(self.context(k), self.sort, self.doctrine, bound)
+            for k in range(self.cap + 1)
+        }
+        maps = structure_maps(
+            self.cap,
+            lambda k, i: {v: self.face(k, i, v) for v in levels[k]},
+            lambda k, j: {v: self.degeneracy(k, j, v) for v in levels[k]},
+        )
+        return TruncSimplicialSet(self.cap, levels, *maps, check=False).identity_problems()
 
 
 def degreewise_free(doctrine: Doctrine, sort: Sort, Y: TruncSimplicialSet) -> DegreewiseFreeDiagram:

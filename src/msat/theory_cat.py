@@ -6,8 +6,8 @@ context (v1..vn), one per target slot, held as the doctrine engine's
 values (`signature.Engine`); composition binds the outer morphism's
 values in an environment of the inner one's, the Kleisli composition of
 the free-algebra monad, and renders nothing.  Terms are rendered only
-on demand (`TheoryMorphism.terms`), for printing, JSON and the readers
-that need syntax.  Objects and morphisms are hash-consed
+on demand (`TheoryMorphism.terms`), for printing, JSON and the
+relations of a presentation, which are syntax.  Objects and morphisms are hash-consed
 (`signature.Interned`), so equal objects and equal morphisms, however
 they were reached, are the same Python object.
 """

@@ -291,6 +291,27 @@ def test_free_verb():
     ])
     assert code == 0
     assert set(report["data"]["levels"]) == {"0", "1", "2"}
+    for y in ("boundary:1", "horn:2:1"):
+        report, code = run([
+            "free", "--theory", "builtin:monoid", "--sort", "m",
+            "--generators", "y", "--y", y, "--dim-cap", "2",
+        ])
+        assert code == 0 and report["data"]["identity_violations"] == []
+
+
+@pytest.mark.parametrize("y", ["delta:x", "delta:1:2:3", "delta", "horn:2", "cube:1",
+                               "delta:-1", "delta:\u0663"])
+def test_free_y_parses_strictly(capsys, y):
+    """`--y` is delta:N, boundary:N or horn:N:K with decimal N and K;
+    any other spec is a parse error (exit 2, no traceback), never a set
+    with a field dropped or made up."""
+    report, code = run([
+        "free", "--theory", "builtin:monoid", "--sort", "m",
+        "--generators", "y", "--y", y,
+    ])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == f"--y {y!r}: expected delta:N, boundary:N or horn:N:K"
+    assert capsys.readouterr().err == ""
 
 
 def test_adjunction_verb(z2_file):

@@ -8,9 +8,22 @@ import pytest
 
 import msat.diagram as diagram
 from msat.catalog import action_model, models_for
-from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
+from msat.fuzz import (
+    make_rng,
+    product_simplicial_diagram,
+    random_sset,
+    random_trivial_diagram,
+    twisted_algebra_diagram,
+)
 from msat.models import as_functor
-from msat.theory_cat import TheoryObject, generating_morphisms, objects_up_to, projection
+from msat.signature import Engine
+from msat.theory_cat import (
+    TheoryMorphism,
+    TheoryObject,
+    generating_morphisms,
+    objects_up_to,
+    projection,
+)
 
 from oracles import naive_arrow_closure, representable_by_compose
 
@@ -110,11 +123,60 @@ def test_representable_matches_composites(request, fresh_doctrine, name):
             rep = TheoryObject.of(sort)
             X = diagram.representable_diagram(d, rep, 2, 2)
             values, arrows = representable_by_compose(d, rep, 2, 2)
-            assert X.values == values
+            # the elements are morphisms; the oracle's are their terms
+            assert {obj: tuple(m.terms for m in ms) for obj, ms in X.values.items()} == values
             assert list(X.arrows) == list(arrows)
             for m, table in arrows.items():
-                assert list(X.arrows[m].items()) == list(table.items()), m
+                got = [(x.terms, y.terms) for x, y in X.arrows[m].items()]
+                assert got == list(table.items()), m
             assert diagram.representable_diagram(d, rep, 2, 2) is X
+
+
+@pytest.mark.parametrize("name", DOCTRINES)
+def test_element_key_prints_a_morphism_as_its_terms(fresh_doctrine, name):
+    """The JSON text of a representable's element is that of the term
+    tuple it stood for when elements were rendered."""
+    d = fresh_doctrine(name)
+    for sort in d.sorts:
+        X = diagram.representable_diagram(d, TheoryObject.of(sort), 2, 2)
+        for obj in X.objects():
+            for m in X.value(obj):
+                assert isinstance(m, TheoryMorphism)
+                assert diagram.element_key(m) == diagram.element_key(m.terms)
+
+
+@pytest.mark.parametrize("name", DOCTRINES)
+def test_builds_render_nothing(monkeypatch, fresh_doctrine, name):
+    """Building the representables, the functors of the catalog models
+    and the fuzzed diagrams reads no morphism's terms and renders no
+    value: syntax is made only on output."""
+    d = fresh_doctrine(name)
+    models = models_for(d, 3)
+    counts = {"terms": 0, "render": 0}
+    terms, render = TheoryMorphism.terms, Engine.render
+
+    def counted_terms(m):
+        counts["terms"] += 1
+        return terms.fget(m)
+
+    def counted_render(engine, value, sort):
+        counts["render"] += 1
+        return render(engine, value, sort)
+
+    monkeypatch.setattr(TheoryMorphism, "terms", property(counted_terms))
+    monkeypatch.setattr(Engine, "render", counted_render)
+    for sort in d.sorts:
+        diagram.representable_diagram(d, TheoryObject.of(sort), 2, 2)
+    for alg in models:
+        as_functor(alg, 2, 2)
+    if name == "trivial":  # the fuzzers' one-sort, no-op doctrine
+        for seed in range(3):
+            for flavor in ("strict", "nonlocal", "any", "broken"):
+                random_trivial_diagram(make_rng(seed), d, flavor)
+            for inflate in (False, True):
+                product_simplicial_diagram(d, random_sset(make_rng(seed)), inflate)
+    assert counts == {"terms": 0, "render": 0}
+    assert models and d.memo
 
 
 def test_truncation_is_built_once_per_doctrine(group, fresh_doctrine):

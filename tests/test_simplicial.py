@@ -234,13 +234,22 @@ class TestDegreewiseFree:
             free = degreewise_free(monoid, m, Y)
             assert free.check_identities(2) == []
 
+    def test_identities_catch_a_bad_degeneracy(self, monoid):
+        """s_0 on vertices sending (a,) to (1-a, a) keeps d_0 s_0 = id
+        but breaks d_1 s_0 = id; the check runs every identity."""
+        Y = nerve_of_preorder([0, 1], lambda a, b: True, cap=2)
+        Y.degeneracies[(0, 0)] = {(a,): (1 - a, a) for a in (0, 1)}
+        problems = degreewise_free(monoid, monoid.sort("m"), Y).check_identities(1)
+        assert any(p.startswith("d_1 s_0 relation fails at level 0") for p in problems)
+        assert not any(p.startswith("d_0 s_0") for p in problems)
+
     def test_face_acts_on_generators(self, monoid):
         m = monoid.sort("m")
         Y = standard("delta", 1, cap=2)
         free = degreewise_free(monoid, m, Y)
         g = free.generator(1, (0, 1))
-        assert free.face_on_term(1, 0, g) == free.generator(0, (1,))
-        assert free.face_on_term(1, 1, g) == free.generator(0, (0,))
+        assert free.face(1, 0, g) == free.generator(0, (1,))
+        assert free.face(1, 1, g) == free.generator(0, (0,))
 
     def test_coend_quotient_oracle(self, monoid):
         """Brute-force quotient of the sum over n <= 2 of

@@ -112,12 +112,29 @@ def _load_model(path: str, doctrine, inputs: dict):
     return parse_model(_read_input(path, "model", inputs), doctrine)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is a `ParseError`, not
+    an entry silently replaced by the last one."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
+def _load_json(path: str, inputs: dict):
+    return json.loads(_read_input(path, "diagram", inputs), object_pairs_hook=_json_object)
+
+
 def _load_diagram(path: str, doctrine, inputs: dict):
-    return diagram_from_data(json.loads(_read_input(path, "diagram", inputs)), doctrine)
+    return diagram_from_data(_load_json(path, inputs), doctrine)
 
 
 def _load_sdiagram(path: str, doctrine, inputs: dict):
-    return simplicial_from_data(json.loads(_read_input(path, "diagram", inputs)), doctrine)
+    return simplicial_from_data(_load_json(path, inputs), doctrine)
 
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:

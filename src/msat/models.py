@@ -21,11 +21,13 @@ lookup, so it checks the target's values on entry.
 of an outer term's normal form to the values of the inner terms
 (`Engine.bind`), the substitution of the free-algebra monad, and
 evaluates the result by folding it with the tables (`Engine.fold`, a
-catamorphism over the canonical term that builds no term).  It
-memoizes, for one (slot shape, target sort) at a time, the evaluated
-flattenings of each distinct normal form of its outer terms and each
-outer term's composed values.  No memo outlives that loop or is kept
-on the algebra, whose tables may change between calls.
+catamorphism over the canonical term that builds no term).  Its memos
+have three scopes: the values of outer subterms and the evaluation of
+each distinct bound value (per target sort) last for one call; the
+composed values of outer subterms, one per evaluation class of the
+inner values, last for one slot shape; the flattenings of each distinct
+normal form last for one (slot shape, target sort).  No memo is kept on
+the algebra, whose tables may change between calls.
 """
 
 from __future__ import annotations
@@ -189,6 +191,7 @@ def _carrier_context(alg: FiniteAlgebra):
 
 
 _MISSING = object()  # memo miss; a carrier element may be None
+_MIXED = object()  # flattenings that differ inside one evaluation class
 
 INNER_CAP, OUTER_CAP = 12, 160  # law-check terms per sort, per (slot shape, target)
 
@@ -210,12 +213,21 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     rendered only when a failure names it.  Outer terms with the same
     normal form have the same flattened normal forms, since the engine's
     values form the free algebra: NF(outer[asg]) = NF(NF(outer)[asg]).
-    So for each (slot shape, target sort) the flattenings are built once
-    per distinct value (normal form) of the outer terms, each by binding
-    that value to the inner values, and each distinct bound value is
-    evaluated once per normal form by folding it.  Each outer term's
-    composed value is computed once per tuple of inner evaluations.  No
-    memo outlives one (shape, target) loop.
+    So for each (slot shape, target sort) each distinct normal form is
+    bound once per assignment of inner values to the slots it uses
+    (normalization never adds a variable; a fold that reads no table
+    finds them), and each distinct bound value is folded once per call
+    and target.  The value of an outer term takes one bind per distinct
+    subterm per call.
+
+    The composed side depends on the inner values only through their
+    evaluations, so each outer subterm is evaluated once per slot shape
+    on every evaluation class (distinct tuple of inner evaluations), one
+    table lookup per class.  An outer term whose composed values match
+    its normal form's flattenings, reduced to one value per class or
+    "mixed" where they differ inside a class, cannot fail; any other is
+    compared combination by combination, so the failures, their order
+    and the stop after more than 20 are those of the memo-free check.
     """
     alg._validate()
     failures = []
@@ -225,7 +237,7 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
             if evaluate(alg, Var(f"c_{s.name}_{e}", s), env) != e:
                 failures.append({"law": "unit", "sort": s.name, "element": e})
     engine = alg.doctrine.engine
-    value, bind, fold, tables = engine.value, engine.bind, engine.fold, alg.tables
+    bind, fold, tables = engine.bind, engine.fold, alg.tables
 
     def var(v):
         return env[v.name]
@@ -238,44 +250,96 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     for s in alg.doctrine.sorts:
         inner[s] = enumerate_values(ctx, s, alg.doctrine, max(1, depth - 1))[:INNER_CAP]
         inner_evals[s] = [fold(v, s, var, node) for v in inner[s]]
+    generic = engine.generic
+    values = {}  # outer subterm -> its engine value
+
+    def value(t):
+        v = values.get(t)
+        if v is None:
+            if t.__class__ is Var:
+                v = t
+            else:
+                element, slot_names = generic[t.op]
+                v = bind(element, dict(zip(slot_names, [value(a) for a in t.args])),
+                         t.op.codomain)
+            values[t] = v
+        return v
+
     sorts = sorted(alg.doctrine.sorts, key=lambda s: s.name)
+    folded: dict[Sort, dict] = {s: {} for s in sorts}  # target -> {bound value: element}
     slot_shapes = [(s,) for s in sorts] + list(itertools.product(sorts, repeat=2))
     for shape in slot_shapes:
         names = [f"w{i+1}" for i in range(len(shape))]
         slots = Context(tuple(Var(n, s) for n, s in zip(names, shape)))
-        combos = list(zip(
-            itertools.product(*(inner[s] for s in shape)),
-            itertools.product(*(inner_evals[s] for s in shape)),
-        ))
-        envs = [dict(zip(names, values)) for values, _ in combos]
+        combos = list(itertools.product(*(inner[s] for s in shape)))
+        # the evaluation classes: the distinct tuples of inner evaluations,
+        # numbered in order of first occurrence
+        class_index: dict[tuple, int] = {}
+        class_of = [
+            class_index.setdefault(evals, len(class_index))
+            for evals in itertools.product(*(inner_evals[s] for s in shape))
+        ]
+        classes = list(class_index)
+        composed = {  # outer subterm -> its evaluation per class
+            v: tuple([evals[i] for evals in classes]) for i, v in enumerate(slots.vars)
+        }
+
+        def composed_of(t):
+            r = composed.get(t)
+            if r is None:
+                table = tables[t.op.name]
+                if t.args:
+                    r = tuple([table[a] for a in zip(*[composed_of(a) for a in t.args])])
+                else:
+                    r = (table[()],) * len(classes)
+                composed[t] = r
+            return r
+
+        # indices of some slots -> (their inner values per combo, distinct)
+        keys_by_slots: dict[tuple, tuple] = {}
         for target in sorts:
             outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=OUTER_CAP)
-            flattened_by_nf = {}  # value of an outer -> evaluations, in combos order
+            memo = folded[target]
+            by_nf = {}  # normal form -> (evaluations in combos order, per class)
             for outer in outers:
-                nf_value = value(outer)
-                flattened_values = flattened_by_nf.get(nf_value)
-                if flattened_values is None:
-                    memo = {}
-                    flattened_values = flattened_by_nf[nf_value] = []
-                    for venv in envs:
-                        bound = bind(nf_value, venv, target)
+                nf = value(outer)
+                lhs_of = by_nf.get(nf)
+                if lhs_of is None:
+                    used = fold(nf, target, _var_names, _union_names)  # reads no table
+                    idx = tuple([i for i, n in enumerate(names) if n in used])
+                    keys = keys_by_slots.get(idx)
+                    if keys is None:
+                        per_combo = [tuple([vals[i] for i in idx]) for vals in combos]
+                        keys = keys_by_slots[idx] = (per_combo, list(dict.fromkeys(per_combo)))
+                    per_combo, distinct = keys
+                    used_names = [names[i] for i in idx]
+                    by_values = {}  # the used slots' inner values -> evaluated flattening
+                    for key in distinct:
+                        bound = bind(nf, dict(zip(used_names, key)), target)
                         lhs = memo.get(bound, _MISSING)
                         if lhs is _MISSING:
                             lhs = memo[bound] = fold(bound, target, var, node)
-                        flattened_values.append(lhs)
-                composed_values = {}
-                for (values, evals), lhs in zip(combos, flattened_values):
-                    rhs = composed_values.get(evals, _MISSING)
-                    if rhs is _MISSING:
-                        rhs = composed_values[evals] = _value(
-                            alg, outer, dict(zip(names, evals))
-                        )
+                        by_values[key] = lhs
+                    flat = [by_values[k] for k in per_combo]
+                    per_class = dict(zip(class_of, flat))  # keys in class order
+                    pairs = set(zip(class_of, flat))
+                    if len(pairs) > len(per_class):
+                        for c, lhs in pairs:
+                            if per_class[c] != lhs:
+                                per_class[c] = _MIXED
+                    lhs_of = by_nf[nf] = (flat, tuple(per_class.values()))
+                flat, per_class = lhs_of
+                rhs_of = composed_of(outer)
+                if rhs_of == per_class:
+                    continue  # no combination of inner values can fail
+                for vals, c, lhs in zip(combos, class_of, flat):
+                    rhs = rhs_of[c]
                     if lhs != rhs:
                         failures.append({
                             "law": "assoc",
                             "outer": print_term(outer),
                             "inner": [
-                                print_term(engine.render(v, s)) for v, s in zip(values, shape)
+                                print_term(engine.render(v, s)) for v, s in zip(vals, shape)
                             ],
                             "flattened": lhs,
                             "composed": rhs,
@@ -283,6 +347,14 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
                         if len(failures) > 20:
                             return failures
     return failures
+
+
+def _var_names(v):
+    return frozenset((v.name,))
+
+
+def _union_names(op, args):
+    return frozenset().union(*args)
 
 
 class AlgebraFunctor:

@@ -409,7 +409,9 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
                object_bound: int = 2, term_bound: int = 2, models=None):
     """Strictifying both sides of a projection map must give the same
     finite-model hom sets: maps out of either presented algebra into A
-    biject with the product of A's carriers at the factor sorts."""
+    biject with the product of A's carriers at the factor sorts.  A term
+    bound that leaves a projection out of the representable raises
+    `HomEnumerationIncomplete` naming it."""
     if models is None:
         models = models_for(doctrine, model_bound)
     rep_big = representable_diagram(doctrine, p.target, object_bound, term_bound)
@@ -418,15 +420,24 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
         for f in p.factors()
     ]
     rep_sum = coproduct_diagram(doctrine, summands, object_bound, term_bound)
-    P_big = rigidify_presentation(rep_big)
-    P_sum = rigidify_presentation(rep_sum)
     gens_big = _generator_table(rep_big)
     gens_sum = _generator_table(rep_sum)
     # the generators at the projections of the product object, and at
     # the identity of each summand
     factors = p.factors()
+    for f, q in zip(factors, p.projections):
+        # the identity of a factor is a lone variable of its sort, the
+        # same size as its projection, so it is in the summand exactly
+        # when the projection is in the product's representable
+        if (f, q) not in gens_big:
+            raise HomEnumerationIncomplete(
+                f"projection {q} is not in the representable of {p.target} "
+                f"at term bound {term_bound}"
+            )
     big_names = [gens_big[(f, q)].name for f, q in zip(factors, p.projections)]
     sum_names = [gens_sum[(f, (i, identity(f)))].name for i, f in enumerate(factors)]
+    P_big = rigidify_presentation(rep_big)
+    P_sum = rigidify_presentation(rep_sum)
     report = []
     ok = True
     for A in models:

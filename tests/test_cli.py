@@ -350,6 +350,37 @@ def test_strict_check_rejects_repeated_arrow(tmp_path, group):
     assert report["error"] == f"arrows[{pos}] and arrows[16] both give morphism G -> G : inv(v1)"
 
 
+def test_repeated_top_level_json_key_is_a_parse_error(tmp_path, trivial, capsys):
+    """A second "term_bound" would silently replace the first."""
+    text = Path(_toy_diagram_json(tmp_path, trivial)).read_text()
+    assert text.startswith('{"object_bound": 2, "term_bound": 2,')
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"term_bound": 2,', '"term_bound": 2, "term_bound": 1,', 1))
+    for verb in (["strict-check"], ["rigidify"]):
+        report, code = run(verb + ["--theory", "builtin:trivial", "--diagram", str(path)])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"] == "repeated key 'term_bound' in a JSON object"
+    assert capsys.readouterr().err == ""
+
+
+def test_repeated_table_json_key_is_a_parse_error(tmp_path, group, capsys):
+    """{"(1)": "(2)", "(1)": "(1)"} in Z3's `inv(v1)` table would keep
+    only the last entry, which is the wrong inverse."""
+    from test_dsl import z3_functor_data
+
+    data, pos = z3_functor_data(group)
+    assert data["arrows"][pos]["map"] == {"(0)": "(0)", "(1)": "(2)", "(2)": "(1)"}
+    data["arrows"][pos]["map"] = "MAP"
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(data).replace(
+        '"MAP"', '{"(0)": "(0)", "(1)": "(2)", "(1)": "(1)", "(2)": "(1)"}'
+    ))
+    report, code = run(["strict-check", "--theory", "builtin:group", "--diagram", str(path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == "repeated key '(1)' in a JSON object"
+    assert capsys.readouterr().err == ""
+
+
 def test_strict_check_repeated_element_fails(tmp_path, trivial):
     from test_rigidify import repeated_element_diagram
 
@@ -441,6 +472,22 @@ def test_rigidify_localize_verify(tmp_path, trivial):
     assert code == 0
     report, code = run(["verify-ktk", "--theory", "builtin:trivial", "--object", "el,el"])
     assert code == 0
+
+
+@pytest.mark.parametrize("theory, obj, size, projection", [
+    ("builtin:ring-module", "R,R", "1", "R,R -> R : v1"),
+    ("builtin:group", "G,G", "0", "G,G -> G : v1"),
+])
+def test_verify_ktk_projection_outside_bound(capsys, theory, obj, size, projection):
+    """A term bound too small for the projections is a typed error that
+    names the first one, not a bare KeyError with a traceback."""
+    report, code = run(["verify-ktk", "--theory", theory, "--object", obj, "--size", size])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == (
+        f"HomEnumerationIncomplete: projection {projection} is not in the "
+        f"representable of {obj} at term bound {size}"
+    )
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_flag_rejected():

@@ -20,6 +20,7 @@ from msat.models import (
     AlgebraFunctor,
     FiniteAlgebra,
     _carrier_context,
+    _union_names,
     _value,
     adjunction_check,
     as_functor,
@@ -39,6 +40,7 @@ from msat.signature import (
     enumerate_terms,
     print_term,
     substitute,
+    term_vars,
 )
 from msat.theory_cat import TERMINAL, TheoryObject, hom_enumerate, make_morphism
 
@@ -145,15 +147,18 @@ class TestMonadLaws:
         assert failures and failures == reference_check_monad_laws(alg, 3)
 
     def test_flattens_each_distinct_normal_form_once(self, group, monkeypatch):
-        """Outer terms with one normal form share their flattenings: the
-        law check folds each inner value and each distinct flattening of
-        each distinct normal form once through the tables, and renders
-        nothing when no law fails: outer terms are grouped by their
-        values, and inner terms are rendered only for a failure."""
+        """Each kind of work happens once.  Through the tables the check
+        folds each inner value once and each distinct flattened value
+        once per call.  It binds each distinct normal form of a (slot
+        shape, target)'s outer terms once per assignment of inner values
+        to the slots that normal form uses, found by a fold that reads
+        no table, plus one bind per distinct outer subterm for the
+        values of the outer terms.  It renders nothing when no law
+        fails."""
         z3 = cyclic_group(group, 3)
         engine, G = group.engine, group.sort("G")
-        renders = folds = 0
-        real_render, real_fold = engine.render, engine.fold
+        renders = table_folds = slot_folds = binds = 0
+        real_render, real_fold, real_bind = engine.render, engine.fold, engine.bind
 
         def counting_render(value, sort):
             nonlocal renders
@@ -161,31 +166,72 @@ class TestMonadLaws:
             return real_render(value, sort)
 
         def counting_fold(value, sort, var, node):
-            nonlocal folds
-            folds += node is not App
+            nonlocal table_folds, slot_folds
+            if node is _union_names:
+                slot_folds += 1
+            elif node is not App:
+                table_folds += 1
             return real_fold(value, sort, var, node)
 
-        monkeypatch.setattr(engine, "render", counting_render)
-        monkeypatch.setattr(engine, "fold", counting_fold)
+        def counting_bind(value, env, sort):
+            nonlocal binds
+            binds += 1
+            return real_bind(value, env, sort)
+
         ctx = Context(tuple(Var(f"c_G_{e}", G) for e in z3.carriers[G]))
         inner = enumerate_terms(ctx, G, group, 2)[:12]
-        expected = len(inner)  # one evaluation per inner value
-        flattenings_per_outer = 0
+        flattened = set()  # distinct flattened values over the call
+        subterms = set()  # distinct operation nodes of the outer terms
+        expected_slot_folds = expected_binds = 0
         for shape in [(G,), (G, G)]:
             slots = Context(tuple(Var(f"w{i+1}", s) for i, s in enumerate(shape)))
             outers = enumerate_raw_terms(slots, G, group, 2, cap=160)
             nfs = {engine.normalize(o) for o in outers}
+            expected_slot_folds += len(nfs)
             for nf in nfs:
-                expected += len({
-                    engine.value(substitute(nf, {f"w{i+1}": t for i, t in enumerate(combo)}))
-                    for combo in itertools.product(inner, repeat=len(shape))
-                })
-            flattenings_per_outer += len(outers) * len(inner) ** len(shape)
-        renders = folds = 0
+                expected_binds += len(inner) ** len(term_vars(nf))
+                for combo in itertools.product(inner, repeat=len(shape)):
+                    asg = {f"w{i+1}": t for i, t in enumerate(combo)}
+                    flattened.add(engine.value(substitute(nf, asg)))
+            stack = list(outers)
+            while stack:
+                t = stack.pop()
+                if isinstance(t, App) and t not in subterms:
+                    subterms.add(t)
+                    stack.extend(t.args)
+        monkeypatch.setattr(engine, "render", counting_render)
+        monkeypatch.setattr(engine, "fold", counting_fold)
+        monkeypatch.setattr(engine, "bind", counting_bind)
         assert check_monad_laws(z3, 3) == []
-        assert folds == expected
+        assert table_folds == len(inner) + len(flattened)
+        assert slot_folds == expected_slot_folds
+        assert binds == expected_binds + len(subterms)
         assert renders == 0
-        assert expected < flattenings_per_outer
+
+    def test_flattenings_differ_inside_one_evaluation_class(self, group):
+        """With 1*1 = 1 in Z2, the inner pairs drawn from c_G_1 and
+        inv(c_G_1) all evaluate to (1, 1), and mul(w1,w2) flattens them,
+        in order, to mul(c_G_1,c_G_1), e, e and
+        mul(inv(c_G_1),inv(c_G_1)), which evaluate to 1, 0, 0 and 1.
+        The composed side mul(1, 1) = 1 matches the first and the last
+        pair but not the middle two.  The class is "mixed", its pairs are
+        compared one by one, and exactly the middle two fail, as in the
+        reference; a check that let one pair stand for its class would
+        miss them."""
+        z2 = cyclic_group(group, 2)
+        z2.tables["mul"][(1, 1)] = 1
+        _, env = _carrier_context(z2)
+        mul, inv, c1 = group.op("mul"), group.op("inv"), Var("c_G_1", group.sort("G"))
+        inv_c1 = App(inv, (c1,))
+        assert _value(z2, c1, env) == _value(z2, inv_c1, env) == 1
+        assert _value(z2, App(mul, (c1, c1)), env) == 1
+        assert _value(z2, App(mul, (inv_c1, inv_c1)), env) == 1
+        failures = check_monad_laws(z2, 2)
+        assert failures == reference_check_monad_laws(z2, 2)
+        assert [f["inner"] for f in failures if f["outer"] == "mul(w1,w2)"] == [
+            ["c_G_1", "inv(c_G_1)"], ["inv(c_G_1)", "c_G_1"],
+        ]
+        assert all((f["flattened"], f["composed"]) == (0, 1) for f in failures)
 
     def test_table_changed_between_calls(self, group):
         z2 = cyclic_group(group, 2)

@@ -16,6 +16,7 @@ from .engines import (
     RingModuleEngine,
     TrivialEngine,
     WordEngine,
+    bounded_compositions,
 )
 from .errors import InvalidParameter, UnknownSymbol
 from .signature import App, Context, Doctrine, Equation, OpSymbol, Sort, Var
@@ -166,12 +167,6 @@ def ring_module_doctrine() -> Doctrine:
 # -- operads -----------------------------------------------------------
 
 
-def _compositions_upto(total, parts):
-    for combo in itertools.product(range(total + 1), repeat=parts):
-        if sum(combo) <= total:
-            yield combo
-
-
 def _block_perm(sigma, js):
     """Permutation rearranging concatenated blocks of sizes js into the
     order js[sigma(1)-1], js[sigma(2)-1], ..."""
@@ -204,7 +199,7 @@ def operad_doctrine(level_cap: int, symmetric: bool) -> Doctrine:
 
     gammas: dict[tuple, OpSymbol] = {}
     for k in range(1, level_cap + 1):
-        for js in _compositions_upto(level_cap, k):
+        for js in bounded_compositions(level_cap, k):
             name = f"g{k}__" + "_".join(str(j) for j in js)
             dom = (sorts[k], *(sorts[j] for j in js))
             gammas[(k, js)] = OpSymbol(name, dom, sorts[sum(js)])
@@ -242,13 +237,11 @@ def operad_doctrine(level_cap: int, symmetric: bool) -> Doctrine:
         )
     # associativity instances
     for k in range(1, level_cap + 1):
-        for js in _compositions_upto(level_cap, k):
+        for js in bounded_compositions(level_cap, k):
             m = sum(js)
-            if m == 0:
+            if m == 0 or 1 + k + m > _OPERAD_EQ_VAR_LIMIT:
                 continue
-            for ls in _compositions_upto(level_cap, m):
-                if 1 + k + m > _OPERAD_EQ_VAR_LIMIT:
-                    continue
+            for ls in bounded_compositions(level_cap, m):
                 p = Var("p", sorts[k])
                 qs = tuple(Var(f"q{i+1}", sorts[j]) for i, j in enumerate(js))
                 rs = tuple(Var(f"r{t+1}", sorts[l]) for t, l in enumerate(ls))
@@ -294,7 +287,7 @@ def operad_doctrine(level_cap: int, symmetric: bool) -> Doctrine:
             for sigma in itertools.permutations(idk):
                 if sigma == idk:
                     continue
-                for js in _compositions_upto(level_cap, k):
+                for js in bounded_compositions(level_cap, k):
                     m = sum(js)
                     if 1 + k > _OPERAD_EQ_VAR_LIMIT or 1 + k + m > _OPERAD_EQ_VAR_LIMIT:
                         continue
@@ -314,7 +307,7 @@ def operad_doctrine(level_cap: int, symmetric: bool) -> Doctrine:
                     )
         # equivariance in one inner slot
         for k in range(1, level_cap + 1):
-            for js in _compositions_upto(level_cap, k):
+            for js in bounded_compositions(level_cap, k):
                 m = sum(js)
                 if 1 + k + m > _OPERAD_EQ_VAR_LIMIT:
                     continue
@@ -337,7 +330,7 @@ def operad_doctrine(level_cap: int, symmetric: bool) -> Doctrine:
                             Equation(Context((p, *qs)), lhs, rhs, f"equiv_inner_{k}_{i+1}")
                         )
 
-    engine = OperadEngine(symmetric, level_cap, sorts, unit, gammas, perms)
+    engine = OperadEngine(symmetric, level_cap, unit, gammas, perms)
     kind = "operad-symmetric" if symmetric else "operad-nonsigma"
     doc = Doctrine(
         f"{kind}-{level_cap}",

@@ -126,7 +126,11 @@ def _json_object(pairs: list) -> dict:
 
 
 def _load_json(path: str, inputs: dict):
-    return json.loads(_read_input(path, "diagram", inputs), object_pairs_hook=_json_object)
+    text = _read_input(path, "diagram", inputs)
+    try:
+        return json.loads(text, object_pairs_hook=_json_object)
+    except json.JSONDecodeError as err:
+        raise ParseError(err.msg, err.lineno, err.colno) from None
 
 
 def _load_diagram(path: str, doctrine, inputs: dict):

@@ -438,24 +438,50 @@ def _once(seen: dict, key, where: str, what: str):
         raise ParseError(f"{first} and {where} both give {what}")
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(value, kind: type, path: str):
+    """`value`, found at JSON path `path`, if it is of `kind`; otherwise
+    a `ParseError` naming the path."""
+    if type(value) is not kind:
+        raise ParseError(f"{path}: expected {_JSON_KINDS[kind]}, found {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _field(obj, key: str, where: str, kind: type):
+    """The field `key` of the JSON object `obj` found at path `where`
+    ("" at the top level), which must be of `kind`; a missing or
+    mistyped field is a `ParseError` naming its path."""
+    _expect(obj, dict, where or "the top level")
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise ParseError(f"{path}: missing field")
+    return _expect(obj[key], kind, path)
+
+
 def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
     values, seen = {}, {}
-    for i, entry in enumerate(data["values"]):
-        obj = object_from_json(doctrine, entry["object"])
-        _once(seen, obj, f"values[{i}]", f"object {obj}")
-        values[obj] = tuple(entry["elements"])
+    for i, entry in enumerate(_field(data, "values", "", list)):
+        where = f"values[{i}]"
+        obj = object_from_json(doctrine, _field(entry, "object", where, list))
+        _once(seen, obj, where, f"object {obj}")
+        values[obj] = tuple(_field(entry, "elements", where, list))
     arrows, seen = {}, {}
-    for i, entry in enumerate(data["arrows"]):
-        src = object_from_json(doctrine, entry["source"])
-        tgt = object_from_json(doctrine, entry["target"])
+    for i, entry in enumerate(_field(data, "arrows", "", list)):
+        where = f"arrows[{i}]"
+        src = object_from_json(doctrine, _field(entry, "source", where, list))
+        tgt = object_from_json(doctrine, _field(entry, "target", where, list))
         ctx = src.context()
-        terms = [parse_term_text(t, ctx, doctrine) for t in entry["terms"]]
+        terms = [parse_term_text(_expect(t, str, f"{where}.terms[{j}]"), ctx, doctrine)
+                 for j, t in enumerate(_field(entry, "terms", where, list))]
         m = make_morphism(doctrine, src, tgt, terms)
-        _once(seen, m, f"arrows[{i}]", f"morphism {m}")
-        arrows[m] = dict(entry["map"])
-    return DiagramOnTruncation(
-        doctrine, int(data["object_bound"]), int(data["term_bound"]), values, arrows
-    )
+        _once(seen, m, where, f"morphism {m}")
+        arrows[m] = dict(_field(entry, "map", where, dict))
+    object_bound = _field(data, "object_bound", "", int)
+    term_bound = _field(data, "term_bound", "", int)
+    return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
 
 
 def simplicial_to_data(SD: SimplicialDiagram) -> dict:
@@ -484,9 +510,9 @@ def simplicial_to_data(SD: SimplicialDiagram) -> dict:
 
 
 def simplicial_from_data(data: dict, doctrine: Doctrine) -> SimplicialDiagram:
-    cap = int(data["dim_cap"])
+    cap = _field(data, "dim_cap", "", int)
     levels = []
-    for n, level in enumerate(data["levels"]):
+    for n, level in enumerate(_field(data, "levels", "", list)):
         try:
             levels.append(diagram_from_data(level, doctrine))
         except ParseError as err:
@@ -494,14 +520,16 @@ def simplicial_from_data(data: dict, doctrine: Doctrine) -> SimplicialDiagram:
 
     def read(field):
         out, seen = {}, {}
-        for i, entry in enumerate(data[field]):
+        for i, entry in enumerate(_field(data, field, "", list)):
+            where = f"{field}[{i}]"
             per_obj, objs = {}, {}
-            for key, table in entry["maps"].items():
+            for key, table in _field(entry, "maps", where, dict).items():
                 obj = parse_object_text(key, doctrine)
-                _once(objs, obj, f"{field}[{i}].maps[{key!r}]", f"object {obj}")
-                per_obj[obj] = dict(table)
-            n, k = int(entry["level"]), int(entry["index"])
-            _once(seen, (n, k), f"{field}[{i}]", f"level {n}, index {k}")
+                path = f"{where}.maps[{key!r}]"
+                _once(objs, obj, path, f"object {obj}")
+                per_obj[obj] = dict(_expect(table, dict, path))
+            n, k = _field(entry, "level", where, int), _field(entry, "index", where, int)
+            _once(seen, (n, k), where, f"level {n}, index {k}")
             out[(n, k)] = per_obj
         return out
 

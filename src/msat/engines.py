@@ -2,22 +2,23 @@
 
 An exact engine states the value of each operation once, as its generic
 element: `generic[op]` is the value of op(x1, ..., xn) on fresh slot
-variables (reduced word, polynomial, labeled tree, edge path) where
-equality is literal.  Beside it are four hooks of `signature.Engine`:
-`bind` substitutes values for the variable atoms of a value
-(concatenate and reduce words, substitute into polynomials, graft
-trees, concatenate paths), `fold` walks a value along its canonical term
-(one `var` call per variable, one `node` call per operation),
-`value_size` measures it and `enumerate_values` lists the values below
-a size bound in a fixed order, so every hom-level API downstream is
-deterministic.  `ExactEngine.value` is derived: a term op(t1, ..., tn)
-is the generic element of op bound to the values of t1, ..., tn.
-Values are hashable, and the value of a lone variable is that `Var`
-itself: each engine expands it where it computes and folds a result
-that is a lone variable back to it.  The base class derives render (the
-fold that builds the term), normalize, size, equal and substitution
-from them; a finite algebra evaluates a value by folding it with its
-tables, without building the term.  No engine keeps a cache.
+variables (reduced word, polynomial, tree with labelled leaves, edge
+path) where equality is literal.  Beside it are four hooks of
+`signature.Engine`: `bind` substitutes values for the variable atoms of
+a value (concatenate and reduce words, substitute into polynomials,
+plug trees in for generator nodes, concatenate paths), `fold` walks a
+value along its canonical term (one `var` call per variable, one
+`node` call per operation), `value_size` measures it and
+`enumerate_values` lists the values below a size bound in a fixed
+order, so every hom-level API downstream is deterministic.
+`ExactEngine.value` is derived: a term op(t1, ..., tn) is the generic
+element of op bound to the values of t1, ..., tn.  Values are
+hashable, and the value of a lone variable is that `Var` itself: each
+engine expands it where it computes and folds a result that is a lone
+variable back to it.  The base class derives render (the fold that
+builds the term), normalize, size, equal and substitution from them; a
+finite algebra evaluates a value by folding it with its tables, without
+building the term.  No engine keeps a cache.
 
 Theories without an exact engine get `BoundedGenericEngine`, which
 proves equalities by equality saturation on an `EGraph` and answers
@@ -41,8 +42,6 @@ from .signature import (
     Var,
     term_vars,
 )
-
-LEAF = ("leaf",)
 
 
 class ExactEngine(Engine):
@@ -506,98 +505,59 @@ def _combinations(keys, budget, deg_of):
 
 
 class OperadEngine(ExactEngine):
-    """Planar trees with generator-labeled nodes; symmetric variant adds a
-    bijective leaf labeling acted on by the permutation symbols.
+    """The free operad on generator variables: planar trees whose nodes
+    are generators and whose leaves carry input labels.
 
-    A value is (tree, labels): tree = LEAF or ("node", Var, children);
-    labels is the tuple of input indices carried by the leaves in planar
-    order.  Non-symmetric doctrines force labels to the identity.  A lone
+    A value of sort P_n is a tree with n leaves.  A leaf is the int
+    label (1..n) of the input it takes; a node is (gen, children), one
+    child per input of the generator `Var` gen.  Non-symmetric values
+    label their leaves 1..n in planar order; symmetric ones in any
+    order, the permutation symbols acting on the labels.  A lone
     generator with its leaves in order is the generator's `Var`.
+    Binding substitutes trees for generator nodes.
     """
 
     normalize = Engine.normalize
 
-    def __init__(self, symmetric: bool, level_cap: int, sorts_by_level: dict,
-                 unit: OpSymbol, gammas: dict, perms: dict):
+    def __init__(self, symmetric: bool, level_cap: int, unit: OpSymbol, gammas: dict, perms: dict):
         # gammas: (k, j_tuple) -> OpSymbol; perms: (k, sigma_tuple) -> OpSymbol
         self.symmetric = symmetric
         self.level_cap = level_cap
-        self.sorts_by_level = sorts_by_level
         self.unit = unit
         self.gammas = gammas
         self.perms = perms
         self.generic = {}
-        self.define(unit, lambda: (LEAF, (1,)))
+        self.define(unit, lambda: 1)
         for gamma in gammas.values():
-            # p's node with each q's one-node tree on its leaves
-            self.define(gamma, lambda p, *qs: _tree_value(self.graft(p, qs)))
+            self.define(gamma, _gamma_element)
         for (_, sigma), perm in perms.items():
-            self.define(perm, lambda p, sigma=sigma: _tree_value((_tree_of(p)[0], sigma)))
+            self.define(perm, lambda p, sigma=sigma: (p, sigma))
 
     def bind(self, value, env, sort: Sort):
         if value.__class__ is Var:
             return env[value.name]
-        tree, labels = value
-        btree, order = self._bind_tree(tree, env)
-        # order[j] is the planar leaf of `tree` that leaf j now stands
-        # for; `labels` numbers those leaves (the identity unless symmetric)
-        if self.symmetric:
-            order = tuple([labels[i - 1] for i in order])
-        return _tree_value((btree, order))
-
-    def _bind_tree(self, tree, env):
-        """The (tree, labels) of `tree`, leaves numbered in planar order,
-        with env's values grafted in for its generator nodes."""
-        if tree == LEAF:
-            return (LEAF, (1,))
-        _, gen, children = tree
-        if children.count(LEAF) == len(children):
-            return _tree_of(env[gen.name])  # grafting units changes nothing
-        return self.graft(env[gen.name], [self._bind_tree(c, env) for c in children])
-
-    def graft(self, p, qs):
-        """Attach qs[i-1] onto the leaf of p labeled i; the result is a
-        (tree, labels) pair, even where it is a lone generator."""
-        ptree, plabels = _tree_of(p)
-        qs = [_tree_of(q) for q in qs]
-        levels = [len(q[1]) for q in qs]
-        offsets = [0]
-        for lv in levels:
-            offsets.append(offsets[-1] + lv)
-        cursor = {"i": 0}
-        new_labels: list[int] = []
-
-        def splice(tree):
-            if tree == LEAF:
-                idx = cursor["i"]
-                cursor["i"] += 1
-                label = plabels[idx]
-                qtree, qlabels = qs[label - 1]
-                new_labels.extend(offsets[label - 1] + m for m in qlabels)
-                return qtree
-            _, gen, children = tree
-            return ("node", gen, tuple(splice(c) for c in children))
-
-        return (splice(ptree), tuple(new_labels))
+        return _operad_value(_substitute(value, env))
 
     def fold(self, value, sort: Sort, var, node):
         if value.__class__ is Var:
             return var(value)
-        tree, labels = value
-        out, _ = self._fold_tree(tree, var, node)
-        k = len(labels)
-        if self.symmetric and labels != tuple(range(1, k + 1)):
-            return node(self.perms[(k, labels)], (out,))
+        labels = []
+        out, n = self._fold_tree(value, labels, var, node)
+        if labels != list(range(1, n + 1)):
+            return node(self.perms[(n, tuple(labels))], (out,))
         return out
 
-    def _fold_tree(self, tree, var, node):
-        """The fold of `tree` and its leaf count, from one walk."""
-        if tree == LEAF:
+    def _fold_tree(self, tree, labels, var, node):
+        """The fold of `tree` and its leaf count, from one planar walk
+        that appends the leaf labels to `labels`."""
+        if tree.__class__ is int:
+            labels.append(tree)
             return node(self.unit, ()), 1
-        _, gen, children = tree
-        if children.count(LEAF) == len(children):
+        gen, children = tree
+        if all([c.__class__ is int for c in children]):
+            labels.extend(children)
             return var(gen), len(children)
-        folded = [self._fold_tree(c, var, node) for c in children]
+        folded = [self._fold_tree(c, labels, var, node) for c in children]
         levels = tuple([n for _, n in folded])
         gamma = self.gammas.get((len(children), levels))
         if gamma is None:
@@ -607,92 +567,106 @@ class OperadEngine(ExactEngine):
         return node(gamma, (var(gen), *[f for f, _ in folded])), sum(levels)
 
     def value_size(self, value, sort: Sort) -> int:
-        return 1 if value.__class__ is Var else _tree_nodes(value[0])
+        return 1 if value.__class__ is Var else _tree_nodes(value)
 
     def enumerate_values(self, context: Context, sort: Sort, bound: int) -> list:
-        level = sort.level
+        n = sort.level
         gens = [v for v in context.vars if v.sort.level is not None]
-        trees = _trees_at(level, bound, gens)
-        vals = []
-        for tree in trees:
-            n = _tree_leaves(tree)
-            if self.symmetric:
-                for labels in itertools.permutations(range(1, n + 1)):
-                    vals.append((tree, labels))
-            else:
-                vals.append((tree, tuple(range(1, n + 1))))
-        vals.sort(key=lambda v: (_tree_nodes(v[0]), _tree_key(v[0]), v[1]))
-        return [_tree_value(v) for v in vals]
+        shapes = _trees_at(n, 1, bound, gens)
+        shapes.sort(key=lambda t: (_tree_nodes(t), _tree_key(t)))
+        if self.symmetric:
+            orders = list(itertools.permutations(range(1, n + 1)))
+            shapes = [_plug(t, order) for t in shapes for order in orders]
+        return [_operad_value(t) for t in shapes]
 
 
-def _tree_of(value):
-    """The (tree, labels) pair of an operad value."""
-    if value.__class__ is Var:
-        k = value.sort.level
-        return (("node", value, (LEAF,) * k), tuple(range(1, k + 1)))
-    return value
+def _gamma_element(p, *qs):
+    """p's node over one node per q, q's leaves labelled after those of
+    the qs before it."""
+    kids, offset = [], 0
+    for q in qs:
+        j = q.sort.level
+        kids.append((q, tuple(range(offset + 1, offset + j + 1))))
+        offset += j
+    return (p, tuple(kids))
 
 
-def _tree_value(pair):
-    """The value of a (tree, labels) pair: the generator of a lone
-    generator with its leaves in order."""
-    tree, labels = pair
-    lone = tree != LEAF and tree[2].count(LEAF) == len(tree[2])
-    return tree[1] if lone and labels == tuple(range(1, len(labels) + 1)) else pair
+def _substitute(tree, env):
+    """`tree` with env's value plugged in for each generator node."""
+    if tree.__class__ is int:
+        return tree
+    gen, children = tree
+    return _plug(env[gen.name], [_substitute(c, env) for c in children])
 
 
-def _tree_leaves(tree) -> int:
-    if tree == LEAF:
-        return 1
-    return sum(_tree_leaves(c) for c in tree[2])
+def _plug(tree, kids):
+    """`tree` with its leaf labelled i replaced by kids[i-1]; a
+    generator `Var` is its node over kids."""
+    if tree.__class__ is int:
+        return kids[tree - 1]
+    if tree.__class__ is Var:
+        return (tree, tuple(kids))
+    gen, children = tree
+    return (gen, tuple([_plug(c, kids) for c in children]))
+
+
+def _operad_value(tree):
+    """The value of a tree: the generator of a lone generator with its
+    leaves in order."""
+    if tree.__class__ is tuple and tree[1] == tuple(range(1, len(tree[1]) + 1)):
+        return tree[0]
+    return tree
 
 
 def _tree_nodes(tree) -> int:
-    if tree == LEAF:
+    if tree.__class__ is int:
         return 0
-    return 1 + sum(_tree_nodes(c) for c in tree[2])
+    return 1 + sum([_tree_nodes(c) for c in tree[1]])
 
 
 def _tree_key(tree):
-    if tree == LEAF:
-        return ("leaf",)
-    return ("node", tree[1].name, tuple(_tree_key(c) for c in tree[2]))
+    """The shape of a tree for ordering: a leaf comes before any node,
+    nodes compare by generator name, then by children."""
+    if tree.__class__ is int:
+        return ()
+    return (tree[0].name, tuple([_tree_key(c) for c in tree[1]]))
 
 
-def _trees_at(level, max_nodes, gens):
-    """All planar trees with the given leaf count and at most max_nodes
-    generator nodes, over the given generator variables."""
-    out = []
-    if level == 1:
-        out.append(LEAF)
+def _trees_at(level, first, max_nodes, gens):
+    """All planar trees with `level` leaves, labelled first, first + 1,
+    ... in planar order, and at most max_nodes generator nodes over the
+    given generator variables."""
+    out = [first] if level == 1 else []
     if max_nodes < 1:
         return out
     for g in gens:
-        k = g.sort.level
-        for comp in _compositions(level, k):
-            for children in _child_lists(comp, max_nodes - 1, gens):
-                out.append(("node", g, children))
+        for comp in bounded_compositions(level, g.sort.level):
+            if sum(comp) == level:
+                for children in _child_lists(comp, first, max_nodes - 1, gens):
+                    out.append((g, children))
     return out
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first, *rest))
-    return out
-
-
-def _child_lists(levels, budget, gens):
+def _child_lists(levels, first, budget, gens):
     if not levels:
         yield ()
         return
-    for head in _trees_at(levels[0], budget, gens):
+    for head in _trees_at(levels[0], first, budget, gens):
         used = _tree_nodes(head)
-        for tail in _child_lists(levels[1:], budget - used, gens):
+        for tail in _child_lists(levels[1:], first + levels[0], budget - used, gens):
             yield (head, *tail)
+
+
+def bounded_compositions(total, parts):
+    """The tuples of `parts` non-negative ints with sum <= total, in
+    lexicographic order."""
+    if parts == 0:
+        return [()]
+    return [
+        (first, *rest)
+        for first in range(total + 1)
+        for rest in bounded_compositions(total - first, parts - 1)
+    ]
 
 
 class PathEngine(ExactEngine):

@@ -35,8 +35,6 @@ from msat.theory_cat import (
     objects_up_to,
 )
 
-LEAF = ("leaf",)  # an operad tree's leaf, as `OperadEngine` documents it
-
 
 def count_reduced_strings(n_gens: int, max_len: int) -> int:
     """Reduced words in the free group on n_gens generators, counted by
@@ -172,8 +170,8 @@ def reference_value_with_env(engine, term, env):
     """The value of `term` under an exact engine, each variable read
     from `env` (name -> value): one walk of the term, per op, instead of
     `Engine.bind` on the term's value.  The walk computes on expanded
-    values (letter tuples, polynomial dicts, (tree, labels) pairs,
-    (ends, edges) paths) and folds the result back to the engines'
+    values (letter tuples, polynomial dicts, operad trees with labelled
+    leaves, (ends, edges) paths) and folds the result back to the engines'
     documented value forms, written out here rather than taken from the
     engines: a lone variable is its `Var`, a polynomial or module
     element is the frozenset of its dict's items, and a lone operad
@@ -197,8 +195,7 @@ def _expand(engine, value):
             return {((value, 1),): 1} if value.sort is engine.r_sort else {((), value): 1}
         return dict(value)
     if isinstance(engine, OperadEngine) and isinstance(value, Var):
-        k = value.sort.level
-        return (("node", value, (LEAF,) * k), tuple(range(1, k + 1)))
+        return (value, tuple(range(1, value.sort.level + 1)))
     if isinstance(engine, PathEngine) and isinstance(value, Var):
         return (engine.pair_of_sort[value.sort], (value,))
     return value
@@ -221,10 +218,8 @@ def _collapse(engine, value, sort):
                 return key[1]
         return frozenset(value.items())
     if isinstance(engine, OperadEngine):
-        tree, labels = value
-        in_order = labels == tuple(range(1, len(labels) + 1))
-        if tree != LEAF and all(c == LEAF for c in tree[2]) and in_order:
-            return tree[1]
+        if isinstance(value, tuple) and value[1] == tuple(range(1, len(value[1]) + 1)):
+            return value[0]
         return value
     if isinstance(engine, PathEngine):
         return value[1][0] if len(value[1]) == 1 else value
@@ -240,6 +235,15 @@ def _poly_add(p1, p2):
         else:
             out.pop(k, None)
     return out
+
+
+def _relabel(tree, leaf):
+    """An operad tree with each leaf label l replaced by the tree
+    `leaf(l)`."""
+    if isinstance(tree, int):
+        return leaf(tree)
+    gen, children = tree
+    return (gen, tuple(_relabel(c, leaf) for c in children))
 
 
 def _walk_value(engine, term, env):
@@ -286,13 +290,18 @@ def _walk_value(engine, term, env):
         return out
     if isinstance(engine, OperadEngine):
         if name == engine.unit.name:
-            return (LEAF, (1,))
+            return 1
         perms = {op.name: sigma for (_, sigma), op in engine.perms.items()}
         if name in perms:
             sigma = perms[name]
-            tree, labels = walk(args[0])
-            return (tree, tuple(sigma[l - 1] for l in labels))
-        return engine.graft(walk(args[0]), [walk(a) for a in args[1:]])
+            return _relabel(walk(args[0]), lambda l: sigma[l - 1])
+        # gamma: the i-th argument's leaves numbered after the leaves of
+        # the arguments before it, then set on the outer leaf labelled i
+        shifted, offset = [], 0
+        for a in args[1:]:
+            shifted.append(_relabel(walk(a), lambda l, o=offset: l + o))
+            offset += a.sort.level
+        return _relabel(walk(args[0]), lambda i: shifted[i - 1])
     if isinstance(engine, PathEngine):
         ids = {op.name: x for x, op in engine.id_ops.items()}
         if name in ids:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -281,8 +282,8 @@ class TestFold:
     def test_past_level_cap_raises_the_same_error(self):
         doc = builtin_doctrine("operad-nonsigma", level_cap=2)
         engine, P2 = doc.engine, doc.sort("P2")
-        g = engine.value(Var("g", P2))
-        deep = engine.graft(g, [g, g])  # four leaves: beyond level 2
+        g = Var("g", P2)
+        deep = (g, ((g, (1, 2)), (g, (3, 4))))  # four leaves: beyond level 2
         with pytest.raises(UnsupportedDoctrine) as rendered:
             engine.render(deep, P2)
         with pytest.raises(UnsupportedDoctrine) as folded:
@@ -597,3 +598,30 @@ class TestOperadSemantics:
                         assert evaluate(alg, t, env) == evaluate(alg, nf, env), (
                             print_term(t), print_term(nf)
                         )
+
+
+# sha256 and count of the "levels sort bound: term" lines of every
+# operad value enumerated below, recorded while a value was still a
+# (tree, labels) pair
+OPERAD_ENUMERATION_DIGESTS = {
+    "operad-nonsigma": (51, "4634d29dab016760841977bf30144c576697e117d4bd7147a66fe1e13038f3e4"),
+    "operad-symmetric": (144, "7e7b50feb07284eb27f54930457e205a8ae4e6413d4d65bcc8746b1521cb1c70"),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERAD_ENUMERATION_DIGESTS))
+def test_operad_enumeration_is_pinned(name):
+    """`enumerate_values` lists the same operad values in the same order:
+    every sort at level cap 3, generator contexts of one and of two
+    generators, bounds 0-2."""
+    doc = builtin_doctrine(name, level_cap=3)
+    digest, count = hashlib.sha256(), 0
+    for levels in [(2,), (3,), (0, 2), (1, 2), (2, 2)]:
+        ctx = Context(tuple(Var("ab"[i], doc.sort(f"P{lv}")) for i, lv in enumerate(levels)))
+        for sort in doc.sorts:
+            for bound in range(3):
+                for v in doc.engine.enumerate_values(ctx, sort, bound):
+                    term = print_term(doc.engine.render(v, sort))
+                    digest.update(f"{levels} {sort.name} {bound}: {term}\n".encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == OPERAD_ENUMERATION_DIGESTS[name]

@@ -467,6 +467,11 @@ def _dispatch(ns, report, inputs) -> int:
         ok, per_model = verify_ktk(doctrine, ProjectionMap.of(obj), ns.model_bound,
                                    object_bound=ns.object_bound, term_bound=ns.size)
         data["models"] = per_model
+        if not ok:
+            # the representables are truncated at the object bound, and
+            # an arrow the product needs may start past it
+            data["note"] = (f"fail at object bound {ns.object_bound}: a larger "
+                            "--object-bound may change the verdict")
         return _verdict(report, ok)
 
     raise ParseError(f"unknown verb {verb!r}")

@@ -21,9 +21,17 @@ functions of the doctrine and the bounds; both are built once and kept
 in `Doctrine.memo`, so a representable is shared and read-only.  The
 closure's only composite store is that memo, and the surjectivity step
 of `rigidify` glues copies of the memoized representable.
+
+Output prints each distinct element once per report: `diagram_to_json`
+and `dsl.simplicial_to_data` pass one `printed` memo, shared with
+`theory_cat.morphism_to_json`, to every `element_key` call, and a table
+entry looks up the texts of its key and image instead of walking them
+again.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import InvalidParameter
 from .search import solve
@@ -38,6 +46,7 @@ from .theory_cat import (
     morphism_to_json,
     objects_up_to,
     projection,
+    term_texts,
 )
 
 
@@ -267,37 +276,87 @@ def natural_transformations(X: DiagramOnTruncation, Y):
 # -- serialization -------------------------------------------------------
 
 
-def element_key(e) -> str:
-    """The JSON text of a diagram element; a morphism (an element of a
-    representable) prints as the tuple of its terms."""
-    if isinstance(e, str):
+def element_key(e, printed: dict | None = None) -> str:
+    """The JSON text of a diagram element, the one way an element is
+    spelled: a string is itself, a tuple prints its parts in
+    parentheses (a term part by `print_term`), a morphism (an element
+    of a representable) prints as the tuple of its terms, and anything
+    else by `str`.
+
+    `printed` is the memo of one report, shared with `morphism_to_json`
+    and created by the top-level call when not given.  It keeps the
+    text of each distinct element (and tuple part) under the key
+    (class, element), so `1`, `True` and `1.0` stay apart, and a
+    morphism reads its slot texts from the (value, sort) entries that
+    `term_texts` fills; so each is printed once per report.  Tuples are
+    told apart by equality alone, as (1,) == (True,), but neither JSON
+    nor any msat constructor builds a tuple that mixes a bool or a
+    float with an int."""
+    cls = e.__class__
+    if cls is str:
         return e
-    if isinstance(e, TheoryMorphism):
-        return element_key(e.terms)
-    if isinstance(e, tuple):
-        inner = []
-        for part in e:
-            if hasattr(part, "op") or hasattr(part, "sort"):
-                inner.append(print_term(part))
-            else:
-                inner.append(element_key(part))
-        return "(" + ",".join(inner) + ")"
-    return str(e)
+    if printed is None:
+        printed = {}
+    key = (cls, e)
+    try:
+        text = printed.get(key)
+    except TypeError:  # an unhashable element, such as a JSON array
+        return _spell(e, printed)
+    if text is None:
+        text = printed[key] = _spell(e, printed)
+    return text
 
 
-def diagram_to_json(X: DiagramOnTruncation) -> dict:
+def _spell(e, printed: dict) -> str:
+    """The text of an element that `printed` does not hold yet; its
+    parts are read through `element_key`."""
+    cls = e.__class__
+    if cls is int:
+        return str(e)
+    if cls is not tuple:
+        if isinstance(e, str):
+            return e
+        if isinstance(e, TheoryMorphism):
+            return "(" + ",".join(term_texts(e, printed)) + ")"
+        if not isinstance(e, tuple):
+            return str(e)
+    inner = []
+    for part in e:
+        c = part.__class__
+        if c is not str and c is not tuple and c is not int and (
+                hasattr(part, "op") or hasattr(part, "sort")):
+            inner.append(print_term(part))
+        else:
+            inner.append(element_key(part, printed))
+    return "(" + ",".join(inner) + ")"
+
+
+def table_to_json(table: dict, printed: dict) -> dict:
+    """The JSON object of a transition table, each entry's texts read
+    from the report's `printed` memo (`element_key`).  The entries are
+    sorted stably on the key text alone, so of two keys with one text
+    the later one wins."""
+    pairs = [(element_key(x, printed), element_key(y, printed)) for x, y in table.items()]
+    pairs.sort(key=itemgetter(0))
+    return dict(pairs)
+
+
+def diagram_to_json(X: DiagramOnTruncation, printed: dict | None = None) -> dict:
+    """The JSON of a diagram.  `printed` is the report's one memo
+    (`element_key`), created here when not given: every distinct
+    element and slot value is printed once, and each value list and
+    table entry looks its text up."""
+    printed = {} if printed is None else printed
     values = []
     for obj in X.objects():
         values.append({
             "object": [s.name for s in obj.sorts],
-            "elements": [element_key(e) for e in X.value(obj)],
+            "elements": [element_key(e, printed) for e in X.value(obj)],
         })
-    printed: dict = {}  # one render and print per distinct slot value
     keyed = []
     for m, table in X.arrows.items():
         entry = morphism_to_json(m, printed)
-        entry["map"] = {element_key(x): element_key(y) for x, y in sorted(
-            table.items(), key=lambda p: element_key(p[0]))}
+        entry["map"] = table_to_json(table, printed)
         # sorted on str(m), spelled from the printed terms
         keyed.append((f"{m.source} -> {m.target} : {';'.join(entry['terms'])}", entry))
     keyed.sort(key=lambda p: p[0])

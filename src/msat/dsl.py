@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import DiagramOnTruncation, diagram_to_json, element_key
+from .diagram import DiagramOnTruncation, diagram_to_json, table_to_json
 from .engines import BoundedGenericEngine
 from .errors import ParseError
 from .models import FiniteAlgebra
@@ -485,25 +485,25 @@ def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
 
 
 def simplicial_to_data(SD: SimplicialDiagram) -> dict:
+    """The JSON of a simplicial diagram.  One `printed` memo serves the
+    whole report (`element_key`): every level's `diagram_to_json` and
+    every face and degeneracy table read each element's text from it,
+    so each distinct element is printed once."""
+    printed: dict = {}
+
     def tables(maps):
         out = []
         for (n, i), per_obj in sorted(maps.items()):
             out.append({
                 "level": n,
                 "index": i,
-                "maps": {
-                    obj.key(): {
-                        element_key(x): element_key(y) for x, y in sorted(
-                            t.items(), key=lambda p: element_key(p[0]))
-                    }
-                    for obj, t in per_obj.items()
-                },
+                "maps": {obj.key(): table_to_json(t, printed) for obj, t in per_obj.items()},
             })
         return out
 
     return {
         "dim_cap": SD.cap,
-        "levels": [diagram_to_json(L) for L in SD.levels],
+        "levels": [diagram_to_json(L, printed) for L in SD.levels],
         "faces": tables(SD.faces),
         "degeneracies": tables(SD.degeneracies),
     }

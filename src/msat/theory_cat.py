@@ -317,10 +317,11 @@ def object_from_json(doctrine: Doctrine, data) -> TheoryObject:
     return TheoryObject(tuple(doctrine.sort(n) for n in data))
 
 
-def morphism_to_json(m: TheoryMorphism, printed: dict | None = None) -> dict:
-    """The JSON of a morphism.  A `printed` dict shared by the morphisms
-    of one doctrine, say those of one report, renders and prints each
-    distinct slot value once."""
+def term_texts(m: TheoryMorphism, printed: dict | None = None) -> list:
+    """The printed terms of `m`'s values.  A `printed` dict shared by
+    the morphisms of one doctrine, say those of one report, renders and
+    prints each distinct slot value once: its entry for (value, sort)
+    is the text."""
     printed = {} if printed is None else printed
     terms = []
     for v, s in zip(m.values, m.target.sorts):
@@ -329,8 +330,14 @@ def morphism_to_json(m: TheoryMorphism, printed: dict | None = None) -> dict:
             term = v if m.engine is None else m.engine.render(v, s)
             text = printed[(v, s)] = print_term(term)
         terms.append(text)
+    return terms
+
+
+def morphism_to_json(m: TheoryMorphism, printed: dict | None = None) -> dict:
+    """The JSON of a morphism, its terms printed by `term_texts` with
+    the shared `printed` dict."""
     return {
         "source": object_to_json(m.source),
         "target": object_to_json(m.target),
-        "terms": terms,
+        "terms": term_texts(m, printed),
     }

@@ -514,6 +514,20 @@ def test_verify_ktk_projection_outside_bound(capsys, theory, obj, size, projecti
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("bound, code, note", [
+    ("2", 1, "fail at object bound 2: a larger --object-bound may change the verdict"),
+    ("3", 0, None),
+])
+def test_verify_ktk_names_its_truncation(bound, code, note):
+    """Into operad-and, P1,P2 fails at object bound 2, where no
+    generating arrow from P1,P1,P2 ties the product's elements to the
+    projections, and passes at 3; a failing report names its bound."""
+    report, got = run(["verify-ktk", "--theory", "builtin:operad-nonsigma:2",
+                       "--object", "P1,P2", "--object-bound", bound])
+    assert got == code
+    assert report["data"].get("note") == note
+
+
 def test_unknown_flag_rejected():
     report, code = run(["hom", "--theory", "builtin:group", "--from", "G", "--to", "G",
                         "--bogus", "1"])

@@ -2,11 +2,13 @@
 term-level composition in representable diagrams, against the naive
 oracles in `oracles.py`."""
 
+import json
 import random
 
 import pytest
 
 import msat.diagram as diagram
+import msat.theory_cat as theory_cat
 from msat.catalog import action_model, models_for
 from msat.fuzz import (
     make_rng,
@@ -18,6 +20,7 @@ from msat.fuzz import (
 from msat.models import as_functor
 from msat.signature import Engine
 from msat.theory_cat import (
+    TERMINAL,
     TheoryMorphism,
     TheoryObject,
     generating_morphisms,
@@ -140,9 +143,62 @@ def test_element_key_prints_a_morphism_as_its_terms(fresh_doctrine, name):
     for sort in d.sorts:
         X = diagram.representable_diagram(d, TheoryObject.of(sort), 2, 2)
         for obj in X.objects():
+            printed = {}  # one report's memo gives the same text
             for m in X.value(obj):
                 assert isinstance(m, TheoryMorphism)
                 assert diagram.element_key(m) == diagram.element_key(m.terms)
+                assert diagram.element_key(m, printed) == diagram.element_key(m)
+
+
+def test_representable_prints_each_slot_value_once(group, monkeypatch):
+    """The JSON of a representable prints each distinct (value, sort)
+    of its arrows and its elements once: an element reads its slot
+    texts from the report's memo."""
+    G = group.sorts[0]
+    X = diagram.representable_diagram(group, TheoryObject.of(G, G), 2, 2)
+    calls = []
+    print_term = theory_cat.print_term
+
+    def counting(term):
+        calls.append(term)
+        return print_term(term)
+
+    monkeypatch.setattr(theory_cat, "print_term", counting)
+    diagram.diagram_to_json(X)
+    morphisms = set(X.arrows) | {m for obj in X.objects() for m in X.value(obj)}
+    slots = {(v, s) for m in morphisms for v, s in zip(m.values, m.target.sorts)}
+    assert len(calls) == len(slots)
+
+
+def test_elements_that_compare_equal_print_apart(trivial):
+    """`1`, `True` and `1.0` compare equal but print differently, and
+    `1` and `"1"` print the same key text.  The JSON keeps each
+    element's own text, and of two keys with one text the later one
+    wins."""
+    el = trivial.sorts[0]
+    T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
+    arrows = {}
+    for m in generating_morphisms(trivial, 2):
+        if m.source is T1 and m.target is TERMINAL:
+            arrows[m] = {1: True, "1": True}
+        elif m.source is T1 and m.target is T2:
+            arrows[m] = {1: 1.0, "1": 2}
+        elif m.source is T2 and m.target is T1 and m.values[0].name == "v1":
+            arrows[m] = {2: "1", 1.0: 1}
+    X = diagram.DiagramOnTruncation(
+        trivial, 2, 2, {TERMINAL: (True,), T1: (1, "1"), T2: (1.0, 2)}, arrows)
+    assert json.dumps(diagram.diagram_to_json(X)) == (
+        '{"object_bound": 2, "term_bound": 2, "values": ['
+        '{"object": [], "elements": ["True"]}, '
+        '{"object": ["el"], "elements": ["1", "1"]}, '
+        '{"object": ["el", "el"], "elements": ["1.0", "2"]}], "arrows": ['
+        '{"source": ["el"], "target": [], "terms": [], "map": {"1": "True"}}, '
+        '{"source": ["el"], "target": ["el", "el"], "terms": ["v1", "v1"], "map": {"1": "2"}}, '
+        '{"source": ["el", "el"], "target": ["el"], "terms": ["v1"], '
+        '"map": {"1.0": "1", "2": "1"}}]}'
+    )
+    # an unhashable element, such as a JSON array, is printed and not kept
+    assert diagram.element_key([1, 2], {}) == "[1, 2]"
 
 
 @pytest.mark.parametrize("name", DOCTRINES)

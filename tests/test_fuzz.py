@@ -1,19 +1,31 @@
 """Pinned output of the seeded fuzzers: the SHA-256 of the JSON of
 fixed seeds of every `random_trivial_diagram` flavor and of
-`product_simplicial_diagram` with `inflate` off and on.  A change to
-what a seed generates shows here."""
+`product_simplicial_diagram` with `inflate` off and on, and of group's
+representable Hom((G,G), -).  A change to what a seed generates shows
+here; the digests of the JSON as written, without sorted keys, also
+show a change in the order of a map."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+import msat.diagram as diagram
+from msat.diagram import representable_diagram
 from msat.dsl import diagram_to_data, simplicial_to_data
 from msat.fuzz import make_rng, product_simplicial_diagram, random_sset, random_trivial_diagram
+from msat.theory_cat import TheoryObject
 
 
 def digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def ordered_digest(data) -> str:
+    """The digest of the JSON in insertion order, as `json.dump` writes
+    a diagram file."""
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
 TRIVIAL_DIGESTS = {
@@ -44,6 +56,39 @@ SIMPLICIAL_DIGESTS = {
     (7, True): "c9adbaab72de905177e740c706745826850366d16edb7eff1156834632b8b384",
 }
 
+ORDERED_TRIVIAL_DIGESTS = {
+    ("strict", 0): "07fc516776b5122f88c7032b816e328d1b5120ac78ca2ca6cc29e7a67db0657e",
+    ("strict", 1): "5ad4e7f48b6acfacd3e463326854b32f76b2ecaa621644ae01593f6464034882",
+    ("strict", 5): "e24b62a84fd0198085b0074ccf86cd8559fd0a0608c0083d425e199bc06ca8d4",
+    ("nonlocal", 0): "21cf975d234a79d9dee943215e238d2698b2fd54735d0f13b7d2feb854870acb",
+    ("nonlocal", 4): "1f990ae2f35c071beb5dc6ceda57e18d6f92105b8840548bbad5247957e7ad6e",
+    ("nonlocal", 5): "af8836bccb8a6d8a5cb8b58667704d848f5fbf1f4dbe961d5cde1a746d7e537b",
+    ("any", 0): "21cf975d234a79d9dee943215e238d2698b2fd54735d0f13b7d2feb854870acb",
+    ("any", 6): "dbd23c5cd95573dbae88f55aa0be01d731e61e6581ce3fc10d7a922417a5cd79",
+    ("any", 7): "5daf7200f4bee32302a71c75babbf64aaef5afaa87b3f9e25f0a1a6cd7111220",
+    ("broken", 0): "a6e88f3b3edd3af2cab771ecff7ff6081dcb020f2d5817d9f34f81316a2d7d6d",
+    ("broken", 1): "085892e6bb5924dca03809fad9ca7fb2e9e23b75719b7053f5ccb09fc2d4e07b",
+    ("broken", 2): "84f71d831723655b9155cb56de9254edbdd2c18fc55dd05c14b60950b6cf29dc",
+}
+
+# seed 40 has 6,561 simplices at the square object
+ORDERED_SIMPLICIAL_DIGESTS = {
+    (0, False): "c53b4de429c369c659abc7401374032a42a2b880fa6fd305f79684ffff41c177",
+    (0, True): "d3f72b6a4862ca6874b16f6c56d892c13bde9f76f1462689a2efe796d5201cfe",
+    (1, False): "bfbed8bc4cc89aaa3d822216a39c06bb51283c4aca9759b7e41ffb0be45e7d55",
+    (1, True): "b4bed7cf3319f7ebf845e07e5317a3d24914936931435febc1acf9c87be04a39",
+    (4, False): "8f22f54260c5a141c544e77b02d218dd1f706edf3a7d4ee70e3537b7a9f49b10",
+    (4, True): "a293eab4ca837a62ac7740f3c2ff9daab3409ad5123a6f478f1f7c9433765b44",
+    (5, False): "fc8a870f3cdb10a864a786deaaa8e66457f1b8d5870b60a65b9d4653c5f212e7",
+    (5, True): "2f054d4186205878918729a7bf38c529a1ad19a6fde70029b1fb14b5a78b3588",
+    (7, False): "d6dc0d69aacd8b0eed67b5d38104babfdba070675e019b2ee909a6bad288e4fe",
+    (7, True): "e5d694e03ce1396f27e6238dcc498c07f5a7daaf566ae0229cfbe807b4684d1a",
+    (40, False): "8cf29a426549ea0c6a77d93ac0aa38346e8619df99aaf3a567f79b04ce559b25",
+}
+
+# diagram_to_data(representable_diagram(group, (G,G), 2, 2))
+ORDERED_REPRESENTABLE_DIGEST = "0813dcf50fc0eca950824bcd5c3e1fd27912785d886db0654391cd8a9a3aec8d"
+
 
 @pytest.mark.parametrize("flavor, seed", sorted(TRIVIAL_DIGESTS))
 def test_random_trivial_diagram_is_pinned(trivial, flavor, seed):
@@ -55,3 +100,43 @@ def test_random_trivial_diagram_is_pinned(trivial, flavor, seed):
 def test_product_simplicial_diagram_is_pinned(trivial, seed, inflate):
     SD = product_simplicial_diagram(trivial, random_sset(make_rng(seed)), inflate)
     assert digest(simplicial_to_data(SD)) == SIMPLICIAL_DIGESTS[(seed, inflate)]
+
+
+@pytest.mark.parametrize("flavor, seed", sorted(ORDERED_TRIVIAL_DIGESTS))
+def test_random_trivial_diagram_order_is_pinned(trivial, flavor, seed):
+    X = random_trivial_diagram(make_rng(seed), trivial, flavor)
+    assert ordered_digest(diagram_to_data(X)) == ORDERED_TRIVIAL_DIGESTS[(flavor, seed)]
+
+
+@pytest.mark.parametrize("seed, inflate", sorted(ORDERED_SIMPLICIAL_DIGESTS))
+def test_product_simplicial_diagram_order_is_pinned(trivial, seed, inflate):
+    SD = product_simplicial_diagram(trivial, random_sset(make_rng(seed)), inflate)
+    assert ordered_digest(simplicial_to_data(SD)) == ORDERED_SIMPLICIAL_DIGESTS[(seed, inflate)]
+
+
+def test_representable_diagram_order_is_pinned(group):
+    G = group.sorts[0]
+    X = representable_diagram(group, TheoryObject.of(G, G), 2, 2)
+    assert ordered_digest(diagram_to_data(X)) == ORDERED_REPRESENTABLE_DIGEST
+
+
+def test_simplicial_to_data_prints_each_element_once(trivial, monkeypatch):
+    """One memo serves the whole report: every distinct element, and
+    every distinct part of a tuple element, reaches the uncached
+    printer `diagram._spell` once, however many faces, degeneracies
+    and tables name it."""
+    SD = product_simplicial_diagram(trivial, random_sset(make_rng(40)))
+    spelled = Counter()
+    spell = diagram._spell
+
+    def counting(e, printed):
+        spelled[(e.__class__, e)] += 1
+        return spell(e, printed)
+
+    monkeypatch.setattr(diagram, "_spell", counting)
+    data = simplicial_to_data(SD)
+    assert ordered_digest(data) == ORDERED_SIMPLICIAL_DIGESTS[(40, False)]
+    assert max(spelled.values()) == 1
+    elements = {(x.__class__, x) for L in SD.levels for obj in L.objects()
+                for x in L.value(obj) if x.__class__ is not str}
+    assert elements <= set(spelled)

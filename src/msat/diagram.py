@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from .errors import InvalidParameter
 from .search import solve
-from .signature import Doctrine, print_term
+from .signature import App, Doctrine, Var, print_term
 from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
@@ -75,12 +75,18 @@ class DiagramOnTruncation:
 
     def well_formed_problems(self):
         problems = []
+        members: dict = {}  # obj -> the set of its values, built once
         for m, table in self.arrows.items():
             if m.source not in self.values or m.target not in self.values:
                 problems.append(f"arrow {m} leaves the truncation")
                 continue
-            src = set(self.values[m.source])
-            tgt = set(self.values[m.target])
+            src, tgt = members.get(m.source), members.get(m.target)
+            if src is None:
+                src = members[m.source] = set(self.values[m.source])
+            if tgt is None:
+                tgt = members[m.target] = set(self.values[m.target])
+            if src.issuperset(table) and tgt.issuperset(table.values()):
+                continue
             for x, y in table.items():
                 if x not in src:
                     problems.append(f"arrow {m}: {x!r} not in source values")
@@ -322,9 +328,7 @@ def _spell(e, printed: dict) -> str:
             return str(e)
     inner = []
     for part in e:
-        c = part.__class__
-        if c is not str and c is not tuple and c is not int and (
-                hasattr(part, "op") or hasattr(part, "sort")):
+        if isinstance(part, (App, Var)):
             inner.append(print_term(part))
         else:
             inner.append(element_key(part, printed))

@@ -19,7 +19,6 @@ from .simplicial import (
     disjoint_union,
     lifted_maps,
     nerve_of_preorder,
-    objectwise,
     standard,
 )
 from .theory_cat import (
@@ -236,14 +235,16 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
             T2: tuple(pairs + extra),
         }
 
-    def on_elem(table, obj, x):
-        if obj == TERMINAL:
-            return ()
-        if obj == T1:
-            return table[x]
-        if isinstance(x, tuple) and len(x) == 2 and x[0] == "d" and inflate and x[1] in table:
-            return ("d", table[x[1]])
-        return (table[x[0]], table[x[1]])
+    def levelwise(n, t):
+        """The tables at every object of the structure map whose table on
+        S is t: coordinatewise on pairs, and a diagonal copy goes to the
+        copy of its element's image."""
+        images = list(map(t.__getitem__, S.level(n)))
+        square = list(itertools.product(images, repeat=2))
+        if inflate:
+            square += [("d", y) for y in images]
+        return {TERMINAL: {(): ()}, T1: dict(zip(S.level(n), images)),
+                T2: dict(zip(levels[n].value(T2), square))}
 
     for n in range(cap + 1):
         vals = level_values(n)
@@ -252,5 +253,4 @@ def product_simplicial_diagram(doctrine: Doctrine, S: TruncSimplicialSet,
         diagonal = {x: (x, x) for x in vals[T1]}
         arrows = _variable_arrows(doctrine, vals, coords, diagonal, swap)
         levels.append(DiagramOnTruncation(doctrine, 2, 2, vals, arrows))
-    rule = objectwise(levels, on_elem)
-    return SimplicialDiagram(doctrine, cap, levels, *lifted_maps(cap, rule, S))
+    return SimplicialDiagram(doctrine, cap, levels, *lifted_maps(cap, levelwise, S))

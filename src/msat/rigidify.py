@@ -337,7 +337,7 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
     for w, table in X.arrows.items():
         if w.target.size != 1:
             continue
-        src = w.source
+        src, term = w.source, w.terms[0]  # `terms` renders on each read
         images = X.comparison(src) or {}
         factors = [TheoryObject.of(s) for s in src.sorts]
         for z, img in table.items():
@@ -347,7 +347,7 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
                 name: gens[(factor, y)]
                 for name, factor, y in zip(src.names, factors, images[z])
             }
-            lhs = substitute(w.terms[0], asg)
+            lhs = substitute(term, asg)
             rhs = gens[(w.target, img)]
             if lhs == rhs:
                 continue

@@ -6,33 +6,36 @@ simplicial diagram or algebra whose maps do not fit it raises
 `InvalidParameter`.  Weak equivalence is never decided: the homotopy
 probe only refutes, by comparing connected components and integral
 homology (normalized chains, Smith normal form) below the cap.
+
+Checks and invariants run on element positions (`msat.numbering`):
+each level is numbered once, every structure map table becomes a list
+of positions, and an identity or naturality square is checked by
+comparing two composites of such lists as a whole.  An element is read
+only where they differ, to spell the message.  A simplicial diagram
+numbers the level sets of all its objects together, as one disjoint
+union; the probe reads each object's block of it, and numbers a product
+by mixed radix without building its tuples.  `smith_normal_form` takes
+the unit pivots on sparse rows before the dense reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import add, ne
 
 from .diagram import DiagramOnTruncation
 from .errors import InvalidParameter, UnsupportedDoctrine
 from .models import FiniteAlgebra, as_functor, check_equations, check_product_preservation
+from .numbering import Numbering, degeneracy_keys, face_keys, number_parts, product_numbering
 from .presentations import AlgebraPresentation, free_presentation
-from .search import UnionFind
 from .signature import Context, Doctrine, Sort, Var, enumerate_terms, enumerate_values
 from .theory_cat import TheoryObject
 
 DEFAULT_DIM_CAP = 3
-
-
-def face_keys(cap: int) -> list[tuple[int, int]]:
-    """(n, i) of every face d_i: X_n -> X_{n-1} below the cap."""
-    return [(n, i) for n in range(1, cap + 1) for i in range(n + 1)]
-
-
-def degeneracy_keys(cap: int) -> list[tuple[int, int]]:
-    """(n, j) of every degeneracy s_j: X_n -> X_{n+1} below the cap."""
-    return [(n, j) for n in range(cap) for j in range(n + 1)]
 
 
 def structure_maps(cap: int, face, degeneracy) -> tuple[dict, dict]:
@@ -89,12 +92,18 @@ def _index_problem(cap: int, faces: dict, degeneracies: dict, parts) -> str | No
 
 
 class TruncSimplicialSet:
+    """A cap-truncated simplicial set: element tuples per level and
+    element tables for the structure maps.  Its checks and invariants
+    run on its `numbering`, built once from the tables (which are
+    read-only afterwards) and rebuilt by `identity_problems`."""
+
     def __init__(self, cap: int, levels: dict, faces: dict, degeneracies: dict,
                  check: bool = True):
         self.cap = cap
         self.levels = {n: tuple(levels.get(n, ())) for n in range(cap + 1)}
         self.faces = {k: dict(v) for k, v in faces.items()}
         self.degeneracies = {k: dict(v) for k, v in degeneracies.items()}
+        self._numbering = None
         if check:
             problems = self.identity_problems()
             if problems:
@@ -103,7 +112,25 @@ class TruncSimplicialSet:
     def level(self, n: int):
         return self.levels[n]
 
-    def identity_problems(self) -> list[str]:
+    def numbering(self) -> Numbering:
+        if self._numbering is None:
+            problems = self._number()
+            if problems:
+                raise InvalidParameter("not a simplicial set: " + problems[0])
+        return self._numbering
+
+    def _number(self) -> list[str]:
+        """Number the tables (`number_parts`, one part), or say why they
+        do not number: the first map "missing or partial" ends the list,
+        and "leaves the level set" is listed per map."""
+        try:
+            self._numbering = number_parts(
+                self.cap, {n: [level] for n, level in self.levels.items()},
+                {k: [t] for k, t in self.faces.items()},
+                {k: [t] for k, t in self.degeneracies.items()})[0]
+            return []
+        except KeyError:
+            self._numbering = None
         out = []
         for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
             for n, i in keys:
@@ -114,59 +141,26 @@ class TruncSimplicialSet:
                 image = set(self.levels[n + step])
                 if any(v not in image for v in table.values()):
                     out.append(f"{name}_{i} at level {n} leaves the level set")
-        if out:
-            return out  # identity checks below assume total, in-range maps
-        # d_i d_j = d_{j-1} d_i (i < j)
-        for n in range(2, self.cap + 1):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    for x in self.levels[n]:
-                        lhs = self.faces[(n - 1, i)][self.faces[(n, j)][x]]
-                        rhs = self.faces[(n - 1, j - 1)][self.faces[(n, i)][x]]
-                        if lhs != rhs:
-                            out.append(f"d_{i} d_{j} != d_{j-1} d_{i} at level {n} on {x!r}")
-        # face/degeneracy relations
-        for n in range(self.cap):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    for x in self.levels[n]:
-                        val = self.faces[(n + 1, i)][self.degeneracies[(n, j)][x]]
-                        if i == j or i == j + 1:
-                            want = x
-                        elif i < j:
-                            want = self.degeneracies[(n - 1, j - 1)][self.faces[(n, i)][x]]
-                        else:
-                            want = self.degeneracies[(n - 1, j)][self.faces[(n, i - 1)][x]]
-                        if val != want:
-                            out.append(f"d_{i} s_{j} relation fails at level {n} on {x!r}")
-        # s_i s_j = s_{j+1} s_i (i <= j)
-        for n in range(self.cap - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    for x in self.levels[n]:
-                        lhs = self.degeneracies[(n + 1, i)][self.degeneracies[(n, j)][x]]
-                        rhs = self.degeneracies[(n + 1, j + 1)][self.degeneracies[(n, i)][x]]
-                        if lhs != rhs:
-                            out.append(f"s_{i} s_{j} relation fails at level {n} on {x!r}")
         return out
 
-    def degenerate_at(self, n: int) -> set:
-        return {y for j in range(n) for y in self.degeneracies[(n - 1, j)].values()}
+    def identity_problems(self) -> list[str]:
+        """The maps' totality and range problems (`_number`), else every
+        failed simplicial identity (`Numbering.identity_failures`); an
+        element is read only where an identity fails, to spell it."""
+        out = self._number()
+        if out:
+            return out  # identity checks below assume total, in-range maps
+        return [f"{identity} at level {n} on {self.levels[n][k]!r}"
+                for identity, n, k in self._numbering.identity_failures()]
 
     def nondegenerate(self, n: int) -> list:
-        degen = self.degenerate_at(n)
-        return [x for x in self.levels[n] if x not in degen]
+        level = self.levels[n]
+        return [level[k] for k in self.numbering().nondegenerate(n)]
 
     def pi0_classes(self) -> list[frozenset]:
         """Connected components of the vertices, in first-member order."""
-        uf = UnionFind()
-        if self.cap >= 1:
-            for e in self.levels[1]:
-                uf.union(self.faces[(1, 0)][e], self.faces[(1, 1)][e])
-        groups: dict = {}
-        for x in self.levels[0]:
-            groups.setdefault(uf.find(x), set()).add(x)
-        return [frozenset(g) for g in groups.values()]
+        level = self.levels[0]
+        return [frozenset(level[k] for k in group) for group in self.numbering().components()]
 
 
 def standard(kind: str, n: int, k: int | None = None, cap: int = DEFAULT_DIM_CAP) -> TruncSimplicialSet:
@@ -236,7 +230,55 @@ def disjoint_union(a: TruncSimplicialSet, b: TruncSimplicialSet) -> TruncSimplic
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
     """Invariant factors (positive, divisibility-ordered) of an integer
-    matrix, by repeated pivot reduction."""
+    matrix.  Unit pivots go first, on sparse rows: a +-1 entry splits
+    off an invariant factor 1 and leaves an integral rest (its Schur
+    complement).  Each column is visited once, pivoting on its sparsest
+    unit row; the dense reduction runs on what remains."""
+    rows = {}
+    for r, row in enumerate(mat):
+        entries = dict(compress(enumerate(row), row))
+        if entries:
+            rows[r] = entries
+    cols: dict[int, set] = {}
+    for r, entries in rows.items():
+        for c in entries:
+            cols.setdefault(c, set()).add(r)
+    units = 0
+    for c in sorted(cols):
+        col = cols.pop(c)
+        pivots = [r for r in col if rows[r][c] in (1, -1)]
+        if not pivots:
+            cols[c] = col
+            continue
+        p = min(pivots, key=lambda r: len(rows[r]))
+        prow = rows.pop(p)
+        sign = prow.pop(c)
+        for k in prow:
+            cols[k].discard(p)
+        col.discard(p)
+        for r in col:
+            row = rows[r]
+            q = row.pop(c) * sign
+            for k, v in prow.items():
+                new = row.get(k, 0) - q * v
+                if new:
+                    if k not in row:
+                        cols[k].add(r)
+                    row[k] = new
+                else:
+                    del row[k]
+                    cols[k].discard(r)
+            if not row:
+                del rows[r]
+        units += 1
+    rest = sorted(c for c, col in cols.items() if col)
+    return [1] * units + _dense_smith_normal_form(
+        [[row.get(c, 0) for c in rest] for row in rows.values()])
+
+
+def _dense_smith_normal_form(mat: list[list[int]]) -> list[int]:
+    """Invariant factors of an integer matrix, by repeated pivot
+    reduction."""
     m = [list(row) for row in mat]
     R = len(m)
     C = len(m[0]) if R else 0
@@ -290,51 +332,30 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
 def boundary_matrices(X: TruncSimplicialSet) -> list[list[list[int]]]:
     """Normalized-chain boundary matrices; entry [n] maps level n to
     level n-1 (n >= 1)."""
-    nondeg = [X.nondegenerate(n) for n in range(X.cap + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in nondeg]
-    mats = [None]
-    for n in range(1, X.cap + 1):
-        rows = len(nondeg[n - 1])
-        mat = [[0] * len(nondeg[n]) for _ in range(rows)]
-        degen_prev = X.degenerate_at(n - 1)
-        for col, s in enumerate(nondeg[n]):
-            for i in range(n + 1):
-                f = X.faces[(n, i)][s]
-                if f in degen_prev:
-                    continue
-                mat[index[n - 1][f]][col] += (-1) ** i
-        mats.append(mat)
-    return mats
+    return X.numbering().boundary_matrices()
 
 
 def homology_invariants(X: TruncSimplicialSet, upto: int) -> list[tuple[int, tuple[int, ...]]]:
     """(betti, torsion factors) for H_i, i = 0..upto-1, computed from the
     normalized chain complex.  Needs upto <= cap."""
-    if upto > X.cap:
+    return _homology(X.numbering(), upto)
+
+
+def _homology(N: Numbering, upto: int) -> list[tuple[int, tuple[int, ...]]]:
+    if upto > N.cap:
         raise InvalidParameter("homology beyond the dimension cap")
-    nondeg_counts = [len(X.nondegenerate(n)) for n in range(X.cap + 1)]
-    mats = boundary_matrices(X)
-    ranks = [0]
-    snfs = [[]]
-    for n in range(1, X.cap + 1):
-        snf = smith_normal_form(mats[n])
-        snfs.append(snf)
-        ranks.append(len(snf))
+    mats = N.boundary_matrices()
+    snfs = [[]] + [smith_normal_form(mats[n]) for n in range(1, N.cap + 1)]
     out = []
     for i in range(upto):
-        kernel = nondeg_counts[i] - ranks[i]
-        image = ranks[i + 1] if i + 1 <= X.cap else 0
-        betti = kernel - image
-        torsion = tuple(d for d in (snfs[i + 1] if i + 1 <= X.cap else []) if d > 1)
-        out.append((betti, torsion))
+        kernel = len(N.nondegenerate(i)) - len(snfs[i])
+        above = snfs[i + 1] if i + 1 <= N.cap else []
+        out.append((kernel - len(above), tuple(d for d in above if d > 1)))
     return out
 
 
-def sset_invariants(X: TruncSimplicialSet) -> dict:
-    return {
-        "pi0": len(X.pi0_classes()),
-        "homology": homology_invariants(X, X.cap),
-    }
+def _invariants(N: Numbering) -> dict:
+    return {"pi0": len(N.components()), "homology": _homology(N, N.cap)}
 
 
 # -- simplicial diagrams -------------------------------------------------
@@ -342,7 +363,9 @@ def sset_invariants(X: TruncSimplicialSet) -> dict:
 
 class SimplicialDiagram:
     """A dimension-capped tower of set-valued diagrams with face and
-    degeneracy transformations between consecutive levels."""
+    degeneracy transformations between consecutive levels.  The tables
+    are read-only once built: the structure check numbers the level
+    sets once, and the probe reads each object's block of it."""
 
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[DiagramOnTruncation],
                  faces: dict, degeneracies: dict):
@@ -355,6 +378,8 @@ class SimplicialDiagram:
         self.degeneracies = {
             k: {o: dict(t) for o, t in v.items()} for k, v in degeneracies.items()
         }
+        self._numberings: dict = {}
+        self._union = None
         problems = self.structure_problems()
         if problems:
             raise InvalidParameter("bad simplicial diagram: " + problems[0])
@@ -363,54 +388,149 @@ class SimplicialDiagram:
         return self.levels[0].objects()
 
     def structure_problems(self) -> list[str]:
-        if any(L.objects() != self.objects() for L in self.levels):
+        """Why the tables are not a simplicial diagram: a key or table
+        missing, the first problem of each object whose values are not a
+        simplicial set, then every structure map entry that is not
+        natural for a level arrow.  Renumbers the level sets of all
+        objects from the tables, as one disjoint union with a block per
+        object (`number_parts`); when a table does not number, each
+        object's simplicial set is checked on its own and every arrow
+        entry is read."""
+        objects = self.objects()
+        if any(L.objects() != objects for L in self.levels):
             return ["level diagrams disagree on their objects"]
-        problem = _index_problem(self.cap, self.faces, self.degeneracies, self.objects())
+        problem = _index_problem(self.cap, self.faces, self.degeneracies, objects)
         if problem:
             return [problem]
+        self._numberings, self._union = {}, None
+        try:
+            union, offsets, firsts = number_parts(
+                self.cap, {n: [L.value(obj) for obj in objects] for n, L in enumerate(self.levels)},
+                {k: [v[obj] for obj in objects] for k, v in self.faces.items()},
+                {k: [v[obj] for obj in objects] for k, v in self.degeneracies.items()})
+            self._union = union, offsets  # the probe cuts its blocks
+        except KeyError:
+            pass
         problems = []
-        for obj in self.objects():
-            try:
-                self.object_sset(obj, check=True)
-            except InvalidParameter as err:
-                problems.append(f"at {obj}: {err}")
-        # naturality of structure maps against the level diagrams
+        if self._union is None:
+            for obj in objects:
+                bad = self.object_sset(obj).identity_problems()
+                if bad:
+                    problems.append(f"at {obj}: not a simplicial set: {bad[0]}")
+            differ = None
+        else:
+            first = {}  # obj -> its first failed identity
+            for identity, n, g in union.identity_failures():
+                p = bisect_right(offsets[n], g) - 1
+                if objects[p] not in first:
+                    x = self.levels[n].value(objects[p])[g - offsets[n][p]]
+                    first[objects[p]] = f"{identity} at level {n} on {x!r}"
+            problems = [f"at {obj}: not a simplicial set: {first[obj]}"
+                        for obj in objects if obj in first]
+            differ = self._naturality_on_positions(union, offsets, firsts)
+        # naturality of structure maps against the level diagrams: for an
+        # entry x -> y of a level-n arrow m and the structure map t at
+        # (n, i), t(y) = m(t(x)) at the level t maps to, where defined
+        entries = []  # per level: the arrow, key and image of each entry
+        for L in self.levels:
+            tables = L.arrows.values()
+            entries.append((list(chain.from_iterable(map(repeat, L.arrows, map(len, tables)))),
+                            list(chain.from_iterable(tables)),
+                            list(chain.from_iterable(map(dict.values, tables)))))
         for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
             for n, i in keys:
                 tables, image = maps[(n, i)], self.levels[n + step]
-                for m, table in self.levels[n].arrows.items():
+                at, xs, ys = entries[n]
+                for k in differ(n, i, step) if differ else range(len(xs)):
+                    m, x = at[k], xs[k]
                     itable = image.arrows.get(m, {})
-                    for x, y in table.items():
-                        fx = tables[m.source].get(x)
-                        fy = tables[m.target].get(y)
-                        if fx is not None and fx in itable and fy is not None:
-                            if itable[fx] != fy:
-                                problems.append(
-                                    f"{name}_{i} at level {n} not natural for {m} at {x!r}"
-                                )
+                    fx = tables[m.source].get(x)
+                    fy = tables[m.target].get(ys[k])
+                    if fx is not None and fx in itable and fy is not None:
+                        if itable[fx] != fy:
+                            problems.append(
+                                f"{name}_{i} at level {n} not natural for {m} at {x!r}"
+                            )
         return problems
 
-    def object_sset(self, obj: TheoryObject, check: bool = False) -> TruncSimplicialSet:
+    def _naturality_on_positions(self, union: Numbering, offsets: list, firsts: list):
+        """A function (n, i, step) -> the level-n arrow entries, in order,
+        at which t(y) and m(t(x)) differ as positions of the levels'
+        numbering, with t the structure map at (n, i); every naturality
+        problem is among them.  A level's arrows are one run of entries,
+        and each arrow has a block of the level's lookup table (-1 where
+        the arrow is undefined), so a structure map is one composite over
+        the whole level.  None when an arrow names an element its object
+        lacks."""
+        objects = self.objects()
+        sources, targets, lookups, bases = [], [], [], []
+        for n, L in enumerate(self.levels):
+            off = dict(zip(objects, offsets[n]))
+            first = dict(zip(objects, firsts[n]))
+            src, tgt, look, base = [], [], [], {}
+            try:
+                for m, table in L.arrows.items():
+                    to = list(map(first[m.target].__getitem__, table.values()))
+                    values = L.value(m.source)
+                    start, size = off[m.source], len(values)
+                    base[m] = len(look) - start
+                    if len(table) == size and tuple(table) == values:
+                        src.extend(range(start, start + size))
+                        look.extend(to)
+                    else:
+                        at = list(map(first[m.source].__getitem__, table))
+                        src.extend(at)
+                        look.extend(map(dict(zip(at, to)).get, range(start, start + size),
+                                        repeat(-1)))
+                    tgt.extend(to)
+            except KeyError:
+                return None
+            missing = len(look)  # the block of an arrow this level lacks
+            look.extend(repeat(-1, offsets[n][-1]))
+            sources.append(src)
+            targets.append(tgt)
+            lookups.append(look)
+            bases.append((base, missing))
+        shifts = {}  # (n, image level) -> per entry, where its arrow's block starts
+
+        def differ(n, i, step):
+            image = n + step
+            t = (union.faces if step < 0 else union.degeneracies)[(n, i)]
+            shift = shifts.get((n, image))
+            if shift is None:
+                base, missing = bases[image]
+                shift = shifts[(n, image)] = list(chain.from_iterable(
+                    repeat(base.get(m, missing), len(table))
+                    for m, table in self.levels[n].arrows.items()))
+            lhs = map(lookups[image].__getitem__, map(add, shift, map(t.__getitem__, sources[n])))
+            return compress(count(), map(ne, lhs, map(t.__getitem__, targets[n])))
+
+        return differ
+
+    def object_sset(self, obj: TheoryObject) -> TruncSimplicialSet:
+        """The simplicial set of the values at obj, unchecked."""
         levels = {n: self.levels[n].value(obj) for n in range(self.cap + 1)}
         return TruncSimplicialSet(
-            self.cap, levels, *lifted_maps(self.cap, lambda n, t: t[obj], self), check=check
+            self.cap, levels, *lifted_maps(self.cap, lambda n, t: t[obj], self), check=False
         )
 
-    def product_sset(self, obj: TheoryObject) -> TruncSimplicialSet:
-        """Levelwise product of the size-one values of obj's sorts."""
-        singles = [TheoryObject.of(s) for s in obj.sorts]
-        levels = {
-            n: tuple(itertools.product(*(self.levels[n].value(o) for o in singles)))
-            for n in range(self.cap + 1)
-        }
+    def object_numbering(self, obj: TheoryObject) -> Numbering:
+        """The numbering of the simplicial set at obj: its block of the
+        levels' numbering, cut once."""
+        N = self._numberings.get(obj)
+        if N is None:
+            if self._union is None:
+                N = self.object_sset(obj).numbering()
+            else:
+                union, offsets = self._union
+                N = union.block(offsets, self.objects().index(obj))
+            self._numberings[obj] = N
+        return N
 
-        def coordinatewise(n, per_obj):
-            tables = [per_obj[o] for o in singles]
-            return {x: tuple(t[c] for t, c in zip(tables, x)) for x in levels[n]}
-
-        return TruncSimplicialSet(
-            self.cap, levels, *lifted_maps(self.cap, coordinatewise, self), check=False
-        )
+    def product_numbering(self, obj: TheoryObject) -> Numbering:
+        """The levelwise product of the size-one values of obj's sorts,
+        numbered by mixed radix from their numberings."""
+        return product_numbering([self.object_numbering(TheoryObject.of(s)) for s in obj.sorts])
 
 
 def check_strict(X: SimplicialDiagram):
@@ -439,8 +559,7 @@ def homotopy_probe(X: SimplicialDiagram) -> ProbeResult:
     for obj in X.objects():
         if obj.size == 1:
             continue
-        dom = X.object_sset(obj)
-        dom_inv = sset_invariants(dom)
+        dom_inv = _invariants(X.object_numbering(obj))
         if obj.size == 0:
             point = {"pi0": 1, "homology": [(1 if i == 0 else 0, ()) for i in range(X.cap)]}
             if dom_inv != point:
@@ -448,7 +567,7 @@ def homotopy_probe(X: SimplicialDiagram) -> ProbeResult:
                     f"value at the terminal object is not point-like: {dom_inv}"
                 )
             continue
-        cod_inv = sset_invariants(X.product_sset(obj))
+        cod_inv = _invariants(X.product_numbering(obj))
         result.details.append({"object": obj.key(), "value": dom_inv, "product": cod_inv})
         if dom_inv["pi0"] != cod_inv["pi0"]:
             result.passed = False

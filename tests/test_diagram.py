@@ -18,7 +18,7 @@ from msat.fuzz import (
     twisted_algebra_diagram,
 )
 from msat.models import as_functor
-from msat.signature import Engine
+from msat.signature import Engine, Var
 from msat.theory_cat import (
     TERMINAL,
     TheoryMorphism,
@@ -273,3 +273,35 @@ def test_comparison_of_a_two_sorted_functor(action):
     images = X.comparison(obj)
     assert list(images) == list(X.value(obj))
     assert all(images[(a, b)] == ((a,), (b,)) for a, b in X.value(obj))
+
+
+def test_element_key_prints_terms_by_class(trivial):
+    """A tuple part is printed as a term only when it is one: a list
+    has a `sort` method but is not a term."""
+    x = Var("x", trivial.sorts[0])
+    assert diagram.element_key((None, [3])) == "(None,[3])"
+    assert diagram.element_key((x, ("a", 2))) == "(x,(a,2))"
+
+
+def test_well_formed_problems_in_order(trivial):
+    """Every stray key and image, arrow by arrow and entry by entry in
+    table order; each object's value set is built once per call."""
+    el = trivial.sorts[0]
+    T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
+    to_point, diagonal, first, second = (
+        m for m in generating_morphisms(trivial, 2)
+        if (m.source, m.target) in ((T1, TERMINAL), (T1, T2), (T2, T1)))
+    X = diagram.DiagramOnTruncation(
+        trivial, 2, 2, {TERMINAL: ("p",), T1: ("a", "b"), T2: ("c",)}, {})
+    X.arrows = {to_point: {"a": "p", "z": "p", "b": "q"},
+                diagonal: {"a": "c", "b": "c"},
+                first: {"y": "w", "c": "b", "x": "a"},
+                second: {"c": "q"}}
+    assert X.well_formed_problems() == [
+        f"arrow {to_point}: 'z' not in source values",
+        f"arrow {to_point}: image 'q' not in target values",
+        f"arrow {first}: 'y' not in source values",
+        f"arrow {first}: image 'w' not in target values",
+        f"arrow {first}: 'x' not in source values",
+        f"arrow {second}: image 'q' not in target values",
+    ]

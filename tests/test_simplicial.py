@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -10,6 +13,8 @@ from msat.simplicial import (
     SimplicialAlgebra,
     SimplicialDiagram,
     TruncSimplicialSet,
+    _dense_smith_normal_form,
+    boundary_matrices,
     check_strict,
     classifying_simplicial_algebra,
     constant_simplicial_algebra,
@@ -90,6 +95,20 @@ class TestPi0AndHomology:
         # divisibility ordering
         assert smith_normal_form([[6, 0], [0, 4]]) == [2, 12]
 
+    def test_smith_normal_form_matches_dense_on_random(self):
+        """The unit pivots taken first change no invariant factor."""
+        rng = random.Random(5)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            entries = rng.choice([(-1, 0, 1), (-2, -1, 0, 1, 2, 3), (0, 0, 0, 1, -1, 2, 6, -4)])
+            mat = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+            assert smith_normal_form(mat) == _dense_smith_normal_form(mat), mat
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_smith_normal_form_matches_dense_on_boundaries(self, seed):
+        for mat in boundary_matrices(random_sset(make_rng(seed), 3))[1:]:
+            assert smith_normal_form(mat) == _dense_smith_normal_form(mat)
+
     def test_point_homology(self):
         d = standard("delta", 0, cap=3)
         assert homology_invariants(d, 3) == [(1, ()), (0, ()), (0, ())]
@@ -157,6 +176,20 @@ class TestSimplicialDiagrams:
         interval = standard("delta", 1, cap=3)
         SD = product_simplicial_diagram(trivial, interval)
         assert homotopy_probe(SD).passed
+
+    def test_probe_finishes_on_the_codiscrete_nerve(self, trivial):
+        """Seed 40 is the nerve of the codiscrete preorder on three
+        points (81 simplices at level 3, 6,561 at the square object),
+        whose 576 x 4608 boundary matrix the dense reduction alone did
+        not finish in minutes.  It is contractible, and so is its
+        square."""
+        SD = product_simplicial_diagram(trivial, random_sset(make_rng(40)))
+        assert len(SD.levels[3].value(TheoryObject.of(trivial.sort("el"), trivial.sort("el")))) == 6561
+        result = homotopy_probe(SD)
+        assert result.passed and result.terminal_flag is None
+        point = [(1, ()), (0, ()), (0, ())]
+        assert result.details == [{"object": "el,el", "value": {"pi0": 1, "homology": point},
+                                   "product": {"pi0": 1, "homology": point}}]
 
     def test_degeneracy_naturality_checked(self, trivial):
         # a circle: vertex v, degenerate edge e = s_0 v and a loop l
@@ -323,3 +356,123 @@ class TestDegreewiseFree:
         # the pairs can reach (words of length <= 2 over one generator)
         expected = {print_term(t[0]) for t in free.enumerate_value(k, Tm, bound)}
         assert set(class_terms) == expected
+
+
+def _messages_digest(messages) -> str:
+    return hashlib.sha256(json.dumps(messages).encode()).hexdigest()
+
+
+def _pick(seq, k):
+    return seq[k % len(seq)]
+
+
+def _sset_mutant(kind):
+    """standard("delta", 2) with one corrupted table or level."""
+    d = standard("delta", 2, cap=3)
+    faces = {k: dict(v) for k, v in d.faces.items()}
+    degens = {k: dict(v) for k, v in d.degeneracies.items()}
+    levels = dict(d.levels)
+    x = d.level(2)[3]
+    if kind == "changed-face":
+        faces[(2, 0)][x] = faces[(2, 0)][d.level(2)[-1]]
+    elif kind == "changed-degeneracy":
+        degens[(1, 1)][d.level(1)[2]] = d.level(2)[0]
+    elif kind == "dropped-entry":
+        del faces[(3, 2)][d.level(3)[5]]
+    elif kind == "extra-key":
+        faces[(2, 1)][("stray",)] = d.level(1)[0]
+    elif kind == "missing-table":
+        del degens[(2, 0)]
+    elif kind == "outside-level":
+        faces[(1, 0)][d.level(1)[1]] = ("nowhere",)
+        degens[(0, 0)][d.level(0)[0]] = ("nowhere", "too")
+    elif kind == "repeated-element":
+        levels[2] = levels[2] + (x, d.level(2)[0])
+        faces[(2, 0)][x] = faces[(2, 0)][d.level(2)[-1]]
+    return TruncSimplicialSet(3, levels, faces, degens, check=False)
+
+
+SSET_MUTANTS = ("changed-face", "changed-degeneracy", "dropped-entry", "extra-key",
+                "missing-table", "outside-level", "repeated-element")
+
+
+def _diagram_mutant(trivial, kind):
+    """A product simplicial diagram with one corrupted structure table,
+    level arrow or level value; the checks are rerun by hand."""
+    SD = product_simplicial_diagram(trivial, standard("boundary", 2, cap=3), inflate=True)
+    el = trivial.sort("el")
+    T1, T2 = TheoryObject.of(el), TheoryObject.of(el, el)
+    vals = {n: SD.levels[n].values for n in range(4)}
+    if kind == "changed-face":
+        SD.faces[(2, 1)][T2][_pick(vals[2][T2], 7)] = _pick(vals[1][T2], 2)
+    elif kind == "changed-degeneracy":
+        SD.degeneracies[(1, 0)][T1][_pick(vals[1][T1], 1)] = _pick(vals[2][T1], 4)
+    elif kind == "dropped-entry":
+        del SD.faces[(3, 1)][T2][_pick(vals[3][T2], 11)]
+    elif kind == "outside-level":
+        SD.faces[(2, 0)][T2][_pick(vals[2][T2], 5)] = ("far", "away")
+        SD.degeneracies[(0, 0)][T1][_pick(vals[0][T1], 0)] = ("gone",)
+    elif kind == "non-natural-arrow":
+        level = SD.levels[2]
+        m = next(m for m in level.arrows if m.source == T2 and m.target == T1)
+        x = _pick(vals[2][T2], 3)
+        level.arrows[m][x] = next(y for y in vals[2][T1] if y != level.arrows[m][x])
+    elif kind == "partial-arrow":
+        level = SD.levels[1]
+        m = next(m for m in level.arrows if m.source == T2 and m.target == T2
+                 and any(a != b for a, b in level.arrows[m].items()))
+        del level.arrows[m][_pick(vals[1][T2], 0)]
+        SD.faces[(2, 2)][T2][_pick(vals[2][T2], 9)] = _pick(vals[1][T2], 6)
+    elif kind == "repeated-element":
+        SD.levels[1].values[T2] = vals[1][T2] + (vals[1][T2][0],)
+        SD.faces[(1, 0)][T2][vals[1][T2][0]] = _pick(vals[0][T2], 3)
+    return SD
+
+
+DIAGRAM_MUTANTS = ("changed-face", "changed-degeneracy", "dropped-entry", "outside-level",
+                   "non-natural-arrow", "partial-arrow", "repeated-element")
+
+
+# (case, mutant) -> (count, SHA-256 of the JSON message list), recorded
+# before the checks moved to element positions
+PROBLEM_DIGESTS = {
+    ("sset", "changed-face"): (9, "a8d2e8a016ab4536d6362bee2f6c5ed2acce7b6375e91ee38ae86e08a3d2b6ba"),
+    ("sset", "changed-degeneracy"): (9, "ead29b335ee6ac1ddd5ba7b810229805ebbc06e64b05e5ae44276c92b1948099"),
+    ("sset", "dropped-entry"): (1, "59426c8d892bbb6aa2cb3b91c68864b9296403fe1c4d56bcdc1ea626529c33ab"),
+    ("sset", "extra-key"): (1, "bfb8d4b8609bec98f20283e12fd25a55e703d4e53fdf478f6bb5b795994b925f"),
+    ("sset", "missing-table"): (1, "fe0919f15a36a6d90e165405cf43ab9bac00c91de6a2a1099b35d2b5cf0f3729"),
+    ("sset", "outside-level"): (2, "22025af9ccecdab08546e47e75c222b96792009391774fb5a07eb6fc741b2a47"),
+    ("sset", "repeated-element"): (13, "e2f3b290724e43bf07ad3f8771f3a793bc02aac4cb41e709e723754779855fdf"),
+    ("diagram", "changed-face"): (5, "7e47178f8243f24434c91fedad23b10eab0c1a40d0877556cd17fc8ed0924fa8"),
+    ("diagram", "changed-degeneracy"): (16, "aac0222d8f34fbe77d21f594dbc953f7ede3352985e9eb1217210ded62512fd3"),
+    ("diagram", "dropped-entry"): (1, "1c6b3c2ba8496955dfdb1279bbbc4950a16c20a05a896eea71ef4a4e13965cfb"),
+    ("diagram", "outside-level"): (11, "af0054c92a36466078f118c50b78261a68440fda59e29448bcc844d83514ad26"),
+    ("diagram", "non-natural-arrow"): (13, "fac378345ac8e7488ee18fdd9404d12c78685f6994e99157fde3547dd4243684"),
+    ("diagram", "partial-arrow"): (5, "e7506c571a54781e949ac2b536e388f555a755cad8343c2250bd45e6631c3800"),
+    ("diagram", "repeated-element"): (18, "4237ad53e0f00cc19fac445bf4f307a78a959cf45eafb2054283a390a47c628c"),
+}
+
+
+class TestProblemMessages:
+    """The identity and structure checks report every problem, in
+    order, with the same text, on valid inputs and on mutants."""
+
+    @pytest.mark.parametrize("kind", SSET_MUTANTS)
+    def test_identity_problems_are_pinned(self, kind):
+        messages = _sset_mutant(kind).identity_problems()
+        assert (len(messages), _messages_digest(messages)) == PROBLEM_DIGESTS["sset", kind]
+
+    @pytest.mark.parametrize("kind", DIAGRAM_MUTANTS)
+    def test_structure_problems_are_pinned(self, trivial, kind):
+        messages = _diagram_mutant(trivial, kind).structure_problems()
+        assert (len(messages), _messages_digest(messages)) == PROBLEM_DIGESTS["diagram", kind]
+
+    def test_valid_inputs_have_no_problems(self, trivial):
+        for seed in range(12):
+            S = random_sset(make_rng(seed), 3)
+            if len(S.level(3)) > 30:
+                continue
+            assert S.identity_problems() == []
+            for inflate in (False, True):
+                SD = product_simplicial_diagram(trivial, S, inflate=inflate)
+                assert SD.structure_problems() == []

@@ -10,8 +10,10 @@ solutions of one constraint per defined table entry (`search.solve`).
 `DiagramOnTruncation.comparison` is the one canonical map
 X(T) -> X(T_1) x ... x X(T_n) read off the projection tables; the
 strictness check, both routes of `rigidify` and the universal-property
-check all read it.  `is_bijection` is the one bijection test that
-those checks, `verify_ktk` and `models.adjunction_check` use.
+check all read it.  `is_bijection` is the one bijection test;
+`is_product_bijection` is that test onto a product of finite sets
+without listing the product, for the strictness check, `verify_ktk`
+and `models.adjunction_check`.
 
 The elements of a representable Hom(T, -) are its morphisms, and an
 arrow acts on them by composition, so building one renders no term;
@@ -31,6 +33,7 @@ again.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 from .errors import InvalidParameter
@@ -63,7 +66,9 @@ class DiagramOnTruncation:
         self.values = {obj: tuple(values.get(obj, ())) for obj in self._objects}
         self.arrows = {m: dict(t) for m, t in arrows.items()}
         self._closure_cache = None
-        problems = self.well_formed_problems()
+        problems = [f"values at {obj} leave the truncation"
+                    for obj in values if obj not in self.values]
+        problems += self.well_formed_problems()
         if problems:
             raise InvalidParameter("malformed diagram: " + "; ".join(problems[:3]))
 
@@ -198,6 +203,20 @@ def is_bijection(images, codomain) -> bool:
     codomain = list(codomain)
     hit = set(images)
     return len(hit) == len(images) == len(codomain) and hit == set(codomain)
+
+
+def is_product_bijection(images, factors: list) -> bool:
+    """`is_bijection(images, itertools.product(*factors))` without
+    listing the product: the images are distinct, as many as the
+    product lists, and component i of each lies in factor i.  A factor
+    that repeats an element leaves fewer distinct tuples than that, so
+    a product that lists an element twice has no bijection onto it.
+    Zero factors make the one-element product {()}."""
+    hit = set(images)
+    if not len(hit) == len(images) == math.prod(map(len, factors)):
+        return False
+    return {len(factors)}.issuperset(map(len, hit)) and all(
+        map(set.issuperset, map(set, factors), zip(*hit)))
 
 
 # -- functors induced by algebras and representables --------------------

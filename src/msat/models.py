@@ -33,9 +33,10 @@ the algebra, whose tables may change between calls.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .diagram import DiagramOnTruncation, is_bijection
+from .diagram import DiagramOnTruncation, is_product_bijection
 from .errors import (
     DoctrineMismatch,
     ElementNotInCarrier,
@@ -418,14 +419,15 @@ def check_product_preservation(X: DiagramOnTruncation):
         if obj.size == 1:
             continue
         values = X.value(obj)
-        product = list(itertools.product(*(X.value(TheoryObject.of(s)) for s in obj.sorts)))
-        detail = {"object": obj.key(), "value": len(values), "product": len(product)}
+        factors = [X.value(TheoryObject.of(s)) for s in obj.sorts]
+        detail = {"object": obj.key(), "value": len(values),
+                  "product": math.prod(map(len, factors))}
         images = X.comparison(obj)
         if images is None:
             detail["error"] = "projection tables missing"
         elif any(x not in images for x in values):
             detail["error"] = "projection tables partial"
-        elif is_bijection([images[x] for x in values], product):
+        elif is_product_bijection([images[x] for x in values], factors):
             continue
         failures.append(detail)
     return (not failures), failures
@@ -506,4 +508,4 @@ def adjunction_check(doctrine: Doctrine, sort: Sort, Y, X: FiniteAlgebra) -> boo
     P = free_algebra(doctrine, {sort: Y})
     alg_side = homs_into(P, X)
     transposes = [tuple(h[y] for y in Y) for h in alg_side]
-    return is_bijection(transposes, itertools.product(X.carriers[sort], repeat=len(Y)))
+    return is_product_bijection(transposes, [X.carriers[sort]] * len(Y))

@@ -1,22 +1,25 @@
 """Truncated simplicial sets on element positions.
 
 `face_keys` and `degeneracy_keys` hold the index set of the structure
-maps of a cap-truncated simplicial object.  A `Numbering` is such an
-object on positions: each level is numbered once, and every face and
-degeneracy table is a list of positions, so a simplicial identity is
-checked by comparing two composites of such lists as a whole
-(`Numbering.identity_failures`).  `number_parts` numbers the element
-tables of several simplicial sets at once, as one disjoint union with
-a block per part, and `product_numbering` numbers a levelwise product
-by mixed radix without building its tuples.  `msat.simplicial` reads
-elements only where a check fails, to spell the message, and computes
-homology on the numbering.
+maps of a cap-truncated simplicial object, `structure_maps` builds maps
+on it, and `structure_kinds` pairs each kind of map with its keys.  A
+`Numbering` is such an object on positions: each level is numbered
+once, and every face and degeneracy table is a list of positions, so a
+simplicial identity is checked by comparing two composites of such
+lists as a whole (`Numbering.identity_failures`).  `number_parts`
+numbers the element tables of several simplicial sets at once, as one
+disjoint union with a block per part.  It takes any tables: one that is
+missing, partial or leaves its level is reported beside the numbering,
+with -1 where it has no position.  `product_numbering` numbers a
+levelwise product by mixed radix without building its tuples.
+`msat.simplicial` reads elements only where a check fails, to spell the
+message, and computes homology on the numbering.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, ne, not_
 
 from .search import UnionFind
@@ -32,35 +35,60 @@ def degeneracy_keys(cap: int) -> list[tuple[int, int]]:
     return [(n, j) for n in range(cap) for j in range(n + 1)]
 
 
+def structure_maps(cap: int, face, degeneracy) -> tuple[dict, dict]:
+    """The (faces, degeneracies) of a cap-truncated simplicial object,
+    keyed in `face_keys` and `degeneracy_keys` order: `face(n, i)` is
+    the table of d_i on level n and `degeneracy(n, j)` that of s_j."""
+    return ({k: face(*k) for k in face_keys(cap)},
+            {k: degeneracy(*k) for k in degeneracy_keys(cap)})
+
+
+def structure_kinds(cap: int, faces: dict, degeneracies: dict) -> tuple:
+    """(name, maps, keys, step) for each kind of structure map, faces
+    first: a face lowers the level by one, a degeneracy raises it."""
+    return (("face d", faces, face_keys(cap), -1),
+            ("degeneracy s", degeneracies, degeneracy_keys(cap), 1))
+
+
+MISSING, LEAVES = "missing or partial", "leaves the level set"
+
+
 def _first_positions(level: tuple, start: int = 0) -> dict:
     """Each element of a level -> the first position it takes there,
     counting positions from `start`."""
     return dict(zip(reversed(level), range(start + len(level) - 1, start - 1, -1)))
 
 
-def _table_positions(table: dict, level: tuple, first: dict, image_first: dict) -> list[int]:
-    """The positions (`image_first`) of the images of a level's elements
-    under a table.  A `KeyError` when the table is not total on the
-    level, or leaves the image level: a table that holds every element
-    of its level, and no more keys than the level (`first`) has
-    distinct elements, is total."""
-    if len(table) != len(first):
-        raise KeyError(len(table))
+def _table_positions(table, level: tuple, first: dict, image_first: dict):
+    """(positions, why): the positions (`image_first`) of the images of a
+    level's elements under a table, -1 where an element has no image or
+    its image is not in the image level, and why the table does not
+    number (`MISSING` or `LEAVES`), or None.  A table whose keys are the
+    elements of its level (`first`) is total; None is no table."""
+    if table is None:
+        return [-1] * len(level), MISSING
     if len(table) == len(level) and tuple(table) == level:
         images = table.values()  # keys in level order
-    else:
+    elif table.keys() == first.keys():
         images = map(table.__getitem__, level)
-    return list(map(image_first.__getitem__, images))
+    else:
+        return [image_first.get(table[x], -1) if x in table else -1 for x in level], MISSING
+    try:
+        return list(map(image_first.__getitem__, images)), None
+    except KeyError:  # an image outside the image level
+        return [image_first.get(table[x], -1) for x in level], LEAVES
 
 
 def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
     """Number a disjoint union of parts at once: levels[n] lists the
     parts' level-n tuples, and faces[(n, i)] and degeneracies[(n, j)]
-    list their tables.  Part p's block of level n starts at
-    offsets[n][p], and firsts[n][p] sends each of its elements to its
-    first position there.  Returns (numbering, offsets, firsts); a
-    `KeyError` when a table is missing or does not number
-    (`_table_positions`)."""
+    list their tables (or lack the key).  Part p's block of level n
+    starts at offsets[n][p], and firsts[n][p] sends each of its elements
+    to its first position there.  Returns (numbering, offsets, firsts,
+    problems) for any tables of hashable images: problems[p] lists (name,
+    n, i, why) for each table of part p that does not number
+    (`_table_positions`), in order, up to the first `MISSING`.  Every
+    table ends with an entry -1, so a composite through -1 stays -1."""
     offsets, firsts, canon = [], [], []
     for n in range(cap + 1):
         values = levels[n]
@@ -71,15 +99,23 @@ def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
         canon.append(
             range(off[-1]) if all(map(eq, map(len, level_firsts), map(len, values)))
             else [first[x] for first, value in zip(level_firsts, values) for x in value])
-    tables = [
-        {(n, i): list(chain.from_iterable([
-            _table_positions(*args)
-            for args in zip(maps[(n, i)], levels[n], firsts[n], firsts[n + step])]))
-         for n, i in keys}
-        for maps, keys, step in ((faces, face_keys(cap), -1),
-                                 (degeneracies, degeneracy_keys(cap), 1))
-    ]
-    return Numbering(cap, [off[-1] for off in offsets], canon, *tables), offsets, firsts
+    problems, ended, tables = [[] for _ in levels[0]], set(), []
+    for name, maps, keys, step in structure_kinds(cap, faces, degeneracies):
+        numbered = {}
+        for n, i in keys:
+            pieces = []
+            for p, args in enumerate(zip(maps.get((n, i)) or repeat(None), levels[n],
+                                         firsts[n], firsts[n + step])):
+                positions, why = _table_positions(*args)
+                pieces.append(positions)
+                if why and p not in ended:
+                    problems[p].append((name, n, i, why))
+                    if why is MISSING:
+                        ended.add(p)
+            numbered[(n, i)] = list(chain(chain.from_iterable(pieces), (-1,)))
+        tables.append(numbered)
+    numbering = Numbering(cap, [off[-1] for off in offsets], canon, *tables)
+    return numbering, offsets, firsts, problems
 
 
 class Numbering:
@@ -88,7 +124,9 @@ class Numbering:
     first position it takes (`canon[n]` sends each position there), so
     two positions are equal exactly when their elements are.  The tables
     of `faces` and `degeneracies`, keyed like a simplicial set's, are
-    lists: entry k is the position of the image of position k."""
+    lists: entry k is the position of the image of position k.  Position
+    -1 is no element: a table from `number_parts` ends with an entry -1
+    for it, which `block` leaves out."""
 
     def __init__(self, cap: int, sizes: list, canon: list, faces: dict, degeneracies: dict):
         self.cap = cap

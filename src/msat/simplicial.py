@@ -1,21 +1,22 @@
 """Truncated simplicial sets and simplicial theory-indexed diagrams.
 
-Everything is truncated at a dimension cap (default 3).  `face_keys`
-and `degeneracy_keys` hold the index set of the structure maps; a
-simplicial diagram or algebra whose maps do not fit it raises
-`InvalidParameter`.  Weak equivalence is never decided: the homotopy
-probe only refutes, by comparing connected components and integral
-homology (normalized chains, Smith normal form) below the cap.
+Everything is truncated at a dimension cap (default 3).  The index set
+of the structure maps and the maps built on it (`structure_maps`) live
+in `msat.numbering`; a simplicial diagram or algebra whose maps do not
+fit it raises `InvalidParameter`.  Weak equivalence is never decided:
+the homotopy probe only refutes, by comparing connected components and
+integral homology (normalized chains, Smith normal form) below the cap.
 
-Checks and invariants run on element positions (`msat.numbering`):
-each level is numbered once, every structure map table becomes a list
-of positions, and an identity or naturality square is checked by
-comparing two composites of such lists as a whole.  An element is read
-only where they differ, to spell the message.  A simplicial diagram
-numbers the level sets of all its objects together, as one disjoint
-union; the probe reads each object's block of it, and numbers a product
-by mixed radix without building its tuples.  `smith_normal_form` takes
-the unit pivots on sparse rows before the dense reduction.
+Checks and invariants run on element positions (`msat.numbering`), for
+valid and malformed tables alike: each level is numbered once, every
+structure map table becomes a list of positions, and an identity or
+naturality square is checked by comparing two composites of such lists
+as a whole.  An element is read only where they differ, to spell the
+message.  A simplicial diagram (algebra) numbers the level sets of all
+its objects (sorts) together, as one disjoint union; the probe reads
+each object's block of it, and numbers a product by mixed radix without
+building its tuples.  `smith_normal_form` takes the unit pivots on
+sparse rows before the dense reduction.
 """
 
 from __future__ import annotations
@@ -30,20 +31,12 @@ from operator import add, ne
 from .diagram import DiagramOnTruncation
 from .errors import InvalidParameter, UnsupportedDoctrine
 from .models import FiniteAlgebra, as_functor, check_equations, check_product_preservation
-from .numbering import Numbering, degeneracy_keys, face_keys, number_parts, product_numbering
+from .numbering import Numbering, number_parts, product_numbering, structure_kinds, structure_maps
 from .presentations import AlgebraPresentation, free_presentation
 from .signature import Context, Doctrine, Sort, Var, enumerate_terms, enumerate_values
 from .theory_cat import TheoryObject
 
 DEFAULT_DIM_CAP = 3
-
-
-def structure_maps(cap: int, face, degeneracy) -> tuple[dict, dict]:
-    """The (faces, degeneracies) of a cap-truncated simplicial object,
-    keyed in `face_keys` and `degeneracy_keys` order: `face(n, i)` is
-    the table of d_i on level n and `degeneracy(n, j)` that of s_j."""
-    return ({k: face(*k) for k in face_keys(cap)},
-            {k: degeneracy(*k) for k in degeneracy_keys(cap)})
 
 
 def lifted_maps(cap: int, rule, *sources) -> tuple[dict, dict]:
@@ -66,18 +59,12 @@ def objectwise(levels: list, image):
     }
 
 
-def _kinds(cap: int, faces: dict, degeneracies: dict) -> tuple:
-    """(name, maps, keys, step) for each kind of structure map: a face
-    lowers the level by one, a degeneracy raises it by one."""
-    return (("face d", faces, face_keys(cap), -1),
-            ("degeneracy s", degeneracies, degeneracy_keys(cap), 1))
-
-
-def _index_problem(cap: int, faces: dict, degeneracies: dict, parts) -> str | None:
+def _index_problem(cap: int, faces: dict, degeneracies: dict, parts, outside: str) -> str | None:
     """Why per-part structure maps do not fit the cap, or None: their
     keys must be exactly `face_keys(cap)` and `degeneracy_keys(cap)`,
-    and each map needs a table at every part (object or sort)."""
-    for name, maps, keys, _ in _kinds(cap, faces, degeneracies):
+    and each map needs a table at every part (object or sort) and at
+    nothing else (`outside` names where the rest lies)."""
+    for name, maps, keys, _ in structure_kinds(cap, faces, degeneracies):
         index = set(keys)
         for key in maps:
             if key not in index:
@@ -88,14 +75,31 @@ def _index_problem(cap: int, faces: dict, degeneracies: dict, parts) -> str | No
             for part in parts:
                 if part not in maps[(n, i)]:
                     return f"{name}_{i} at level {n} has no table at {part}"
+            if len(maps[(n, i)]) != len(parts):
+                stray = next(part for part in maps[(n, i)] if part not in parts)
+                return f"{name}_{i} at level {n} has a table at {stray} outside {outside}"
     return None
+
+
+def _part_problems(union: Numbering, offsets: list, problems: list, value) -> list[list[str]]:
+    """Per part of a `number_parts` union, why it is not a simplicial
+    set: its table problems, else each failed simplicial identity, in
+    order, spelt on the element of `value(n, p)` (part p's level n)
+    where it fails."""
+    out = [[f"{name}_{i} at level {n} {why}" for name, n, i, why in bad] for bad in problems]
+    for identity, n, g in union.identity_failures():
+        p = bisect_right(offsets[n], g) - 1
+        if not problems[p]:
+            out[p].append(f"{identity} at level {n} on {value(n, p)[g - offsets[n][p]]!r}")
+    return out
 
 
 class TruncSimplicialSet:
     """A cap-truncated simplicial set: element tuples per level and
     element tables for the structure maps.  Its checks and invariants
     run on its `numbering`, built once from the tables (which are
-    read-only afterwards) and rebuilt by `identity_problems`."""
+    read-only afterwards) and rebuilt by `identity_problems`; tables
+    that do not number (`number_parts`) have none, and `numbering` raises."""
 
     def __init__(self, cap: int, levels: dict, faces: dict, degeneracies: dict,
                  check: bool = True):
@@ -114,44 +118,21 @@ class TruncSimplicialSet:
 
     def numbering(self) -> Numbering:
         if self._numbering is None:
-            problems = self._number()
-            if problems:
+            problems = self.identity_problems()
+            if self._numbering is None:
                 raise InvalidParameter("not a simplicial set: " + problems[0])
         return self._numbering
 
-    def _number(self) -> list[str]:
-        """Number the tables (`number_parts`, one part), or say why they
-        do not number: the first map "missing or partial" ends the list,
-        and "leaves the level set" is listed per map."""
-        try:
-            self._numbering = number_parts(
-                self.cap, {n: [level] for n, level in self.levels.items()},
-                {k: [t] for k, t in self.faces.items()},
-                {k: [t] for k, t in self.degeneracies.items()})[0]
-            return []
-        except KeyError:
-            self._numbering = None
-        out = []
-        for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
-            for n, i in keys:
-                table = maps.get((n, i))
-                if table is None or set(table) != set(self.levels[n]):
-                    out.append(f"{name}_{i} at level {n} missing or partial")
-                    return out
-                image = set(self.levels[n + step])
-                if any(v not in image for v in table.values()):
-                    out.append(f"{name}_{i} at level {n} leaves the level set")
-        return out
-
     def identity_problems(self) -> list[str]:
-        """The maps' totality and range problems (`_number`), else every
-        failed simplicial identity (`Numbering.identity_failures`); an
-        element is read only where an identity fails, to spell it."""
-        out = self._number()
-        if out:
-            return out  # identity checks below assume total, in-range maps
-        return [f"{identity} at level {n} on {self.levels[n][k]!r}"
-                for identity, n, k in self._numbering.identity_failures()]
+        """The maps' totality and range problems, else every failed
+        simplicial identity (`_part_problems`, one part); the numbering
+        is kept when the tables number (`number_parts`)."""
+        numbering, offsets, _, problems = number_parts(
+            self.cap, {n: [level] for n, level in self.levels.items()},
+            {k: [t] for k, t in self.faces.items()},
+            {k: [t] for k, t in self.degeneracies.items()})
+        self._numbering = None if problems[0] else numbering
+        return _part_problems(numbering, offsets, problems, lambda n, p: self.levels[n])[0]
 
     def nondegenerate(self, n: int) -> list:
         level = self.levels[n]
@@ -369,6 +350,8 @@ class SimplicialDiagram:
 
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[DiagramOnTruncation],
                  faces: dict, degeneracies: dict):
+        if cap < 0:
+            raise InvalidParameter("dimension cap must be >= 0")
         if len(levels) != cap + 1:
             raise InvalidParameter("need one diagram per level up to the cap")
         self.doctrine = doctrine
@@ -378,8 +361,6 @@ class SimplicialDiagram:
         self.degeneracies = {
             k: {o: dict(t) for o, t in v.items()} for k, v in degeneracies.items()
         }
-        self._numberings: dict = {}
-        self._union = None
         problems = self.structure_problems()
         if problems:
             raise InvalidParameter("bad simplicial diagram: " + problems[0])
@@ -390,44 +371,29 @@ class SimplicialDiagram:
     def structure_problems(self) -> list[str]:
         """Why the tables are not a simplicial diagram: a key or table
         missing, the first problem of each object whose values are not a
-        simplicial set, then every structure map entry that is not
-        natural for a level arrow.  Renumbers the level sets of all
-        objects from the tables, as one disjoint union with a block per
-        object (`number_parts`); when a table does not number, each
-        object's simplicial set is checked on its own and every arrow
-        entry is read."""
+        simplicial set (`_part_problems`), then every structure map
+        entry that is not natural for a level arrow.  Renumbers the
+        level sets of all objects from the tables, valid or not, as
+        one disjoint union with a block per object (`number_parts`);
+        an arrow entry is read only where two composites on its
+        positions differ."""
         objects = self.objects()
         if any(L.objects() != objects for L in self.levels):
             return ["level diagrams disagree on their objects"]
-        problem = _index_problem(self.cap, self.faces, self.degeneracies, objects)
+        problem = _index_problem(self.cap, self.faces, self.degeneracies, objects,
+                                 "the truncation")
         if problem:
             return [problem]
-        self._numberings, self._union = {}, None
-        try:
-            union, offsets, firsts = number_parts(
-                self.cap, {n: [L.value(obj) for obj in objects] for n, L in enumerate(self.levels)},
-                {k: [v[obj] for obj in objects] for k, v in self.faces.items()},
-                {k: [v[obj] for obj in objects] for k, v in self.degeneracies.items()})
-            self._union = union, offsets  # the probe cuts its blocks
-        except KeyError:
-            pass
-        problems = []
-        if self._union is None:
-            for obj in objects:
-                bad = self.object_sset(obj).identity_problems()
-                if bad:
-                    problems.append(f"at {obj}: not a simplicial set: {bad[0]}")
-            differ = None
-        else:
-            first = {}  # obj -> its first failed identity
-            for identity, n, g in union.identity_failures():
-                p = bisect_right(offsets[n], g) - 1
-                if objects[p] not in first:
-                    x = self.levels[n].value(objects[p])[g - offsets[n][p]]
-                    first[objects[p]] = f"{identity} at level {n} on {x!r}"
-            problems = [f"at {obj}: not a simplicial set: {first[obj]}"
-                        for obj in objects if obj in first]
-            differ = self._naturality_on_positions(union, offsets, firsts)
+        union, offsets, firsts, unnumbered = number_parts(
+            self.cap, {n: [L.value(obj) for obj in objects] for n, L in enumerate(self.levels)},
+            {k: [v[obj] for obj in objects] for k, v in self.faces.items()},
+            {k: [v[obj] for obj in objects] for k, v in self.degeneracies.items()})
+        self._numberings, self._union = {}, (union, offsets)  # the probe cuts its blocks
+        per_object = _part_problems(union, offsets, unnumbered,
+                                    lambda n, p: self.levels[n].value(objects[p]))
+        problems = [f"at {obj}: not a simplicial set: {found[0]}"
+                    for obj, found in zip(objects, per_object) if found]
+        differ = self._naturality_on_positions(union, offsets, firsts)
         # naturality of structure maps against the level diagrams: for an
         # entry x -> y of a level-n arrow m and the structure map t at
         # (n, i), t(y) = m(t(x)) at the level t maps to, where defined
@@ -437,11 +403,11 @@ class SimplicialDiagram:
             entries.append((list(chain.from_iterable(map(repeat, L.arrows, map(len, tables)))),
                             list(chain.from_iterable(tables)),
                             list(chain.from_iterable(map(dict.values, tables)))))
-        for name, maps, keys, step in _kinds(self.cap, self.faces, self.degeneracies):
+        for name, maps, keys, step in structure_kinds(self.cap, self.faces, self.degeneracies):
             for n, i in keys:
                 tables, image = maps[(n, i)], self.levels[n + step]
                 at, xs, ys = entries[n]
-                for k in differ(n, i, step) if differ else range(len(xs)):
+                for k in differ(n, i, step):
                     m, x = at[k], xs[k]
                     itable = image.arrows.get(m, {})
                     fx = tables[m.source].get(x)
@@ -460,33 +426,30 @@ class SimplicialDiagram:
         problem is among them.  A level's arrows are one run of entries,
         and each arrow has a block of the level's lookup table (-1 where
         the arrow is undefined), so a structure map is one composite over
-        the whole level.  None when an arrow names an element its object
-        lacks."""
+        the whole level.  Where t is -1 (no image) the element test never
+        fails, and the read stays in range: the table holds one -1 more."""
         objects = self.objects()
         sources, targets, lookups, bases = [], [], [], []
         for n, L in enumerate(self.levels):
             off = dict(zip(objects, offsets[n]))
             first = dict(zip(objects, firsts[n]))
             src, tgt, look, base = [], [], [], {}
-            try:
-                for m, table in L.arrows.items():
-                    to = list(map(first[m.target].__getitem__, table.values()))
-                    values = L.value(m.source)
-                    start, size = off[m.source], len(values)
-                    base[m] = len(look) - start
-                    if len(table) == size and tuple(table) == values:
-                        src.extend(range(start, start + size))
-                        look.extend(to)
-                    else:
-                        at = list(map(first[m.source].__getitem__, table))
-                        src.extend(at)
-                        look.extend(map(dict(zip(at, to)).get, range(start, start + size),
-                                        repeat(-1)))
-                    tgt.extend(to)
-            except KeyError:
-                return None
+            for m, table in L.arrows.items():  # well formed: keys and images are values
+                to = list(map(first[m.target].__getitem__, table.values()))
+                values = L.value(m.source)
+                start, size = off[m.source], len(values)
+                base[m] = len(look) - start
+                if len(table) == size and tuple(table) == values:
+                    src.extend(range(start, start + size))
+                    look.extend(to)
+                else:
+                    at = list(map(first[m.source].__getitem__, table))
+                    src.extend(at)
+                    look.extend(map(dict(zip(at, to)).get, range(start, start + size),
+                                    repeat(-1)))
+                tgt.extend(to)
             missing = len(look)  # the block of an arrow this level lacks
-            look.extend(repeat(-1, offsets[n][-1]))
+            look.extend(repeat(-1, offsets[n][-1] + 1))
             sources.append(src)
             targets.append(tgt)
             lookups.append(look)
@@ -507,24 +470,13 @@ class SimplicialDiagram:
 
         return differ
 
-    def object_sset(self, obj: TheoryObject) -> TruncSimplicialSet:
-        """The simplicial set of the values at obj, unchecked."""
-        levels = {n: self.levels[n].value(obj) for n in range(self.cap + 1)}
-        return TruncSimplicialSet(
-            self.cap, levels, *lifted_maps(self.cap, lambda n, t: t[obj], self), check=False
-        )
-
     def object_numbering(self, obj: TheoryObject) -> Numbering:
         """The numbering of the simplicial set at obj: its block of the
         levels' numbering, cut once."""
         N = self._numberings.get(obj)
         if N is None:
-            if self._union is None:
-                N = self.object_sset(obj).numbering()
-            else:
-                union, offsets = self._union
-                N = union.block(offsets, self.objects().index(obj))
-            self._numberings[obj] = N
+            union, offsets = self._union
+            N = self._numberings[obj] = union.block(offsets, self.objects().index(obj))
         return N
 
     def product_numbering(self, obj: TheoryObject) -> Numbering:
@@ -587,9 +539,12 @@ def homotopy_probe(X: SimplicialDiagram) -> ProbeResult:
 class SimplicialAlgebra:
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[FiniteAlgebra],
                  faces: dict, degeneracies: dict):
+        if cap < 0:
+            raise InvalidParameter("dimension cap must be >= 0")
         if len(levels) != cap + 1:
             raise InvalidParameter("need one algebra per level up to the cap")
-        problem = _index_problem(cap, faces, degeneracies, doctrine.sorts)
+        sorts = doctrine.sorts
+        problem = _index_problem(cap, faces, degeneracies, sorts, "the doctrine's sorts")
         if problem:
             raise InvalidParameter("bad simplicial algebra: " + problem)
         self.doctrine = doctrine
@@ -601,9 +556,14 @@ class SimplicialAlgebra:
             bad = check_equations(alg)
             if bad:
                 raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
-        for s in doctrine.sorts:  # total, in-range tables before the homomorphism check
-            self._sort_sset(s, check=True)
-        for name, maps, keys, step in _kinds(cap, faces, degeneracies):
+        # the sorts as the parts of one simplicial set, before the homomorphism check
+        carriers = {n: [tuple(alg.carriers[s]) for s in sorts] for n, alg in enumerate(levels)}
+        union, offsets, _, unnumbered = number_parts(
+            cap, carriers, *lifted_maps(cap, lambda n, comp: [comp[s] for s in sorts], self))
+        for found in _part_problems(union, offsets, unnumbered, lambda n, p: carriers[n][p]):
+            if found:
+                raise InvalidParameter("not a simplicial set: " + found[0])
+        for name, maps, keys, step in structure_kinds(cap, faces, degeneracies):
             for n, i in keys:
                 label = f"{name}_{i} at level {n}"
                 self._check_hom(self.levels[n], self.levels[n + step], maps[(n, i)], label)
@@ -615,11 +575,11 @@ class SimplicialAlgebra:
                 if comp[op.codomain][A.tables[op.name][args]] != B.tables[op.name][mapped]:
                     raise InvalidParameter(f"structure map {label} is not a homomorphism")
 
-    def _sort_sset(self, sort: Sort, check=False) -> TruncSimplicialSet:
+    def _sort_sset(self, sort: Sort) -> TruncSimplicialSet:
         levels = {n: self.levels[n].carriers[sort] for n in range(self.cap + 1)}
         return TruncSimplicialSet(
             self.cap, levels, *lifted_maps(self.cap, lambda n, comp: comp[sort], self),
-            check=check,
+            check=False,
         )
 
     def as_diagram(self, object_bound: int = 2, term_bound: int = 2) -> SimplicialDiagram:

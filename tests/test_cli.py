@@ -661,3 +661,55 @@ def test_cross_process_determinism(tmp_path, trivial, group_theory_file, argv, c
         assert proc.stdout
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+
+def _face_leaves_level(data):
+    table = next(e for e in data["faces"] if (e["level"], e["index"]) == (1, 0))["maps"]["el,el"]
+    table[next(iter(table))] = "((9),(9))"
+
+
+def _table_outside_truncation(data):
+    next(e for e in data["faces"] if (e["level"], e["index"]) == (1, 0))["maps"]["el,el,el"] = {}
+
+
+def _negative_cap(data):
+    data.clear()
+    data.update({"dim_cap": -1, "levels": [], "faces": [], "degeneracies": []})
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_face_leaves_level, "bad simplicial diagram: at el,el: not a simplicial set: "
+                         "face d_0 at level 1 leaves the level set"),
+    (_table_outside_truncation, "bad simplicial diagram: face d_0 at level 1 "
+                                "has a table at el,el,el outside the truncation"),
+    (_negative_cap, "dimension cap must be >= 0"),
+], ids=["leaves-level", "outside-truncation", "negative-cap"])
+def test_malformed_simplicial_input_is_a_typed_error(tmp_path, trivial, capsys, corrupt, error):
+    """Recorded before `number_parts` reported the tables that do not
+    number: the leaves-level case passed then, the other two did not."""
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=3)))
+    corrupt(data)
+    path = tmp_path / "bad_input.json"
+    path.write_text(json.dumps(data))
+    for verb in (["homotopy-probe"], ["strict-check", "--simplicial"]):
+        report, code = run(verb + ["--theory", "builtin:trivial", "--diagram", str(path)])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"] == "InvalidParameter: " + error
+        assert capsys.readouterr().err == ""
+
+
+def test_values_outside_the_truncation_are_a_typed_error(tmp_path, trivial, capsys):
+    from msat.fuzz import make_rng, random_trivial_diagram
+
+    data = diagram_to_data(random_trivial_diagram(make_rng(3), trivial))
+    data["values"].append({"object": ["el", "el", "el"], "elements": ["a", "b"]})
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(data))
+    report, code = run(["strict-check", "--theory", "builtin:trivial", "--diagram", str(path)])
+    assert code == 2 and report["error"] == (
+        "InvalidParameter: malformed diagram: values at el,el,el leave the truncation")
+    assert capsys.readouterr().err == ""

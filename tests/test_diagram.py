@@ -2,6 +2,7 @@
 term-level composition in representable diagrams, against the naive
 oracles in `oracles.py`."""
 
+import itertools
 import json
 import random
 
@@ -305,3 +306,36 @@ def test_well_formed_problems_in_order(trivial):
         f"arrow {first}: 'x' not in source values",
         f"arrow {second}: image 'q' not in target values",
     ]
+
+
+@pytest.mark.parametrize("images, factors", [
+    ([("a", "x"), ("b", "x")], [["a", "b"], ["x"]]),  # bijective
+    ([("a", "x"), ("b", "x")], [["a", "b", "a"], ["x"]]),  # a factor repeats an element
+    ([("a", "x"), ("a", "x")], [["a", "b"], ["x"]]),  # not injective
+    ([("a", "x")], [["a", "b"], ["x"]]),  # not surjective
+    ([("a", "x"), ("c", "x")], [["a", "b"], ["x"]]),  # an image outside the product
+    ([("a",), ("b",)], [["a", "b"], ["x"]]),  # images of the wrong arity
+    ([], [["a", "b"], []]),  # an empty factor
+    ([("a", "x")], [["a", "b"], []]),
+    ([], [["a", "a"], []]),
+    ([()], []),  # zero factors: the terminal object
+    ([], []),
+    ([(), ()], []),
+])
+def test_product_bijection_matches_listing_the_product(images, factors):
+    want = diagram.is_bijection(images, list(itertools.product(*factors)))
+    assert diagram.is_product_bijection(images, factors) == want
+
+
+def test_product_bijection_on_random_maps():
+    rng = random.Random(7)
+    for _ in range(300):
+        factors = [[rng.randrange(3) for _ in range(rng.randrange(3))]
+                   for _ in range(rng.randrange(4))]
+        pool = list(itertools.product(*(f + [9] for f in factors)))
+        images = [rng.choice(pool) for _ in range(rng.randrange(5))] if pool else []
+        if rng.random() < 0.5:
+            images = list(itertools.product(*factors))
+            rng.shuffle(images)
+        want = diagram.is_bijection(images, list(itertools.product(*factors)))
+        assert diagram.is_product_bijection(images, factors) == want

@@ -426,6 +426,11 @@ def _diagram_mutant(trivial, kind):
     elif kind == "repeated-element":
         SD.levels[1].values[T2] = vals[1][T2] + (vals[1][T2][0],)
         SD.faces[(1, 0)][T2][vals[1][T2][0]] = _pick(vals[0][T2], 3)
+    elif kind == "extra-key":
+        SD.faces[(2, 1)][T2][("stray", "key")] = _pick(vals[1][T2], 0)
+    elif kind == "partial-and-changed":
+        del SD.degeneracies[(1, 1)][T1][_pick(vals[1][T1], 2)]
+        SD.faces[(2, 1)][T2][_pick(vals[2][T2], 7)] = _pick(vals[1][T2], 2)
     return SD
 
 
@@ -453,6 +458,18 @@ PROBLEM_DIGESTS = {
 }
 
 
+# mutants whose tables do not number at one object only; (count, digest)
+# recorded while such tables still fell back to element-wise checks
+MIXED_MUTANTS = ("extra-key", "partial-and-changed")
+MIXED_DIGESTS = {
+    "extra-key": (1, "bae720c668c0738af715fb358546ed172447cb40a14e5468331ce7aa8cd3da64"),
+    "partial-and-changed": (6, "3df12c1ae04d12c928ea94581b6eb7fd255c3753fdbd11742abc56da2c91f228"),
+}
+EMPTY_LEVEL_MESSAGE = ("bad simplicial diagram: at (): not a simplicial set: "
+                       "face d_0 at level 3 leaves the level set")
+SECOND_SORT_MESSAGE = "not a simplicial set: d_0 d_1 != d_0 d_0 at level 2 on 0"
+
+
 class TestProblemMessages:
     """The identity and structure checks report every problem, in
     order, with the same text, on valid inputs and on mutants."""
@@ -476,3 +493,56 @@ class TestProblemMessages:
             for inflate in (False, True):
                 SD = product_simplicial_diagram(trivial, S, inflate=inflate)
                 assert SD.structure_problems() == []
+
+    @pytest.mark.parametrize("kind", MIXED_MUTANTS)
+    def test_mixed_mutant_problems_are_pinned(self, trivial, kind):
+        messages = _diagram_mutant(trivial, kind).structure_problems()
+        assert (len(messages), _messages_digest(messages)) == MIXED_DIGESTS[kind]
+
+    def test_level_empty_at_every_object_is_a_typed_error(self, trivial):
+        """Level 2 holds no element at any object while the level-3 faces
+        and level-1 degeneracies still point into it."""
+        from msat.diagram import DiagramOnTruncation
+
+        SD = product_simplicial_diagram(trivial, standard("delta", 1, cap=3))
+        levels = list(SD.levels)
+        levels[2] = DiagramOnTruncation(trivial, 2, 2, {}, {m: {} for m in levels[2].arrows})
+        faces, degens = ({k: {o: ({} if k[0] == 2 else t) for o, t in v.items()}
+                          for k, v in maps.items()} for maps in (SD.faces, SD.degeneracies))
+        with pytest.raises(InvalidParameter) as err:
+            SimplicialDiagram(trivial, 3, levels, faces, degens)
+        assert str(err.value) == EMPTY_LEVEL_MESSAGE
+
+    def test_second_sort_identity_failure_is_reported(self, ring_module):
+        from msat.catalog import ring_module_model
+
+        sa = constant_simplicial_algebra(ring_module_model(ring_module, 2), 3)
+        M = ring_module.sorts[1]
+        faces = {k: {s: dict(t) for s, t in v.items()} for k, v in sa.faces.items()}
+        a, b = sa.levels[2].carriers[M][:2]
+        faces[(2, 0)][M][a] = b
+        with pytest.raises(InvalidParameter) as err:
+            SimplicialAlgebra(ring_module, 3, sa.levels, faces, sa.degeneracies)
+        assert str(err.value) == SECOND_SORT_MESSAGE
+
+
+def test_negative_dimension_cap_is_a_typed_error(trivial, group):
+    with pytest.raises(InvalidParameter, match="dimension cap must be >= 0"):
+        SimplicialDiagram(trivial, -1, [], {}, {})
+    with pytest.raises(InvalidParameter, match="dimension cap must be >= 0"):
+        SimplicialAlgebra(group, -1, [], {}, {})
+
+
+def test_first_missing_table_ends_the_list():
+    """A table that leaves its level is listed and the check goes on; the
+    first missing or partial table ends the list."""
+    d = standard("delta", 1, cap=2)
+    faces = {k: dict(v) for k, v in d.faces.items()}
+    degens = {k: dict(v) for k, v in d.degeneracies.items()}
+    faces[(1, 1)][d.level(1)[0]] = ("nowhere",)
+    del faces[(2, 0)][d.level(2)[0]]
+    degens[(0, 0)][d.level(0)[0]] = ("gone",)
+    assert TruncSimplicialSet(2, d.levels, faces, degens, check=False).identity_problems() == [
+        "face d_1 at level 1 leaves the level set",
+        "face d_0 at level 2 missing or partial",
+    ]

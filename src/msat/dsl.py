@@ -461,13 +461,38 @@ def _field(obj, key: str, where: str, kind: type):
     return _expect(obj[key], kind, path)
 
 
+_COMPOUND = {list, dict}
+
+
+def _scalars(items, path: str):
+    """`items`, the JSON array or object found at path `path`, if none
+    of its values is an array or an object: a diagram element or image
+    is a JSON scalar.  A compound value is a `ParseError` naming its
+    path."""
+    is_object = type(items) is dict
+    if not _COMPOUND.isdisjoint(map(type, items.values() if is_object else items)):
+        key, value = next((k, v) for k, v in (items.items() if is_object else enumerate(items))
+                          if type(v) in _COMPOUND)
+        raise ParseError(f"{path}[{key!r}]: expected a scalar, found {_JSON_KINDS[type(value)]}")
+    return items
+
+
+def _bound(data, key: str) -> int:
+    """The bound `key` of the diagram JSON object `data`; a negative
+    one is a `ParseError` naming its path."""
+    value = _field(data, key, "", int)
+    if value < 0:
+        raise ParseError(f"{key}: bound must be >= 0, got {value}")
+    return value
+
+
 def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
     values, seen = {}, {}
     for i, entry in enumerate(_field(data, "values", "", list)):
         where = f"values[{i}]"
         obj = object_from_json(doctrine, _field(entry, "object", where, list))
         _once(seen, obj, where, f"object {obj}")
-        values[obj] = tuple(_field(entry, "elements", where, list))
+        values[obj] = tuple(_scalars(_field(entry, "elements", where, list), f"{where}.elements"))
     arrows, seen = {}, {}
     for i, entry in enumerate(_field(data, "arrows", "", list)):
         where = f"arrows[{i}]"
@@ -478,10 +503,9 @@ def diagram_from_data(data: dict, doctrine: Doctrine) -> DiagramOnTruncation:
                  for j, t in enumerate(_field(entry, "terms", where, list))]
         m = make_morphism(doctrine, src, tgt, terms)
         _once(seen, m, where, f"morphism {m}")
-        arrows[m] = dict(_field(entry, "map", where, dict))
-    object_bound = _field(data, "object_bound", "", int)
-    term_bound = _field(data, "term_bound", "", int)
-    return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
+        arrows[m] = dict(_scalars(_field(entry, "map", where, dict), f"{where}.map"))
+    return DiagramOnTruncation(doctrine, _bound(data, "object_bound"), _bound(data, "term_bound"),
+                               values, arrows)
 
 
 def simplicial_to_data(SD: SimplicialDiagram) -> dict:
@@ -527,7 +551,7 @@ def simplicial_from_data(data: dict, doctrine: Doctrine) -> SimplicialDiagram:
                 obj = parse_object_text(key, doctrine)
                 path = f"{where}.maps[{key!r}]"
                 _once(objs, obj, path, f"object {obj}")
-                per_obj[obj] = dict(_expect(table, dict, path))
+                per_obj[obj] = dict(_scalars(_expect(table, dict, path), path))
             n, k = _field(entry, "level", where, int), _field(entry, "index", where, int)
             _once(seen, (n, k), where, f"level {n}, index {k}")
             out[(n, k)] = per_obj

@@ -8,17 +8,19 @@ once, and every face and degeneracy table is a list of positions, so a
 simplicial identity is checked by comparing two composites of such
 lists as a whole (`Numbering.identity_failures`).  `number_parts`
 numbers the element tables of several simplicial sets at once, as one
-disjoint union with a block per part.  It takes any tables: one that is
-missing, partial or leaves its level is reported beside the numbering,
-with -1 where it has no position.  `product_numbering` numbers a
-levelwise product by mixed radix without building its tuples.
-`msat.simplicial` reads elements only where a check fails, to spell the
-message, and computes homology on the numbering.
+disjoint union with a block per part, and spells why each part is not a
+simplicial set: the tables that are missing, partial or leave their
+level (with -1 where an entry has no position), else every identity
+that fails, on the element where it fails.  It is the one check of
+every simplicial object in `msat.simplicial`, run once when the object
+is built.  `product_numbering` numbers a levelwise product by mixed
+radix without building its tuples.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, ne, not_
 
@@ -80,15 +82,18 @@ def _table_positions(table, level: tuple, first: dict, image_first: dict):
 
 
 def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
-    """Number a disjoint union of parts at once: levels[n] lists the
-    parts' level-n tuples, and faces[(n, i)] and degeneracies[(n, j)]
-    list their tables (or lack the key).  Part p's block of level n
-    starts at offsets[n][p], and firsts[n][p] sends each of its elements
-    to its first position there.  Returns (numbering, offsets, firsts,
-    problems) for any tables of hashable images: problems[p] lists (name,
-    n, i, why) for each table of part p that does not number
-    (`_table_positions`), in order, up to the first `MISSING`.  Every
-    table ends with an entry -1, so a composite through -1 stays -1."""
+    """Number a disjoint union of parts at once, and check each part:
+    levels[n] lists the parts' level-n tuples, and faces[(n, i)] and
+    degeneracies[(n, j)] list their tables (or lack the key).  Part p's
+    block of level n starts at offsets[n][p], and firsts[n][p] sends
+    each of its elements to its first position there.  Returns
+    (numbering, offsets, firsts, problems) for any tables of hashable
+    images: problems[p] lists why part p is not a simplicial set, in
+    order.  These are its tables that do not number, as "{name}_{i} at
+    level {n} {why}" (`_table_positions`), up to the first `MISSING`;
+    or else each failed identity, spelt on the element where it fails.
+    Every table ends with an entry -1, so a composite through -1 stays
+    -1."""
     offsets, firsts, canon = [], [], []
     for n in range(cap + 1):
         values = levels[n]
@@ -109,12 +114,17 @@ def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
                 positions, why = _table_positions(*args)
                 pieces.append(positions)
                 if why and p not in ended:
-                    problems[p].append((name, n, i, why))
+                    problems[p].append(f"{name}_{i} at level {n} {why}")
                     if why is MISSING:
                         ended.add(p)
             numbered[(n, i)] = list(chain(chain.from_iterable(pieces), (-1,)))
         tables.append(numbered)
     numbering = Numbering(cap, [off[-1] for off in offsets], canon, *tables)
+    tables_ok = [not bad for bad in problems]
+    for identity, n, g in numbering.identity_failures():
+        p = bisect_right(offsets[n], g) - 1
+        if tables_ok[p]:
+            problems[p].append(f"{identity} at level {n} on {levels[n][p][g - offsets[n][p]]!r}")
     return numbering, offsets, firsts, problems
 
 

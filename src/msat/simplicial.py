@@ -7,23 +7,26 @@ fit it raises `InvalidParameter`.  Weak equivalence is never decided:
 the homotopy probe only refutes, by comparing connected components and
 integral homology (normalized chains, Smith normal form) below the cap.
 
-Checks and invariants run on element positions (`msat.numbering`), for
-valid and malformed tables alike: each level is numbered once, every
-structure map table becomes a list of positions, and an identity or
-naturality square is checked by comparing two composites of such lists
-as a whole.  An element is read only where they differ, to spell the
-message.  A simplicial diagram (algebra) numbers the level sets of all
-its objects (sorts) together, as one disjoint union; the probe reads
-each object's block of it, and numbers a product by mixed radix without
-building its tuples.  `smith_normal_form` takes the unit pivots on
-sparse rows before the dense reduction.
+Every simplicial set, diagram and algebra is checked and numbered once,
+when it is built, by one call of `number_parts` (`msat.numbering`), and
+raises `InvalidParameter` on the first problem; `identity_problems` and
+`SimplicialDiagram.structure_problems` list every problem of tables
+without keeping anything.  Checks and invariants run on element
+positions, for valid and malformed tables alike: each level is numbered
+once, every structure map table becomes a list of positions, and an
+identity or naturality square is checked by comparing two composites of
+such lists as a whole.  An element is read only where they differ, to
+spell the message.  A simplicial diagram (algebra) numbers the level
+sets of all its objects (sorts) together, as one disjoint union; the
+probe reads each object's block of it, and numbers a product by mixed
+radix without building its tuples.  `smith_normal_form` takes the unit
+pivots on sparse rows before the dense reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import add, ne
@@ -81,67 +84,51 @@ def _index_problem(cap: int, faces: dict, degeneracies: dict, parts, outside: st
     return None
 
 
-def _part_problems(union: Numbering, offsets: list, problems: list, value) -> list[list[str]]:
-    """Per part of a `number_parts` union, why it is not a simplicial
-    set: its table problems, else each failed simplicial identity, in
-    order, spelt on the element of `value(n, p)` (part p's level n)
-    where it fails."""
-    out = [[f"{name}_{i} at level {n} {why}" for name, n, i, why in bad] for bad in problems]
-    for identity, n, g in union.identity_failures():
-        p = bisect_right(offsets[n], g) - 1
-        if not problems[p]:
-            out[p].append(f"{identity} at level {n} on {value(n, p)[g - offsets[n][p]]!r}")
-    return out
+def _number_sset(cap: int, levels: dict, faces: dict, degeneracies: dict):
+    """(numbering, problems) of one simplicial set: `number_parts` on a
+    union of one part, whose level n is the tuple of `levels.get(n)`."""
+    numbering, _, _, (problems,) = number_parts(
+        cap, {n: [tuple(levels.get(n, ()))] for n in range(cap + 1)},
+        {k: [t] for k, t in faces.items()}, {k: [t] for k, t in degeneracies.items()})
+    return numbering, problems
+
+
+def identity_problems(cap: int, levels: dict, faces: dict, degeneracies: dict) -> list[str]:
+    """Why the tables are not a cap-truncated simplicial set: the maps'
+    totality and range problems, else every failed simplicial identity
+    (`number_parts`); empty when they are one."""
+    return _number_sset(cap, levels, faces, degeneracies)[1]
 
 
 class TruncSimplicialSet:
     """A cap-truncated simplicial set: element tuples per level and
-    element tables for the structure maps.  Its checks and invariants
-    run on its `numbering`, built once from the tables (which are
-    read-only afterwards) and rebuilt by `identity_problems`; tables
-    that do not number (`number_parts`) have none, and `numbering` raises."""
+    element tables for the structure maps.  It is checked and numbered
+    once, when built (`number_parts`), and raises `InvalidParameter` on
+    the first problem; the tables are read-only afterwards, and its
+    invariants run on `numbering`."""
 
-    def __init__(self, cap: int, levels: dict, faces: dict, degeneracies: dict,
-                 check: bool = True):
+    def __init__(self, cap: int, levels: dict, faces: dict, degeneracies: dict):
+        if cap < 0:
+            raise InvalidParameter("dimension cap must be >= 0")
         self.cap = cap
         self.levels = {n: tuple(levels.get(n, ())) for n in range(cap + 1)}
         self.faces = {k: dict(v) for k, v in faces.items()}
         self.degeneracies = {k: dict(v) for k, v in degeneracies.items()}
-        self._numbering = None
-        if check:
-            problems = self.identity_problems()
-            if problems:
-                raise InvalidParameter("not a simplicial set: " + problems[0])
+        self.numbering, problems = _number_sset(cap, self.levels, self.faces, self.degeneracies)
+        if problems:
+            raise InvalidParameter("not a simplicial set: " + problems[0])
 
     def level(self, n: int):
         return self.levels[n]
 
-    def numbering(self) -> Numbering:
-        if self._numbering is None:
-            problems = self.identity_problems()
-            if self._numbering is None:
-                raise InvalidParameter("not a simplicial set: " + problems[0])
-        return self._numbering
-
-    def identity_problems(self) -> list[str]:
-        """The maps' totality and range problems, else every failed
-        simplicial identity (`_part_problems`, one part); the numbering
-        is kept when the tables number (`number_parts`)."""
-        numbering, offsets, _, problems = number_parts(
-            self.cap, {n: [level] for n, level in self.levels.items()},
-            {k: [t] for k, t in self.faces.items()},
-            {k: [t] for k, t in self.degeneracies.items()})
-        self._numbering = None if problems[0] else numbering
-        return _part_problems(numbering, offsets, problems, lambda n, p: self.levels[n])[0]
-
     def nondegenerate(self, n: int) -> list:
         level = self.levels[n]
-        return [level[k] for k in self.numbering().nondegenerate(n)]
+        return [level[k] for k in self.numbering.nondegenerate(n)]
 
     def pi0_classes(self) -> list[frozenset]:
         """Connected components of the vertices, in first-member order."""
         level = self.levels[0]
-        return [frozenset(level[k] for k in group) for group in self.numbering().components()]
+        return [frozenset(level[k] for k in group) for group in self.numbering.components()]
 
 
 def standard(kind: str, n: int, k: int | None = None, cap: int = DEFAULT_DIM_CAP) -> TruncSimplicialSet:
@@ -203,7 +190,7 @@ def disjoint_union(a: TruncSimplicialSet, b: TruncSimplicialSet) -> TruncSimplic
         return {**{(0, x): (0, y) for x, y in ta.items()},
                 **{(1, x): (1, y) for x, y in tb.items()}}
 
-    return TruncSimplicialSet(cap, levels, *lifted_maps(cap, tagged, a, b), check=False)
+    return TruncSimplicialSet(cap, levels, *lifted_maps(cap, tagged, a, b))
 
 
 # -- integral homology ---------------------------------------------------
@@ -310,16 +297,10 @@ def _dense_smith_normal_form(mat: list[list[int]]) -> list[int]:
     return sorted(d for d in diag if d)
 
 
-def boundary_matrices(X: TruncSimplicialSet) -> list[list[list[int]]]:
-    """Normalized-chain boundary matrices; entry [n] maps level n to
-    level n-1 (n >= 1)."""
-    return X.numbering().boundary_matrices()
-
-
 def homology_invariants(X: TruncSimplicialSet, upto: int) -> list[tuple[int, tuple[int, ...]]]:
     """(betti, torsion factors) for H_i, i = 0..upto-1, computed from the
     normalized chain complex.  Needs upto <= cap."""
-    return _homology(X.numbering(), upto)
+    return _homology(X.numbering, upto)
 
 
 def _homology(N: Numbering, upto: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -344,9 +325,11 @@ def _invariants(N: Numbering) -> dict:
 
 class SimplicialDiagram:
     """A dimension-capped tower of set-valued diagrams with face and
-    degeneracy transformations between consecutive levels.  The tables
-    are read-only once built: the structure check numbers the level
-    sets once, and the probe reads each object's block of it."""
+    degeneracy transformations between consecutive levels.  It is
+    checked once, when built (`structure_problems`), and keeps the
+    numbering of its level sets that the check made; the tables are
+    read-only afterwards, and the probe reads each object's block of
+    that numbering."""
 
     def __init__(self, doctrine: Doctrine, cap: int, levels: list[DiagramOnTruncation],
                  faces: dict, degeneracies: dict):
@@ -361,36 +344,39 @@ class SimplicialDiagram:
         self.degeneracies = {
             k: {o: dict(t) for o, t in v.items()} for k, v in degeneracies.items()
         }
-        problems = self.structure_problems()
+        problems, self._union = self._check()
         if problems:
             raise InvalidParameter("bad simplicial diagram: " + problems[0])
+        self._numberings = {}
 
     def objects(self):
         return self.levels[0].objects()
 
     def structure_problems(self) -> list[str]:
-        """Why the tables are not a simplicial diagram: a key or table
-        missing, the first problem of each object whose values are not a
-        simplicial set (`_part_problems`), then every structure map
-        entry that is not natural for a level arrow.  Renumbers the
-        level sets of all objects from the tables, valid or not, as
-        one disjoint union with a block per object (`number_parts`);
-        an arrow entry is read only where two composites on its
-        positions differ."""
+        """Why the tables, as they are now, are not a simplicial
+        diagram: a key or table missing, the first problem of each
+        object whose values are not a simplicial set (`number_parts`),
+        then every structure map entry that is not natural for a level
+        arrow.  Reads the tables afresh and changes nothing."""
+        return self._check()[0]
+
+    def _check(self):
+        """(problems, (union, offsets)) for `structure_problems`, with
+        None for the union when the objects or keys are wrong.  Numbers
+        the level sets of all objects, valid or not, as one disjoint
+        union with a block per object (`number_parts`); an arrow entry
+        is read only where two composites on its positions differ."""
         objects = self.objects()
         if any(L.objects() != objects for L in self.levels):
-            return ["level diagrams disagree on their objects"]
+            return ["level diagrams disagree on their objects"], None
         problem = _index_problem(self.cap, self.faces, self.degeneracies, objects,
                                  "the truncation")
         if problem:
-            return [problem]
-        union, offsets, firsts, unnumbered = number_parts(
+            return [problem], None
+        union, offsets, firsts, per_object = number_parts(
             self.cap, {n: [L.value(obj) for obj in objects] for n, L in enumerate(self.levels)},
             {k: [v[obj] for obj in objects] for k, v in self.faces.items()},
             {k: [v[obj] for obj in objects] for k, v in self.degeneracies.items()})
-        self._numberings, self._union = {}, (union, offsets)  # the probe cuts its blocks
-        per_object = _part_problems(union, offsets, unnumbered,
-                                    lambda n, p: self.levels[n].value(objects[p]))
         problems = [f"at {obj}: not a simplicial set: {found[0]}"
                     for obj, found in zip(objects, per_object) if found]
         differ = self._naturality_on_positions(union, offsets, firsts)
@@ -417,7 +403,7 @@ class SimplicialDiagram:
                             problems.append(
                                 f"{name}_{i} at level {n} not natural for {m} at {x!r}"
                             )
-        return problems
+        return problems, (union, offsets)
 
     def _naturality_on_positions(self, union: Numbering, offsets: list, firsts: list):
         """A function (n, i, step) -> the level-n arrow entries, in order,
@@ -472,7 +458,7 @@ class SimplicialDiagram:
 
     def object_numbering(self, obj: TheoryObject) -> Numbering:
         """The numbering of the simplicial set at obj: its block of the
-        levels' numbering, cut once."""
+        numbering the check made, cut once."""
         N = self._numberings.get(obj)
         if N is None:
             union, offsets = self._union
@@ -558,9 +544,9 @@ class SimplicialAlgebra:
                 raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
         # the sorts as the parts of one simplicial set, before the homomorphism check
         carriers = {n: [tuple(alg.carriers[s]) for s in sorts] for n, alg in enumerate(levels)}
-        union, offsets, _, unnumbered = number_parts(
+        _, _, _, problems = number_parts(
             cap, carriers, *lifted_maps(cap, lambda n, comp: [comp[s] for s in sorts], self))
-        for found in _part_problems(union, offsets, unnumbered, lambda n, p: carriers[n][p]):
+        for found in problems:
             if found:
                 raise InvalidParameter("not a simplicial set: " + found[0])
         for name, maps, keys, step in structure_kinds(cap, faces, degeneracies):
@@ -574,13 +560,6 @@ class SimplicialAlgebra:
                 mapped = tuple(comp[s][a] for s, a in zip(op.domain, args))
                 if comp[op.codomain][A.tables[op.name][args]] != B.tables[op.name][mapped]:
                     raise InvalidParameter(f"structure map {label} is not a homomorphism")
-
-    def _sort_sset(self, sort: Sort) -> TruncSimplicialSet:
-        levels = {n: self.levels[n].carriers[sort] for n in range(self.cap + 1)}
-        return TruncSimplicialSet(
-            self.cap, levels, *lifted_maps(self.cap, lambda n, comp: comp[sort], self),
-            check=False,
-        )
 
     def as_diagram(self, object_bound: int = 2, term_bound: int = 2) -> SimplicialDiagram:
         levels = [as_functor(a, object_bound, term_bound) for a in self.levels]
@@ -706,7 +685,7 @@ class DegreewiseFreeDiagram:
             lambda k, i: {v: self.face(k, i, v) for v in levels[k]},
             lambda k, j: {v: self.degeneracy(k, j, v) for v in levels[k]},
         )
-        return TruncSimplicialSet(self.cap, levels, *maps, check=False).identity_problems()
+        return identity_problems(self.cap, levels, *maps)
 
 
 def degreewise_free(doctrine: Doctrine, sort: Sort, Y: TruncSimplicialSet) -> DegreewiseFreeDiagram:

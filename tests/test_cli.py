@@ -713,3 +713,85 @@ def test_values_outside_the_truncation_are_a_typed_error(tmp_path, trivial, caps
     assert code == 2 and report["error"] == (
         "InvalidParameter: malformed diagram: values at el,el,el leave the truncation")
     assert capsys.readouterr().err == ""
+
+
+def _element_array(data):
+    data["values"][1]["elements"][0] = ["x"]
+    return "values[1].elements[0]: expected a scalar, found an array"
+
+
+def _map_image_array(data):
+    table = data["arrows"][0]["map"]
+    key = next(iter(table))
+    table[key] = ["x"]
+    return f"arrows[0].map[{key!r}]: expected a scalar, found an array"
+
+
+def _map_image_object(data):
+    table = data["arrows"][0]["map"]
+    key = next(iter(table))
+    table[key] = {"x": "y"}
+    return f"arrows[0].map[{key!r}]: expected a scalar, found an object"
+
+
+def _terminal_only_negative_object_bound(data):
+    data["object_bound"] = -1
+    data["values"] = [v for v in data["values"] if v["object"] == []]
+    data["arrows"] = [a for a in data["arrows"] if a["source"] == a["target"] == []]
+    return "object_bound: bound must be >= 0, got -1"
+
+
+def _negative_term_bound(data):
+    data["term_bound"] = -5
+    return "term_bound: bound must be >= 0, got -5"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _element_array, _map_image_array, _map_image_object,
+    _terminal_only_negative_object_bound, _negative_term_bound,
+], ids=["element-array", "image-array", "image-object", "negative-object-bound",
+        "negative-term-bound"])
+def test_compound_element_or_negative_bound_is_a_parse_error(tmp_path, trivial, capsys, corrupt):
+    """A compound element or image and a negative bound name their JSON
+    path; each ended in a traceback or a vacuous pass before."""
+    from msat.fuzz import make_rng, random_trivial_diagram
+
+    data = diagram_to_data(random_trivial_diagram(make_rng(3), trivial))
+    error = corrupt(data)
+    path = tmp_path / "bad_diagram.json"
+    path.write_text(json.dumps(data))
+    for verb in ("strict-check", "localize", "rigidify", "verify-up"):
+        report, code = run([verb, "--theory", "builtin:trivial", "--diagram", str(path)])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"] == error
+        assert capsys.readouterr().err == ""
+
+
+def _face_image_array(data):
+    table = next(e for e in data["faces"] if (e["level"], e["index"]) == (1, 0))["maps"]["el,el"]
+    key = next(iter(table))
+    table[key] = ["x"]
+    pos = next(i for i, e in enumerate(data["faces"]) if (e["level"], e["index"]) == (1, 0))
+    return f"faces[{pos}].maps['el,el'][{key!r}]: expected a scalar, found an array"
+
+
+def _level_negative_object_bound(data):
+    data["levels"][1]["object_bound"] = -1
+    return "levels[1]: object_bound: bound must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("corrupt", [_face_image_array, _level_negative_object_bound],
+                         ids=["face-image-array", "level-negative-object-bound"])
+def test_compound_face_image_or_negative_level_bound_is_a_parse_error(tmp_path, trivial, capsys, corrupt):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    data = simplicial_to_data(product_simplicial_diagram(trivial, standard("delta", 1, cap=3)))
+    error = corrupt(data)
+    path = tmp_path / "bad_simplicial.json"
+    path.write_text(json.dumps(data))
+    for verb in (["homotopy-probe"], ["strict-check", "--simplicial"]):
+        report, code = run(verb + ["--theory", "builtin:trivial", "--diagram", str(path)])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"] == error
+        assert capsys.readouterr().err == ""

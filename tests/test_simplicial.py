@@ -14,7 +14,6 @@ from msat.simplicial import (
     SimplicialDiagram,
     TruncSimplicialSet,
     _dense_smith_normal_form,
-    boundary_matrices,
     check_strict,
     classifying_simplicial_algebra,
     constant_simplicial_algebra,
@@ -22,6 +21,8 @@ from msat.simplicial import (
     disjoint_union,
     homology_invariants,
     homotopy_probe,
+    identity_problems,
+    lifted_maps,
     nerve_of_preorder,
     smith_normal_form,
     standard,
@@ -54,7 +55,7 @@ class TestStandard:
 
     def test_identities_validated(self):
         d = standard("delta", 2, cap=3)
-        assert d.identity_problems() == []
+        assert identity_problems(d.cap, d.levels, d.faces, d.degeneracies) == []
         broken_faces = {k: dict(v) for k, v in d.faces.items()}
         x = d.level(2)[0]
         y = d.level(2)[-1]
@@ -106,7 +107,7 @@ class TestPi0AndHomology:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_smith_normal_form_matches_dense_on_boundaries(self, seed):
-        for mat in boundary_matrices(random_sset(make_rng(seed), 3))[1:]:
+        for mat in random_sset(make_rng(seed), 3).numbering.boundary_matrices()[1:]:
             assert smith_normal_form(mat) == _dense_smith_normal_form(mat)
 
     def test_point_homology(self):
@@ -128,7 +129,9 @@ class TestPi0AndHomology:
         """Two-torsion in degree one for the cyclic group of order two."""
         z2 = cyclic_group(group, 2)
         sa = classifying_simplicial_algebra(z2, 3)
-        ss = sa._sort_sset(group.sort("G"))
+        G = group.sort("G")
+        ss = TruncSimplicialSet(3, {n: sa.levels[n].carriers[G] for n in range(4)},
+                                *lifted_maps(3, lambda n, comp: comp[G], sa))
         assert homology_invariants(ss, 3) == [(1, ()), (0, (2,)), (0, ())]
 
 
@@ -367,7 +370,8 @@ def _pick(seq, k):
 
 
 def _sset_mutant(kind):
-    """standard("delta", 2) with one corrupted table or level."""
+    """The `identity_problems` of standard("delta", 2) with one
+    corrupted table or level."""
     d = standard("delta", 2, cap=3)
     faces = {k: dict(v) for k, v in d.faces.items()}
     degens = {k: dict(v) for k, v in d.degeneracies.items()}
@@ -389,7 +393,7 @@ def _sset_mutant(kind):
     elif kind == "repeated-element":
         levels[2] = levels[2] + (x, d.level(2)[0])
         faces[(2, 0)][x] = faces[(2, 0)][d.level(2)[-1]]
-    return TruncSimplicialSet(3, levels, faces, degens, check=False)
+    return identity_problems(3, levels, faces, degens)
 
 
 SSET_MUTANTS = ("changed-face", "changed-degeneracy", "dropped-entry", "extra-key",
@@ -476,7 +480,7 @@ class TestProblemMessages:
 
     @pytest.mark.parametrize("kind", SSET_MUTANTS)
     def test_identity_problems_are_pinned(self, kind):
-        messages = _sset_mutant(kind).identity_problems()
+        messages = _sset_mutant(kind)
         assert (len(messages), _messages_digest(messages)) == PROBLEM_DIGESTS["sset", kind]
 
     @pytest.mark.parametrize("kind", DIAGRAM_MUTANTS)
@@ -489,7 +493,7 @@ class TestProblemMessages:
             S = random_sset(make_rng(seed), 3)
             if len(S.level(3)) > 30:
                 continue
-            assert S.identity_problems() == []
+            assert identity_problems(S.cap, S.levels, S.faces, S.degeneracies) == []
             for inflate in (False, True):
                 SD = product_simplicial_diagram(trivial, S, inflate=inflate)
                 assert SD.structure_problems() == []
@@ -533,6 +537,14 @@ def test_negative_dimension_cap_is_a_typed_error(trivial, group):
         SimplicialAlgebra(group, -1, [], {}, {})
 
 
+def test_negative_cap_of_a_simplicial_set_is_a_typed_error():
+    for build in (lambda: TruncSimplicialSet(-1, {}, {}, {}),
+                  lambda: standard("delta", 1, cap=-1),
+                  lambda: nerve_of_preorder(range(2), lambda a, b: a <= b, cap=-1)):
+        with pytest.raises(InvalidParameter, match="dimension cap must be >= 0"):
+            build()
+
+
 def test_first_missing_table_ends_the_list():
     """A table that leaves its level is listed and the check goes on; the
     first missing or partial table ends the list."""
@@ -542,7 +554,7 @@ def test_first_missing_table_ends_the_list():
     faces[(1, 1)][d.level(1)[0]] = ("nowhere",)
     del faces[(2, 0)][d.level(2)[0]]
     degens[(0, 0)][d.level(0)[0]] = ("gone",)
-    assert TruncSimplicialSet(2, d.levels, faces, degens, check=False).identity_problems() == [
+    assert identity_problems(2, d.levels, faces, degens) == [
         "face d_1 at level 1 leaves the level set",
         "face d_0 at level 2 missing or partial",
     ]

@@ -24,6 +24,12 @@ in `Doctrine.memo`, so a representable is shared and read-only.  The
 closure's only composite store is that memo, and the surjectivity step
 of `rigidify` glues copies of the memoized representable.
 
+A pushout is a `coproduct_diagram` followed by a `quotient`: the
+classes of a diagram's elements under a `search.UnionFind` on
+(object, element) keys, numbered by their first member, with each
+generating arrow acting on classes.  Both localization steps of
+`rigidify` end in one.
+
 Output prints each distinct element once per report: `diagram_to_json`
 and `dsl.simplicial_to_data` pass one `printed` memo, shared with
 `theory_cat.morphism_to_json`, to every `element_key` call, and a table
@@ -36,8 +42,8 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .errors import InvalidParameter
-from .search import solve
+from .errors import InvalidParameter, NotFunctorial
+from .search import UnionFind, solve
 from .signature import App, Doctrine, Var, print_term
 from .theory_cat import (
     TheoryMorphism,
@@ -273,6 +279,33 @@ def coproduct_diagram(doctrine: Doctrine, summands, object_bound: int,
                 table[(i, x)] = (i, y)
         arrows[m] = table
     return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
+
+
+def quotient(X: DiagramOnTruncation, uf: UnionFind):
+    """The diagram of the classes of X's elements under `uf`, whose keys
+    are (object, element) pairs, and the class of each (object,
+    element).  The classes at an object are numbered 0, 1, ... in the
+    order of their first member in X's values there, so a quotient that
+    merges nothing keeps every element's position.  Each generating
+    arrow acts on a class through its members' entries in X; two
+    members of one class whose images fall in different classes raise
+    `NotFunctorial`."""
+    classes = {}
+    values = {}
+    for obj in X.objects():
+        number: dict = {}  # root -> class
+        for x in X.value(obj):
+            classes[(obj, x)] = number.setdefault(uf.find((obj, x)), len(number))
+        values[obj] = range(len(number))
+    arrows = {}
+    for w in generating_morphisms(X.doctrine, X.object_bound):
+        table: dict = {}
+        for x, y in X.arrows.get(w, {}).items():
+            image = classes[(w.target, y)]
+            if table.setdefault(classes[(w.source, x)], image) != image:
+                raise NotFunctorial(f"quotient sends one class to two along {w}")
+        arrows[w] = table
+    return DiagramOnTruncation(X.doctrine, X.object_bound, X.term_bound, values, arrows), classes
 
 
 # -- natural transformations --------------------------------------------

@@ -4,7 +4,12 @@ Two independent routes are implemented and cross-checked:
 
 * the step route: objectwise pushouts that first make mapping in along
   the projection-induced map surjective, then injective (via the fold
-  map), iterated under a budget with a fixed-point detector;
+  map), iterated under a budget with a fixed-point detector.  Each step
+  is a `diagram.quotient` under one union-find: the surjectivity step
+  of the `coproduct_diagram` of X and copies of a representable, the
+  injectivity step of X itself.  A step runs only where hom enumeration
+  is complete (the trivial doctrine) and raises
+  `HomEnumerationIncomplete` elsewhere;
 * the presentation route: a generators-and-relations algebra read off
   the diagram, whose maps into any finite model are compared with the
   diagram's natural transformations (the adjunction bijection).
@@ -12,9 +17,10 @@ Two independent routes are implemented and cross-checked:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import models_for
 from .diagram import (
@@ -24,6 +30,7 @@ from .diagram import (
     is_bijection,
     is_product_bijection,
     natural_transformations,
+    quotient,
     representable_diagram,
 )
 from .errors import BudgetExhausted, HomEnumerationIncomplete, InvalidParameter, NotFunctorial
@@ -35,7 +42,6 @@ from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
     compose,
-    generating_morphisms,
     hom_enumerate,
     identity,
     objects_up_to,
@@ -89,8 +95,8 @@ def hom_enumeration_exact(doctrine: Doctrine) -> bool:
     variable map and itself generating.  Edge-path doctrines always put
     loop sorts in the truncation (infinite hom sets), and the fold-map
     gluings need actions on morphisms that are not composites of
-    generating arrows inside the object bound, so their steps run under
-    the explicit approximate flag."""
+    generating arrows inside the object bound, so a pushout step on any
+    other doctrine raises `HomEnumerationIncomplete`."""
     kind = doctrine.meta.get("kind", doctrine.name)
     return kind == "trivial"
 
@@ -104,91 +110,45 @@ class StepResult:
     unit: dict  # object -> {old element -> new element}
     kind: str
     target: str
-    approximate: bool
-    sizes: dict = field(default_factory=dict)
+
+    @property
+    def sizes(self) -> dict:
+        return {obj.key(): len(self.diagram.value(obj)) for obj in self.diagram.objects()}
 
 
-def _finish_step(X, kind, p, membership, uf, member_image, approximate):
-    """Collapse union-find classes into a fresh diagram with integer
-    elements, rebuild arrow tables, and record the unit map.  Union-find
-    keys are (object, tag) pairs so classes never cross objects."""
-    doctrine = X.doctrine
-    order: dict[TheoryObject, list] = {}
-    buckets_of: dict[TheoryObject, dict] = {}
-    index = {}
-    for obj in X.objects():
-        buckets: dict = {}
-        for key in membership[obj]:
-            buckets.setdefault(uf.find((obj, key)), []).append(key)
-        reps = sorted(buckets, key=lambda r: min(element_key(k) for k in buckets[r]))
-        order[obj] = reps
-        buckets_of[obj] = buckets
-        for idx, rep in enumerate(reps):
-            for key in buckets[rep]:
-                index[(obj, key)] = idx
-    values = {obj: tuple(range(len(order[obj]))) for obj in X.objects()}
-    arrows = {}
-    for w in generating_morphisms(doctrine, X.object_bound):
-        table = {}
-        for rep in order[w.source]:
-            imgs = set()
-            for member in buckets_of[w.source][rep]:
-                img = member_image(member, w)
-                if img is not None:
-                    imgs.add(index[(w.target, img)])
-            if len(imgs) > 1:
-                raise NotFunctorial(
-                    f"{kind} step produced inconsistent images along {w}"
-                )
-            if imgs:
-                cls = index[(w.source, buckets_of[w.source][rep][0])]
-                table[cls] = imgs.pop()
-        arrows[w] = table
-    out = DiagramOnTruncation(doctrine, X.object_bound, X.term_bound, values, arrows)
-    unit = {
-        obj: {x: index[(obj, ("x", x))] for x in X.value(obj)} for obj in X.objects()
-    }
-    sizes = {obj.key(): len(values[obj]) for obj in X.objects()}
-    return StepResult(out, unit, kind, p.target.key(), approximate, sizes)
-
-
-def _step_preamble(X: DiagramOnTruncation, approximate: bool):
-    """(exactness, arrow closure) for a pushout step on X.
-    Raises `HomEnumerationIncomplete` when the attaching data is not
-    provably complete and no approximation was requested, and
-    `NotFunctorial` on X's first functoriality conflict."""
-    exact = hom_enumeration_exact(X.doctrine)
-    if not exact and not approximate:
+def _step_closure(X: DiagramOnTruncation):
+    """The arrow closure of X for a pushout step.  Raises
+    `HomEnumerationIncomplete` when X's doctrine does not have complete
+    hom enumeration, and `NotFunctorial` on X's first functoriality
+    conflict."""
+    if not hom_enumeration_exact(X.doctrine):
         raise HomEnumerationIncomplete(
-            "attaching data is not provably complete; pass approximate=True"
+            f"localization steps on {X.doctrine.name} need complete hom "
+            f"enumeration, which only the trivial doctrine has"
         )
     closure, conflicts = X.arrow_closure()
     if conflicts:
         raise NotFunctorial(conflicts[0])
-    return exact, closure
+    return closure
 
 
 def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
-                      bound: int | None = None, approximate: bool = False) -> StepResult:
+                      bound: int | None = None) -> StepResult:
     """Pushout gluing one copy of the representable R = Hom(p.target, -),
     the doctrine's memoized `representable_diagram`, onto X for every
     tuple z in the product of the size-one values, making the
-    restriction along the projection map surjective.  Copy z is attached
-    along each f: T_i -> obj by identifying f after the i-th projection
-    with f's action on z[i]."""
+    restriction along the projection map surjective: the quotient of the
+    coproduct of X (summand 0) and the copies (summand zi + 1 for the
+    zi-th tuple).  Copy z is attached along each f: T_i -> obj by
+    identifying f after the i-th projection with f's action on z[i]."""
     doctrine = X.doctrine
     s = X.term_bound if bound is None else bound
-    exact, closure = _step_preamble(X, approximate)
+    closure = _step_closure(X)
     R = representable_diagram(doctrine, p.target, X.object_bound, s)
     factors = p.factors()
     tuples = sorted(
         itertools.product(*(X.value(o) for o in factors)), key=element_key
     )
-    membership = {
-        obj: [("x", x) for x in X.value(obj)]
-        + [("b", zi, b) for zi in range(len(tuples)) for b in R.value(obj)]
-        for obj in X.objects()
-    }
     # (slot, obj, b, f, f's derived action or None) per attaching morphism
     elements = {b for obj in X.objects() for b in R.value(obj)}
     attaching = []
@@ -202,34 +162,24 @@ def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
     for zi, z in enumerate(tuples):
         for i, obj, b, f, table in attaching:
             if table is None or z[i] not in table:
-                if not approximate:
-                    raise HomEnumerationIncomplete(f"no derived action for {f}")
-                continue
-            uf.union((obj, ("b", zi, b)), (obj, ("x", table[z[i]])))
-
-    def member_image(member, w):
-        if member[0] == "x":
-            img = X.arrows.get(w, {}).get(member[1])
-            return None if img is None else ("x", img)
-        _, zi, b = member
-        img = R.arrows[w].get(b)
-        return None if img is None else ("b", zi, img)
-
-    return _finish_step(X, "surjectivity", p, membership, uf, member_image, not exact)
+                raise HomEnumerationIncomplete(f"no derived action for {f}")
+            uf.union((obj, (zi + 1, b)), (obj, (0, table[z[i]])))
+    glued = coproduct_diagram(doctrine, [X] + [R] * len(tuples), X.object_bound, X.term_bound)
+    out, classes = quotient(glued, uf)
+    unit = {obj: {x: classes[(obj, (0, x))] for x in X.value(obj)} for obj in X.objects()}
+    return StepResult(out, unit, "surjectivity", p.target.key())
 
 
-def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
-                     bound: int | None = None, approximate: bool = False) -> StepResult:
+def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap) -> StepResult:
     """Pushout along the fold map: every pair of elements of X(T) with
-    equal projections has its entire representable image identified.
-    `bound` is unused; it keeps the signature of `surjectivity_step`."""
-    exact, closure = _step_preamble(X, approximate)
+    equal projections has its entire representable image identified, a
+    quotient of X."""
+    closure = _step_closure(X)
     images = X.comparison(p.target) or {}
     pairs = [
         (u, v) for u, v in itertools.combinations(X.value(p.target), 2)
         if u in images and v in images and images[u] == images[v]
     ]
-    membership = {obj: [("x", x) for x in X.value(obj)] for obj in X.objects()}
     uf = UnionFind()
     from_target = [
         (m, table) for m, table in closure.items() if m.source == p.target
@@ -237,13 +187,10 @@ def injectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
     for u, v in pairs:
         for m, table in from_target:
             if u in table and v in table:
-                uf.union((m.target, ("x", table[u])), (m.target, ("x", table[v])))
-
-    def member_image(member, w):
-        img = X.arrows.get(w, {}).get(member[1])
-        return None if img is None else ("x", img)
-
-    return _finish_step(X, "injectivity", p, membership, uf, member_image, not exact)
+                uf.union((m.target, table[u]), (m.target, table[v]))
+    out, classes = quotient(X, uf)
+    unit = {obj: {x: classes[(obj, x)] for x in X.value(obj)} for obj in X.objects()}
+    return StepResult(out, unit, "injectivity", p.target.key())
 
 
 # -- budgeted localization -------------------------------------------------
@@ -272,7 +219,7 @@ def _signature(X: DiagramOnTruncation):
 
 
 def localize(X: DiagramOnTruncation, budget: int,
-             bound: int | None = None, approximate: bool = False) -> LocalizeResult:
+             bound: int | None = None) -> LocalizeResult:
     """Alternate surjectivity and injectivity steps over all projection
     maps until strict locality holds or the budget is exhausted.  The
     trace records per-step cardinalities; a sweep that changes nothing
@@ -286,15 +233,16 @@ def localize(X: DiagramOnTruncation, budget: int,
         return LocalizeResult(current, trace, unit)
     steps = 0
     pmaps = projection_map_set(X.doctrine, X.object_bound)
+    surjectivity = functools.partial(surjectivity_step, bound=bound)
     while True:
         before = _signature(current)
         for p in pmaps:
-            for step_fn in (surjectivity_step, injectivity_step):
+            for step_fn in (surjectivity, injectivity_step):
                 if steps >= budget:
                     raise BudgetExhausted(
                         f"no strictly local diagram within {budget} steps", trace
                     )
-                res = step_fn(current, p, bound=bound, approximate=approximate)
+                res = step_fn(current, p)
                 steps += 1
                 unit = _compose_units(unit, res.unit)
                 trace.append({
@@ -302,7 +250,8 @@ def localize(X: DiagramOnTruncation, budget: int,
                     "kind": res.kind,
                     "target": res.target,
                     "sizes": res.sizes,
-                    "approximate": res.approximate,
+                    # every step that returns is exact
+                    "approximate": False,
                 })
                 current = res.diagram
                 ok, _ = check_strictly_local(current)
@@ -413,7 +362,11 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
     finite-model hom sets: maps out of either presented algebra into A
     biject with the product of A's carriers at the factor sorts.  A term
     bound that leaves a projection out of the representable raises
-    `HomEnumerationIncomplete` naming it."""
+    `HomEnumerationIncomplete` naming it, and an object bound below 1,
+    which leaves out the size-one objects that hold the generators,
+    raises `InvalidParameter`."""
+    if object_bound < 1:
+        raise InvalidParameter(f"verify_ktk needs object bound >= 1, got {object_bound}")
     if models is None:
         models = models_for(doctrine, model_bound)
     rep_big = representable_diagram(doctrine, p.target, object_bound, term_bound)

@@ -274,9 +274,9 @@ def generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[TheoryM
     """Arrows generating the truncated category: every variable-tuple
     morphism between objects of size <= object_bound, plus every single
     operation applied to a variable assignment (allowing repeats, so
-    operations of arity above the object bound still act).  Built once
-    per object bound and kept in `doctrine.memo`; every caller gets the
-    same tuple."""
+    operations of arity above the object bound still act) whose codomain
+    is in the truncation.  Built once per object bound and kept in
+    `doctrine.memo`; every caller gets the same tuple."""
     key = ("generating_morphisms", object_bound)
     gens = doctrine.memo.get(key)
     if gens is None:
@@ -293,6 +293,8 @@ def _generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[Theory
             out.extend(variable_morphisms(a, b))
     for op in doctrine.ops:
         tgt = TheoryObject.of(op.codomain)
+        if tgt not in objs:
+            continue  # object bound 0: only the terminal object
         for src in objs:
             ctx = src.context().vars
             choices = []
@@ -302,8 +304,6 @@ def _generating_morphisms(doctrine: Doctrine, object_bound: int) -> tuple[Theory
                 if set(combo) != set(ctx):
                     continue  # source must be exactly the used variables
                 out.append(_morphism(doctrine, src, tgt, (value(App(op, combo)),)))
-        if not op.domain:
-            out.append(_morphism(doctrine, TERMINAL, tgt, (value(App(op, ())),)))
     return tuple(dict.fromkeys(out))
 
 

@@ -14,9 +14,10 @@ import msat.signature
 import msat.simplicial
 import msat.theory_cat
 from msat.builtins import builtin_doctrine
-from msat.catalog import cyclic_group, faulted_catalog
+from msat.catalog import cyclic_group, faulted_catalog, ocat_model
 from msat.cli import VERB_OPERATIONS, build_parser, emit_report, run
 from msat.dsl import diagram_to_data, print_model, print_theory, simplicial_to_data
+from msat.fuzz import make_rng, twisted_algebra_diagram
 
 
 @pytest.fixture()
@@ -510,6 +511,37 @@ def test_verify_ktk_projection_outside_bound(capsys, theory, obj, size, projecti
     assert report["error"] == (
         f"HomEnumerationIncomplete: projection {projection} is not in the "
         f"representable of {obj} at term bound {size}"
+    )
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_ktk_at_object_bound_zero_is_a_typed_error(capsys):
+    report, code = run(["verify-ktk", "--theory", "builtin:group", "--object", "G,G",
+                        "--object-bound", "0"])
+    assert code == 2
+    assert report["error"] == "InvalidParameter: verify_ktk needs object bound >= 1, got 0"
+    assert capsys.readouterr().err == ""
+
+
+def test_strict_check_at_object_bound_zero(z2_file):
+    """The truncation at object bound 0 holds the terminal object alone,
+    and no constant's arrow leaves it."""
+    report, code = run(["strict-check", "--theory", "builtin:group", "--model", z2_file,
+                        "--object-bound", "0"])
+    assert code == 0 and report["data"]["failures"] == []
+
+
+def test_localize_names_a_doctrine_without_complete_hom_enumeration(tmp_path, ocat, capsys):
+    X = twisted_algebra_diagram(make_rng(1), ocat_model(ocat, "codiscrete"), 2, 2,
+                                duplicates=1)
+    path = tmp_path / "ocat.json"
+    path.write_text(json.dumps(diagram_to_data(X)))
+    report, code = run(["localize", "--theory", "builtin:ocat:x,y;f:x>x",
+                        "--diagram", str(path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == (
+        "HomEnumerationIncomplete: localization steps on ocat-x-y need complete "
+        "hom enumeration, which only the trivial doctrine has"
     )
     assert capsys.readouterr().err == ""
 

@@ -10,7 +10,8 @@ import pytest
 
 import msat.diagram as diagram
 import msat.theory_cat as theory_cat
-from msat.catalog import action_model, models_for
+from msat.catalog import action_model, cyclic_group, models_for, trivial_model
+from msat.errors import NotFunctorial
 from msat.fuzz import (
     make_rng,
     product_simplicial_diagram,
@@ -19,6 +20,7 @@ from msat.fuzz import (
     twisted_algebra_diagram,
 )
 from msat.models import as_functor
+from msat.search import UnionFind
 from msat.signature import Engine, Var
 from msat.theory_cat import (
     TERMINAL,
@@ -249,6 +251,42 @@ def test_truncation_is_built_once_per_doctrine(group, fresh_doctrine):
     assert generating_morphisms(other, 2) == gens
     assert generating_morphisms(other, 2) is not gens
     assert diagram.representable_diagram(other, rep, 2, 2) is not X
+
+
+def test_object_bound_zero_keeps_operations_inside(group, ring_module):
+    """At object bound 0 the truncation is the terminal object alone, so
+    no operation's arrow (a constant's () -> G included) is generating."""
+    assert generating_morphisms(group, 0) == (theory_cat.identity(TERMINAL),)
+    assert generating_morphisms(ring_module, 0) == (theory_cat.identity(TERMINAL),)
+    X = as_functor(cyclic_group(group, 2), 0)
+    assert X.objects() == [TERMINAL] and X.value(TERMINAL) == ((),)
+    rep = diagram.representable_diagram(group, TheoryObject.of(group.sorts[0]), 0, 2)
+    assert rep.objects() == [TERMINAL] and len(rep.value(TERMINAL)) == 1
+
+
+@pytest.mark.parametrize("flavor", ["any", "nonlocal"])
+def test_quotient_by_an_empty_union_find_renumbers_by_position(trivial, flavor):
+    for seed in range(20):
+        X = random_trivial_diagram(make_rng(seed), trivial, flavor)
+        Q, classes = diagram.quotient(X, UnionFind())
+        position = {(obj, x): i for obj in X.objects() for i, x in enumerate(X.value(obj))}
+        assert classes == position
+        assert all(Q.value(obj) == tuple(range(len(X.value(obj)))) for obj in X.objects())
+        assert list(Q.arrows) == list(generating_morphisms(trivial, 2))
+        for w, table in Q.arrows.items():
+            assert table == {position[(w.source, x)]: position[(w.target, y)]
+                             for x, y in X.arrows.get(w, {}).items()}
+
+
+def test_quotient_refuses_a_class_with_two_image_classes(trivial):
+    """Merging (0, 0) and (0, 1) at the square object but not their
+    second projections 0 and 1 sends one class to two."""
+    X = as_functor(trivial_model(trivial, 2), 2)
+    T2 = TheoryObject.of(trivial.sorts[0], trivial.sorts[0])
+    uf = UnionFind()
+    uf.union((T2, (0, 0)), (T2, (0, 1)))
+    with pytest.raises(NotFunctorial, match="sends one class to two"):
+        diagram.quotient(X, uf)
 
 
 def test_comparison_at_terminal_missing_and_partial_tables(trivial):

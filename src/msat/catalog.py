@@ -58,25 +58,22 @@ def symmetric_group_3(doctrine: Doctrine) -> FiniteAlgebra:
     return FiniteAlgebra(doctrine, carriers, tables, "S3")
 
 
+# monoid kind -> (carrier, multiplication, unit), in catalog order
+_MONOIDS = {
+    "trivial": ((0,), lambda a, b: 0, 0),
+    "max2": ((0, 1), max, 0),
+    "z2": ((0, 1), lambda a, b: (a + b) % 2, 0),
+    "z3": ((0, 1, 2), lambda a, b: (a + b) % 3, 0),
+    "max3": ((0, 1, 2), max, 0),
+}
+
+
 def monoid_model(doctrine: Doctrine, kind: str) -> FiniteAlgebra:
-    m = doctrine.sort("m")
-    if kind == "trivial":
-        carriers = {m: (0,)}
-        fn, unit = (lambda a, b: 0), 0
-    elif kind == "max2":
-        carriers = {m: (0, 1)}
-        fn, unit = max, 0
-    elif kind == "z2":
-        carriers = {m: (0, 1)}
-        fn, unit = (lambda a, b: (a + b) % 2), 0
-    elif kind == "z3":
-        carriers = {m: (0, 1, 2)}
-        fn, unit = (lambda a, b: (a + b) % 3), 0
-    elif kind == "max3":
-        carriers = {m: (0, 1, 2)}
-        fn, unit = max, 0
-    else:
+    if kind not in _MONOIDS:
         raise ValueError(kind)
+    elements, fn, unit = _MONOIDS[kind]
+    m = doctrine.sort("m")
+    carriers = {m: elements}
     tables = {"mul": _table(carriers, (m, m), fn), "e": {(): unit}}
     return FiniteAlgebra(doctrine, carriers, tables, f"monoid-{kind}")
 
@@ -277,19 +274,23 @@ def ocat_model(doctrine: Doctrine, kind: str) -> FiniteAlgebra:
                          f"ocat-{kind}")
 
 
-def trivial_model(doctrine: Doctrine, size: int) -> FiniteAlgebra:
-    s = doctrine.sort("el")
-    return FiniteAlgebra(doctrine, {s: tuple(range(size))}, {}, f"set{size}")
+def trivial_model(doctrine: Doctrine, *sizes: int) -> FiniteAlgebra:
+    """The `sorts_only` doctrine's model with carrier range(sizes[i]) at
+    sort i, named `set{n}` for one sort and `set{n1}x{n2}...` for more."""
+    carriers = {s: tuple(range(n)) for s, n in zip(doctrine.sorts, sizes, strict=True)}
+    return FiniteAlgebra(doctrine, carriers, {}, "set" + "x".join(map(str, sizes)))
 
 
 def models_for(doctrine: Doctrine, max_size: int = 3) -> list[FiniteAlgebra]:
-    """Catalog models of the given doctrine with carriers <= max_size."""
+    """Catalog models of the given doctrine with carriers <= max_size: for
+    a `sorts_only` doctrine, all max_size ** len(sorts) set models."""
     kind = doctrine.meta.get("kind", doctrine.name)
     out: list[FiniteAlgebra] = []
-    if kind == "trivial":
-        out = [trivial_model(doctrine, n) for n in range(1, max_size + 1)]
+    if doctrine.sorts_only:
+        sizes = itertools.product(range(1, max_size + 1), repeat=len(doctrine.sorts))
+        out = [trivial_model(doctrine, *ns) for ns in sizes]
     elif kind == "monoid":
-        out = [monoid_model(doctrine, k) for k in ("trivial", "max2", "z2", "z3", "max3")]
+        out = [monoid_model(doctrine, k) for k in _MONOIDS]
     elif kind == "group":
         out = [cyclic_group(doctrine, n) for n in (1, 2, 3, 4, 6) if n <= max(max_size, 1)]
         if max_size >= 6:

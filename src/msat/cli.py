@@ -4,7 +4,7 @@ the engine, and emit deterministic JSON or one-line text reports.
 Exit codes: 0 verdict pass, 1 verdict fail (counterexample in the
 report), 2 usage, parse, I/O or any other error (reported with its
 type; an unwritable --out is one line on stderr), 3 budget exhausted /
-unknown.
+unknown / no catalog model within the model bound.
 The MSAT_SEED environment variable fixes all fuzzing seeds.
 """
 
@@ -449,25 +449,28 @@ def _dispatch(ns, report, inputs) -> int:
 
     if verb == "localize":
         X = _load_diagram(ns.diagram, doctrine, inputs)
-        res = localize(X, ns.budget, bound=ns.size)
+        res = localize(X, ns.budget)
         data["trace"] = res.trace
         data["sizes"] = {obj.key(): len(res.diagram.value(obj)) for obj in res.diagram.objects()}
         return _verdict(report, True)
 
-    if verb == "verify-up":
-        X = _load_diagram(ns.diagram, doctrine, inputs)
-        P = rigidify_presentation(X)
-        ok, per_model = verify_universal_property(X, P, ns.model_bound)
-        data["presentation"] = P.to_json()
+    if verb in ("verify-up", "verify-ktk"):
+        if verb == "verify-up":
+            X = _load_diagram(ns.diagram, doctrine, inputs)
+            P = rigidify_presentation(X)
+            ok, per_model = verify_universal_property(X, P, ns.model_bound)
+            data["presentation"] = P.to_json()
+        else:
+            obj = parse_object_text(ns.object, doctrine)
+            ok, per_model = verify_ktk(doctrine, ProjectionMap.of(obj), ns.model_bound,
+                                       object_bound=ns.object_bound, term_bound=ns.size)
         data["models"] = per_model
-        return _verdict(report, ok)
-
-    if verb == "verify-ktk":
-        obj = parse_object_text(ns.object, doctrine)
-        ok, per_model = verify_ktk(doctrine, ProjectionMap.of(obj), ns.model_bound,
-                                   object_bound=ns.object_bound, term_bound=ns.size)
-        data["models"] = per_model
-        if not ok:
+        if not per_model:
+            # a check over no model passes vacuously; the bound is at fault
+            report["verdict"] = "unknown"
+            data["note"] = f"no catalog model within model bound {ns.model_bound}"
+            return EXIT_BUDGET
+        if not ok and verb == "verify-ktk":
             # the representables are truncated at the object bound, and
             # an arrow the product needs may start past it
             data["note"] = (f"fail at object bound {ns.object_bound}: a larger "

@@ -24,10 +24,10 @@ with one entry per argument tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagram import DiagramOnTruncation, diagram_to_json, table_to_json
-from .engines import BoundedGenericEngine
+from .engines import BoundedGenericEngine, TrivialEngine
 from .errors import ParseError
 from .models import FiniteAlgebra
 from .signature import (
@@ -268,16 +268,17 @@ def parse_theory(text: str) -> Doctrine:
     if st.peek() is not None:
         tok = st.peek()
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    engine = BoundedGenericEngine()
     doc = Doctrine(
         name_tok.value,
         tuple(sorts.values()),
         tuple(ops.values()),
         tuple(equations),
-        engine,
+        BoundedGenericEngine(),
         meta={"kind": "user"},
     )
-    engine.attach(doc)
+    if doc.sorts_only:
+        return replace(doc, engine=TrivialEngine())
+    doc.engine.attach(doc)
     return doc
 
 

@@ -20,9 +20,9 @@ builds the term), normalize, size, equal and substitution from them; a
 finite algebra evaluates a value by folding it with its tables, without
 building the term.  No engine keeps a cache.
 
-Theories without an exact engine get `BoundedGenericEngine`, which
-proves equalities by equality saturation on an `EGraph` and answers
-EQUAL or UNKNOWN, never DISTINCT.
+Parsed theories with operations or equations get `BoundedGenericEngine`,
+which proves equalities by equality saturation on an `EGraph` and
+answers EQUAL or UNKNOWN, never DISTINCT.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ExactEngine(Engine):
 
 
 class TrivialEngine(ExactEngine):
-    """No operations: every term is a variable and already normal."""
+    """No operations or equations, any sorts: every term is a variable."""
 
     normalize = Engine.normalize
     generic: dict = {}

@@ -7,17 +7,21 @@ Two independent routes are implemented and cross-checked:
   map), iterated under a budget with a fixed-point detector.  Each step
   is a `diagram.quotient` under one union-find: the surjectivity step
   of the `coproduct_diagram` of X and copies of a representable, the
-  injectivity step of X itself.  A step runs only where hom enumeration
-  is complete (the trivial doctrine) and raises
-  `HomEnumerationIncomplete` elsewhere;
+  injectivity step of X itself.  A step runs at the diagram's own term
+  bound, where hom enumeration is complete (`Doctrine.sorts_only`), and
+  raises `HomEnumerationIncomplete` elsewhere;
 * the presentation route: a generators-and-relations algebra read off
   the diagram, whose maps into any finite model are compared with the
   diagram's natural transformations (the adjunction bijection).
+
+With no operations every arrow into a size-one object is a projection,
+so no step changes a size-one value: the localization of X is the
+product functor T -> X(T_1) x ... x X(T_n), and its unit, read through
+the result's comparison map, is the comparison map of X.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,23 +88,6 @@ def projection_map_set(doctrine: Doctrine, bound: int) -> list[ProjectionMap]:
 check_strictly_local = check_product_preservation
 
 
-# -- exactness of attaching-data enumeration -----------------------------
-
-
-def hom_enumeration_exact(doctrine: Doctrine) -> bool:
-    """True when bounded hom enumeration provably lists entire hom sets
-    and every attaching action is derivable from the generating arrows.
-
-    Only the no-op doctrine qualifies: there every morphism is a
-    variable map and itself generating.  Edge-path doctrines always put
-    loop sorts in the truncation (infinite hom sets), and the fold-map
-    gluings need actions on morphisms that are not composites of
-    generating arrows inside the object bound, so a pushout step on any
-    other doctrine raises `HomEnumerationIncomplete`."""
-    kind = doctrine.meta.get("kind", doctrine.name)
-    return kind == "trivial"
-
-
 # -- the two pushout steps ------------------------------------------------
 
 
@@ -118,13 +105,13 @@ class StepResult:
 
 def _step_closure(X: DiagramOnTruncation):
     """The arrow closure of X for a pushout step.  Raises
-    `HomEnumerationIncomplete` when X's doctrine does not have complete
-    hom enumeration, and `NotFunctorial` on X's first functoriality
-    conflict."""
-    if not hom_enumeration_exact(X.doctrine):
+    `HomEnumerationIncomplete` unless X's doctrine is `sorts_only`, the
+    one kind whose bounded hom enumeration is known complete, and
+    `NotFunctorial` on X's first functoriality conflict."""
+    if not X.doctrine.sorts_only:
         raise HomEnumerationIncomplete(
-            f"localization steps on {X.doctrine.name} need complete hom "
-            f"enumeration, which only the trivial doctrine has"
+            f"localization steps on {X.doctrine.name} need complete hom enumeration, "
+            f"which only a doctrine with no operations and no equations has"
         )
     closure, conflicts = X.arrow_closure()
     if conflicts:
@@ -132,32 +119,29 @@ def _step_closure(X: DiagramOnTruncation):
     return closure
 
 
-def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap,
-                      bound: int | None = None) -> StepResult:
+def surjectivity_step(X: DiagramOnTruncation, p: ProjectionMap) -> StepResult:
     """Pushout gluing one copy of the representable R = Hom(p.target, -),
     the doctrine's memoized `representable_diagram`, onto X for every
     tuple z in the product of the size-one values, making the
     restriction along the projection map surjective: the quotient of the
     coproduct of X (summand 0) and the copies (summand zi + 1 for the
     zi-th tuple).  Copy z is attached along each f: T_i -> obj by
-    identifying f after the i-th projection with f's action on z[i]."""
+    identifying f after the i-th projection (a variable map, so an
+    element of R) with f's action on z[i]."""
     doctrine = X.doctrine
-    s = X.term_bound if bound is None else bound
     closure = _step_closure(X)
-    R = representable_diagram(doctrine, p.target, X.object_bound, s)
+    R = representable_diagram(doctrine, p.target, X.object_bound, X.term_bound)
     factors = p.factors()
     tuples = sorted(
         itertools.product(*(X.value(o) for o in factors)), key=element_key
     )
     # (slot, obj, b, f, f's derived action or None) per attaching morphism
-    elements = {b for obj in X.objects() for b in R.value(obj)}
     attaching = []
     for i, factor in enumerate(factors):
         for obj in X.objects():
-            for f in hom_enumerate(factor, obj, doctrine, s):
+            for f in hom_enumerate(factor, obj, doctrine, X.term_bound):
                 b = compose(doctrine, f, p.projections[i])
-                if b in elements:
-                    attaching.append((i, obj, b, f, closure.get(f)))
+                attaching.append((i, obj, b, f, closure.get(f)))
     uf = UnionFind()
     for zi, z in enumerate(tuples):
         for i, obj, b, f, table in attaching:
@@ -218,12 +202,12 @@ def _signature(X: DiagramOnTruncation):
     return (vals, arrs)
 
 
-def localize(X: DiagramOnTruncation, budget: int,
-             bound: int | None = None) -> LocalizeResult:
+def localize(X: DiagramOnTruncation, budget: int) -> LocalizeResult:
     """Alternate surjectivity and injectivity steps over all projection
-    maps until strict locality holds or the budget is exhausted.  The
-    trace records per-step cardinalities; a sweep that changes nothing
-    while locality still fails raises BudgetExhausted early."""
+    maps, at X's term bound, until strict locality holds or the budget
+    is exhausted.  The trace records per-step cardinalities; a sweep
+    that changes nothing while locality still fails raises
+    BudgetExhausted early."""
     trace: list = []
     unit = {obj: {x: x for x in X.value(obj)} for obj in X.objects()}
     current = X
@@ -233,11 +217,10 @@ def localize(X: DiagramOnTruncation, budget: int,
         return LocalizeResult(current, trace, unit)
     steps = 0
     pmaps = projection_map_set(X.doctrine, X.object_bound)
-    surjectivity = functools.partial(surjectivity_step, bound=bound)
     while True:
         before = _signature(current)
         for p in pmaps:
-            for step_fn in (surjectivity, injectivity_step):
+            for step_fn in (surjectivity_step, injectivity_step):
                 if steps >= budget:
                     raise BudgetExhausted(
                         f"no strictly local diagram within {budget} steps", trace
@@ -278,7 +261,9 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
     """Generators: the size-one values of X.  Relations: one per defined
     entry of a generating arrow into a size-one object, equating the
     arrow's term (on the projected generators) with the image's
-    generator."""
+    generator.  Object bound 0, with no size-one object, is refused."""
+    if X.object_bound < 1:
+        raise InvalidParameter(f"rigidify needs object bound >= 1, got {X.object_bound}")
     gens = _generator_table(X)
     generators: dict[Sort, list] = {}
     for (obj, x), var in gens.items():

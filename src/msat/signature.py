@@ -3,8 +3,9 @@
 Terms are interned trees; every node knows its sort, so most operations
 need no explicit context.  A doctrine bundles a presentation (sorts,
 operation symbols, equations) with a normal-form engine.  Built-in
-doctrines carry exact engines (see `engines` / `builtins`); doctrines
-parsed from text default to the bounded generic engine, which decides
+doctrines carry exact engines (see `engines` / `builtins`), and so does a
+parsed doctrine with no operations and no equations (`sorts_only`); any
+other parsed doctrine gets the bounded generic engine, which decides
 equality only up to a budget.
 """
 
@@ -380,6 +381,13 @@ class Doctrine:
     @property
     def exact(self) -> bool:
         return self.engine.exact
+
+    @property
+    def sorts_only(self) -> bool:
+        """No operations and no equations: every morphism is a variable
+        map of size 0, so bounded hom enumeration is complete at every
+        term bound, and each morphism of a truncation is a generating arrow."""
+        return not self.ops and not self.equations
 
 
 def typecheck(term: Term, context: Context, doctrine: Doctrine) -> Sort:

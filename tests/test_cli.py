@@ -541,9 +541,72 @@ def test_localize_names_a_doctrine_without_complete_hom_enumeration(tmp_path, oc
     assert code == 2 and report["verdict"] == "error"
     assert report["error"] == (
         "HomEnumerationIncomplete: localization steps on ocat-x-y need complete "
-        "hom enumeration, which only the trivial doctrine has"
+        "hom enumeration, which only a doctrine with no operations and no "
+        "equations has"
     )
     assert capsys.readouterr().err == ""
+
+
+COLLAPSE = "theory collapse\nsorts el\neq (x:el, y:el) x = y\nend\n"
+
+
+@pytest.mark.parametrize("theory, bound", [("collapse", "3"), ("builtin:trivial", "0")])
+def test_verify_up_without_models_is_unknown(tmp_path, trivial, theory, bound):
+    """No catalog model within the bound leaves nothing to check: the
+    verdict is unknown, never a vacuous pass."""
+    if theory == "collapse":
+        theory = tmp_path / "collapse.msat"
+        theory.write_text(COLLAPSE)
+    report, code = run(["verify-up", "--theory", str(theory), "--model-bound", bound,
+                        "--diagram", _toy_diagram_json(tmp_path, trivial)])
+    assert code == 3 and report["verdict"] == "unknown"
+    assert report["data"]["models"] == []
+    assert report["data"]["note"] == f"no catalog model within model bound {bound}"
+
+
+def test_verify_ktk_without_models_is_unknown():
+    report, code = run(["verify-ktk", "--theory", "builtin:trivial", "--object", "el,el",
+                        "--model-bound", "0"])
+    assert code == 3 and report["verdict"] == "unknown"
+    assert report["data"]["note"] == "no catalog model within model bound 0"
+
+
+@pytest.mark.parametrize("verb", ["rigidify", "verify-up"])
+def test_presentation_at_object_bound_zero_is_a_typed_error(tmp_path, capsys, verb):
+    path = tmp_path / "ob0.json"
+    path.write_text(json.dumps({"object_bound": 0, "term_bound": 2, "arrows": [],
+                                "values": [{"object": [], "elements": ["pt"]}]}))
+    report, code = run([verb, "--theory", "builtin:trivial", "--diagram", str(path)])
+    assert code == 2 and report["verdict"] == "error"
+    assert report["error"] == (
+        "InvalidParameter: rigidify needs object bound >= 1, got 0")
+    assert capsys.readouterr().err == ""
+
+
+def test_theory_of_sorts_alone_gets_models_and_steps(tmp_path, trivial):
+    """A theory file with sorts and nothing else has set models, and its
+    localization steps and projection-map check run, as on
+    `builtin:trivial`; with two sorts there is one model per pair of
+    carrier sizes."""
+    pts, ab = tmp_path / "pts.msat", tmp_path / "ab.msat"
+    pts.write_text("theory pts\nsorts el\nend\n")
+    ab.write_text("theory ab\nsorts a, b\nend\n")
+    toy = _toy_diagram_json(tmp_path, trivial)
+    sets = ["set1", "set2", "set3"]
+    for argv, models in [
+        (["verify-up", "--theory", str(pts), "--diagram", toy], sets),
+        (["localize", "--theory", str(pts), "--diagram", toy, "--budget", "6"], None),
+        (["verify-ktk", "--theory", str(pts), "--object", "el,el"], sets),
+        (["verify-ktk", "--theory", str(ab), "--object", "a,b"],
+         [f"set{i}x{j}" for i in (1, 2, 3) for j in (1, 2, 3)]),
+    ]:
+        report, code = run(argv)
+        assert code == 0, report
+        assert [m["model"] for m in report["data"].get("models", [])] == (models or [])
+    assert report["data"]["models"][5]["product"] == 6
+    report, code = run(["normalize", "--theory", str(pts), "--context", "x:el, y:el",
+                        "--term", "x", "--equal-to", "y"])
+    assert code == 1 and report["data"]["equality"] == "distinct"
 
 
 @pytest.mark.parametrize("bound, code, note", [

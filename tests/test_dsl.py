@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from msat.builtins import builtin_doctrine
-from msat.catalog import cyclic_group, faulted_catalog
+from msat.catalog import cyclic_group, faulted_catalog, models_for
 from msat.dsl import (
     diagram_from_data,
     diagram_to_data,
@@ -19,9 +19,10 @@ from msat.dsl import (
     simplicial_from_data,
     simplicial_to_data,
 )
+from msat.engines import BoundedGenericEngine
 from msat.errors import ParseError
 from msat.models import as_functor
-from msat.signature import print_term
+from msat.signature import EqResult, Var, print_term, terms_equal
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +71,26 @@ def test_parsed_doctrine_matches_builtin_shape(action):
     assert len(doc.sorts) == 2
     assert len(doc.ops) == 3  # monoid action: mul, e, act
     assert len(doc.equations) == 5
+
+
+def test_theory_of_sorts_alone_is_exact(trivial):
+    """No operations and no equations: the parsed theory has the trivial
+    doctrine's exact engine and its set models."""
+    doc = parse_theory(print_theory(trivial))
+    assert doc.sorts_only and doc.exact
+    assert [alg.name for alg in models_for(doc)] == ["set1", "set2", "set3"]
+    x, y = (Var(n, doc.sort("el")) for n in "xy")
+    assert terms_equal(x, y, doc) is EqResult.DISTINCT
+
+
+def test_equation_without_operations_keeps_the_generic_engine():
+    """`x = y` collapses the sort, so literal equality of variables would
+    answer distinct where the truth is equal."""
+    doc = parse_theory("theory collapse\nsorts el\neq (x:el, y:el) x = y\nend\n")
+    assert not doc.sorts_only and isinstance(doc.engine, BoundedGenericEngine)
+    x, y = (Var(n, doc.sort("el")) for n in "xy")
+    assert terms_equal(x, y, doc) is EqResult.EQUAL
+    assert models_for(doc) == []
 
 
 def test_model_round_trip(group):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from msat.diagram import (
     natural_transformations,
     representable_diagram,
 )
+from msat.dsl import parse_theory
 from msat.errors import BudgetExhausted, HomEnumerationIncomplete
 from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
 from msat.models import AlgebraFunctor, as_functor, check_product_preservation
@@ -513,3 +515,52 @@ def test_presentation_homs_match_brute_force(group, monoid):
                 ):
                     slow.append(combo)
             assert fast == slow
+
+
+def two_sorted_diagram(rng, doctrine, repeated):
+    """A functorial diagram at object bound 2 on a doctrine with sorts a
+    and b and nothing else: X(T) = A^i x B^j with |A|, |B| in 1..3, except
+    at (a, b), where X(a, b) is a random subset of A x B whose pairs are
+    listed once each, or 1-2 times each when `repeated`.  The only
+    generating arrow into (a, b) is its identity, so each arrow out of
+    (a, b) acts on an element through its pair."""
+    a, b = doctrine.sorts
+    X = as_functor(trivial_model(doctrine, rng.randint(1, 3), rng.randint(1, 3)), 2)
+    AB = TheoryObject.of(a, b)
+    cells = []
+    for pair in X.value(AB):
+        if rng.random() < 0.7:
+            cells.extend((*pair, k) for k in range(rng.randint(1, 2) if repeated else 1))
+    values = dict(X.values)
+    values[AB] = cells
+    arrows = {
+        m: table if m.source != AB else {
+            c: c if m.target == AB else table[c[:2]] for c in cells
+        }
+        for m, table in X.arrows.items()
+    }
+    return DiagramOnTruncation(doctrine, 2, 2, values, arrows)
+
+
+def test_two_sorted_localization_is_the_product_functor():
+    """With no operations, every arrow into a size-one object is a
+    projection, so localization keeps the size-one values: it is the
+    product functor T -> X(T_1) x ... x X(T_n), and its unit, read
+    through the result's comparison map, is X's comparison map."""
+    doctrine = parse_theory("theory ab\nsorts a, b\nend\n")
+    for seed in range(40):
+        X = two_sorted_diagram(make_rng(seed), doctrine, repeated=seed % 2 == 1)
+        res = localize(X, 8)
+        L = res.diagram
+        assert check_strictly_local(L)[0]
+        for obj in X.objects():
+            factors = [TheoryObject.of(s) for s in obj.sorts]
+            assert len(L.value(obj)) == math.prod(len(X.value(f)) for f in factors)
+            if obj.size == 1:
+                assert set(res.unit[obj].values()) == set(L.value(obj))
+            into_L, into_X = L.comparison(obj), X.comparison(obj)
+            for x in X.value(obj):
+                assert into_L[res.unit[obj][x]] == tuple(
+                    res.unit[f][y] for f, y in zip(factors, into_X[x]))
+        ok, report = verify_universal_property(X, rigidify_presentation(X), 2)
+        assert ok and [r["model"] for r in report] == ["set1x1", "set1x2", "set2x1", "set2x2"]

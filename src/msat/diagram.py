@@ -7,6 +7,15 @@ the enumerated fragment); checks and solvers only constrain where a
 table is defined.  Natural transformations into a functor are the
 solutions of one constraint per defined table entry (`search.solve`).
 
+A diagram is numbered once, when it is built, as `msat.numbering`
+numbers a simplicial set: an element stands for the first position it
+takes in its object's values, and each table is also a list of
+positions, -1 where it is undefined, with one trailing -1.  The
+closure, the comparison maps and the natural-transformation
+constraints work on those lists; an element is read only to build a
+result or to spell a message.  The closure is semi-naive (Bancilhon
+1986): a pair of tables is joined again only after one of them changed.
+
 `DiagramOnTruncation.comparison` is the one canonical map
 X(T) -> X(T_1) x ... x X(T_n) read off the projection tables; the
 strictness check, both routes of `rigidify` and the universal-property
@@ -40,9 +49,11 @@ again.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import InvalidParameter, NotFunctorial
+from .numbering import first_positions
 from .search import UnionFind, solve
 from .signature import App, Doctrine, Var, print_term
 from .theory_cat import (
@@ -63,6 +74,11 @@ _UNSEEN = object()
 
 
 class DiagramOnTruncation:
+    """The values at each object of the truncation and a table for each
+    given arrow, numbered once when built (`_number`).  A diagram is
+    read-only once built: its closure and comparison maps are computed
+    from the numbering once and kept."""
+
     def __init__(self, doctrine: Doctrine, object_bound: int, term_bound: int,
                  values: dict, arrows: dict):
         self.doctrine = doctrine
@@ -72,9 +88,11 @@ class DiagramOnTruncation:
         self.values = {obj: tuple(values.get(obj, ())) for obj in self._objects}
         self.arrows = {m: dict(t) for m, t in arrows.items()}
         self._closure_cache = None
+        self._comparisons: dict = {}
         problems = [f"values at {obj} leave the truncation"
                     for obj in values if obj not in self.values]
-        problems += self.well_formed_problems()
+        self._firsts, self._tables, found = self._number()
+        problems += found
         if problems:
             raise InvalidParameter("malformed diagram: " + "; ".join(problems[:3]))
 
@@ -85,25 +103,44 @@ class DiagramOnTruncation:
         return self.values[obj]
 
     def well_formed_problems(self):
-        problems = []
-        members: dict = {}  # obj -> the set of its values, built once
+        """Every arrow that leaves the truncation, and every table key or
+        image with no position in its object's values, arrow by arrow
+        and entry by entry in table order."""
+        return self._number()[2]
+
+    def _number(self):
+        """(firsts, tables, problems): each object's elements -> their
+        first positions, and each arrow m -> (image, keys), where
+        image[k] is the position of the image of position k (-1 where
+        the table is undefined, and one trailing -1) and keys lists the
+        table's keys as positions, in table order; problems as in
+        `well_formed_problems`, for the arrows they leave out."""
+        firsts = {obj: first_positions(vals) for obj, vals in self.values.items()}
+        tables, problems = {}, []
         for m, table in self.arrows.items():
-            if m.source not in self.values or m.target not in self.values:
+            src, tgt = firsts.get(m.source), firsts.get(m.target)
+            if src is None or tgt is None:
                 problems.append(f"arrow {m} leaves the truncation")
                 continue
-            src, tgt = members.get(m.source), members.get(m.target)
-            if src is None:
-                src = members[m.source] = set(self.values[m.source])
-            if tgt is None:
-                tgt = members[m.target] = set(self.values[m.target])
-            if src.issuperset(table) and tgt.issuperset(table.values()):
+            level = self.values[m.source]
+            try:
+                images = list(map(tgt.__getitem__, table.values()))
+                if len(table) == len(level) and tuple(table) == level:
+                    keys = range(len(level))  # every value once, in order
+                else:
+                    keys = list(map(src.__getitem__, table))
+                    images = list(map(dict(zip(keys, images)).get, range(len(level)),
+                                      repeat(-1)))
+            except KeyError:  # a key or an image with no position
+                for x, y in table.items():
+                    if x not in src:
+                        problems.append(f"arrow {m}: {x!r} not in source values")
+                    if y not in tgt:
+                        problems.append(f"arrow {m}: image {y!r} not in target values")
                 continue
-            for x, y in table.items():
-                if x not in src:
-                    problems.append(f"arrow {m}: {x!r} not in source values")
-                if y not in tgt:
-                    problems.append(f"arrow {m}: image {y!r} not in target values")
-        return problems
+            images.append(-1)
+            tables[m] = (images, keys)
+        return firsts, tables, problems
 
     def morphism_size(self, m: TheoryMorphism) -> int:
         size = self.doctrine.engine.value_size
@@ -115,48 +152,84 @@ class DiagramOnTruncation:
         (closure dict, conflicts list); a conflict is a functoriality
         violation, each distinct one listed once, in the order found.
 
-        A plain fixpoint: each round composes every composable pair
-        (f outer, g inner) of a snapshot of the closure and merges the
-        composite's table, until a round adds nothing.  A composite
-        (None past the term bound) is read from the doctrine's `memo`,
-        so a pair is composed at most once per doctrine and term bound."""
+        Semi-naive on positions (Bancilhon 1986): each round composes the
+        composable pairs (f outer, g inner) of the entries present when
+        it starts, in order, as position lists (`_join`), and merges the
+        composite's table, until a round adds nothing.  A pair is joined
+        again only when f or g is new, or grew in the previous round or
+        earlier in this one; otherwise its composite table is the one its
+        last join merged, which can add nothing.  A composite equal to
+        its entry's table is one list comparison.  A composite (None
+        past the term bound) is read from the doctrine's `memo`, so a
+        pair is composed at most once per doctrine and term bound."""
         if self._closure_cache is not None:
             return self._closure_cache
-        closure: dict[TheoryMorphism, dict] = {}
+        values = self.values
+        join = _join
+        # entry i: its morphism, image positions, keys in insertion order,
+        # and the last round in which it was added or grew
+        ms, imgs, keys, grown = [], [], [], []
+        index: dict[TheoryMorphism, int] = {}
         conflicts: dict[str, None] = {}
+        rnd = 0
 
-        def merge(m, table):
-            existing = closure.get(m)
-            if existing is None:
-                closure[m] = dict(table)
-                return True
+        def merge(i, image, order):
+            """Merge the entries `order` of `image` into entry i; True if
+            it grew."""
+            m, existing, known = ms[i], imgs[i], keys[i]
             grew = False
-            for x, y in table.items():
-                if x not in existing:
+            for x in order:
+                y, e = image[x], existing[x]
+                if e < 0:
                     existing[x] = y
+                    known.append(x)
                     grew = True
-                elif existing[x] != y:
+                elif e != y:
+                    src, tgt = values[m.source], values[m.target]
                     conflicts[
-                        f"arrow {m}: composite images disagree at {x!r}: "
-                        f"{existing[x]!r} vs {y!r}"
+                        f"arrow {m}: composite images disagree at {src[x]!r}: "
+                        f"{tgt[e]!r} vs {tgt[y]!r}"
                     ] = None
+            if grew:
+                grown[i] = rnd
             return grew
 
+        def add(m, image, order):
+            index[m] = len(ms)
+            ms.append(m)
+            imgs.append(image)
+            keys.append(order)
+            grown.append(rnd)
+
         for obj in self._objects:
-            merge(identity(obj), {x: x for x in self.values[obj]})
-        for m, table in self.arrows.items():
-            merge(m, table)
+            first = self._firsts[obj]
+            image = [-1] * (len(values[obj]) + 1)
+            for k in first.values():
+                image[k] = k
+            add(identity(obj), image, sorted(first.values()))
+        for m, (image, order) in self._tables.items():
+            i = index.get(m)
+            if i is None:
+                add(m, image[:], list(order))
+            else:
+                merge(i, image, order)
         # (f, g) -> g after f, or None past the term bound
         composites = self.doctrine.memo.setdefault(("composites", self.term_bound), {})
         changed = True
         while changed:
             changed = False
-            items = list(closure.items())
+            rnd += 1
+            last = rnd - 1
+            n = len(ms)
             by_source: dict[TheoryObject, list] = {}
-            for g, gtab in items:
-                by_source.setdefault(g.source, []).append((g, gtab))
-            for f, ftab in items:
-                for g, gtab in by_source.get(f.target, ()):
+            for gi in range(n):
+                by_source.setdefault(ms[gi].source, []).append(gi)
+            for fi in range(n):
+                f, fimg = ms[fi], imgs[fi]
+                for gi in by_source.get(f.target, ()):
+                    if grown[fi] < last and grown[gi] < last:
+                        continue
+                    g = ms[gi]
                     h = composites.get((f, g), _UNSEEN)
                     if h is _UNSEEN:
                         h = compose(self.doctrine, g, f)
@@ -165,9 +238,22 @@ class DiagramOnTruncation:
                         composites[(f, g)] = h
                     if h is None:
                         continue
-                    htab = {x: gtab[y] for x, y in ftab.items() if y in gtab}
-                    if htab and merge(h, htab):
+                    himg = join(fimg, imgs[gi])
+                    hi = index.get(h)
+                    if hi is not None and himg == imgs[hi]:
+                        continue
+                    order = [x for x in keys[fi] if himg[x] >= 0]
+                    if not order:
+                        continue
+                    if hi is None:
+                        add(h, himg, order)
                         changed = True
+                    elif merge(hi, himg, order):
+                        changed = True
+        closure = {}
+        for m, image, order in zip(ms, imgs, keys):
+            src, tgt = values[m.source], values[m.target]
+            closure[m] = {src[x]: tgt[image[x]] for x in order}
         self._closure_cache = (closure, list(conflicts))
         return self._closure_cache
 
@@ -192,14 +278,32 @@ class DiagramOnTruncation:
         goes to the tuple of its images under the projections
         obj -> T_i.  Returned as a dict on the elements where every
         projection table is defined; None when a projection table is
-        missing.  At the terminal object every element goes to ()."""
-        tables = [self.arrows.get(projection(obj, [i])) for i in range(1, obj.size + 1)]
+        missing.  At the terminal object every element goes to ().
+        Read off the projections' position tables once per object; the
+        dict is shared, so callers must not change it."""
+        try:
+            return self._comparisons[obj]
+        except KeyError:
+            pass
+        tables = [self._tables.get(projection(obj, [i])) for i in range(1, obj.size + 1)]
         if any(t is None for t in tables):
-            return None
-        return {
-            x: tuple([t[x] for t in tables])
-            for x in self.values[obj] if all(x in t for t in tables)
-        }
+            images = None
+        elif not tables:
+            images = {x: () for x in self.values[obj]}
+        else:
+            factors = [self.values[TheoryObject.of(s)] for s in obj.sorts]
+            images = {}
+            for x, row in zip(self.values[obj], zip(*(image for image, _ in tables))):
+                if -1 not in row:
+                    images[x] = tuple(map(tuple.__getitem__, factors, row))
+        self._comparisons[obj] = images
+        return images
+
+
+def _join(fimg: list, gimg: list) -> list:
+    """The position table of g after f from those of f and g: -1, and
+    so f's trailing -1, reads g's trailing -1."""
+    return list(map(gimg.__getitem__, fimg))
 
 
 def is_bijection(images, codomain) -> bool:
@@ -316,18 +420,32 @@ def natural_transformations(X: DiagramOnTruncation, Y):
     arrow entry of X, in lexicographic order of the unknowns eta_obj(x).
     Y must expose value(obj) and morphism_map(m) (total on its values).
     Each arrow entry x -> y of X(m) is the constraint
-    eta(y) = Y(m)(eta(x)) for `search.solve`."""
-    # a value list may name an element twice; it is one unknown
-    unknowns = list(dict.fromkeys((obj, x) for obj in X.objects() for x in X.value(obj)))
-    index = {u: i for i, u in enumerate(unknowns)}
+    eta(y) = Y(m)(eta(x)) for `search.solve`, read off X's position
+    tables: the unknowns are X's elements at their first positions, and
+    the entries of one arrow share its image lookup."""
+    unknowns, domains = [], []
+    unknown = {}  # obj -> position -> the index of its element's unknown
+    for obj in X.objects():
+        vals, first = X.values[obj], X._firsts[obj]
+        base = len(unknowns)
+        if len(first) == len(vals):
+            unknown[obj] = range(base, base + len(vals))
+            unknowns += [(obj, x) for x in vals]
+        else:  # a value list may name an element twice; it is one unknown
+            at = unknown[obj] = []
+            for k, x in enumerate(vals):
+                if first[x] == k:
+                    at.append(len(unknowns))
+                    unknowns.append((obj, x))
+                else:
+                    at.append(at[first[x]])
+        domains += [Y.value(obj)] * (len(unknowns) - base)
     constraints = []
-    for m, table in X.arrows.items():
-        if not table:
+    for m, (image, keys) in X._tables.items():
+        if not keys:
             continue
-        image = Y.morphism_map(m).__getitem__
-        for x, ximg in table.items():
-            constraints.append((image, (index[(m.source, x)],), index[(m.target, ximg)]))
-    domains = [Y.value(obj) for obj, _ in unknowns]
+        fn, src, tgt = Y.morphism_map(m).__getitem__, unknown[m.source], unknown[m.target]
+        constraints += [(fn, (src[x],), tgt[image[x]]) for x in keys]
     return [dict(zip(unknowns, values)) for values in solve(domains, constraints)]
 
 

@@ -55,7 +55,7 @@ def structure_kinds(cap: int, faces: dict, degeneracies: dict) -> tuple:
 MISSING, LEAVES = "missing or partial", "leaves the level set"
 
 
-def _first_positions(level: tuple, start: int = 0) -> dict:
+def first_positions(level: tuple, start: int = 0) -> dict:
     """Each element of a level -> the first position it takes there,
     counting positions from `start`."""
     return dict(zip(reversed(level), range(start + len(level) - 1, start - 1, -1)))
@@ -98,7 +98,7 @@ def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
     for n in range(cap + 1):
         values = levels[n]
         off = list(accumulate(map(len, values), initial=0))
-        level_firsts = list(map(_first_positions, values, off))
+        level_firsts = list(map(first_positions, values, off))
         offsets.append(off)
         firsts.append(level_firsts)
         canon.append(

@@ -18,6 +18,13 @@ With no operations every arrow into a size-one object is a projection,
 so no step changes a size-one value: the localization of X is the
 product functor T -> X(T_1) x ... x X(T_n), and its unit, read through
 the result's comparison map, is the comparison map of X.
+
+A known limit: the steps glue along the projection maps of objects of
+size 2 and more, and nothing glues along the nullary projection into
+the terminal object.  Two elements of X at the terminal object merge
+only when an injectivity step happens to merge them; when none does
+(say X is two points at the terminal object and one everywhere else),
+`localize` ends in `BudgetExhausted`.
 """
 
 from __future__ import annotations
@@ -249,6 +256,10 @@ def localize(X: DiagramOnTruncation, budget: int) -> LocalizeResult:
 
 
 def _generator_table(X: DiagramOnTruncation):
+    """(size-one object, element) -> its generator.  Object bound 0,
+    with no size-one object, is refused."""
+    if X.object_bound < 1:
+        raise InvalidParameter(f"rigidify needs object bound >= 1, got {X.object_bound}")
     table = {}
     for sort in sorted(X.doctrine.sorts, key=lambda s: s.name):
         obj = TheoryObject.of(sort)
@@ -261,9 +272,8 @@ def rigidify_presentation(X: DiagramOnTruncation) -> AlgebraPresentation:
     """Generators: the size-one values of X.  Relations: one per defined
     entry of a generating arrow into a size-one object, equating the
     arrow's term (on the projected generators) with the image's
-    generator.  Object bound 0, with no size-one object, is refused."""
-    if X.object_bound < 1:
-        raise InvalidParameter(f"rigidify needs object bound >= 1, got {X.object_bound}")
+    generator.  Object bound 0, with no size-one object, is refused
+    (`_generator_table`)."""
     gens = _generator_table(X)
     generators: dict[Sort, list] = {}
     for (obj, x), var in gens.items():

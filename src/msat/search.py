@@ -20,10 +20,15 @@ def solve(domains, constraints) -> list[tuple]:
     None, meaning `fn(*value[sources])` is true.  A functional constraint
     with one source other than its target is an arc, kept consistent in
     both directions (AC-3, Mackworth 1977) through an image table that
-    arcs with an equal `fn` share; every other constraint fires once all
-    its sources are fixed, forcing the target or failing.  The search
-    branches on the first unfixed variable and tries its values in domain
-    order, so solutions come out in lexicographic order of the domains.
+    arcs with an equal `fn` share; once its source is fixed, an arc is a
+    forward check that keeps only the target values equal to the
+    source's image, or fails.  Every other constraint fires once all its
+    sources are fixed, forcing the target or failing.  Forcing keeps
+    every copy of a value that a domain lists twice, so each copy has
+    its own solutions, as in `itertools.product` of the domains.  The
+    search branches on the first unfixed variable and tries its values
+    in domain order, so solutions come out in lexicographic order of the
+    domains.
     """
     doms = [list(d) for d in domains]
     cons = []  # (True, image table, source, target) or (False, fn, sources, target)
@@ -63,28 +68,42 @@ def solve(domains, constraints) -> list[tuple]:
             queued.discard(ci)
             arc, fn, sources, target = cons[ci]
             if arc:
-                s, dt = sources, doms[target]
-                allowed = set(dt)
-                ds = [a for a in doms[s] if fn[a] in allowed]
-                if not ds:
+                s = sources  # an arc has one source
+                ds = doms[s]
+                if len(ds) > 1:  # a revision both ways
+                    dt = doms[target]
+                    allowed = set(dt)
+                    ds = [a for a in ds if fn[a] in allowed]
+                    if not ds:
+                        return False
+                    if len(ds) < len(doms[s]):
+                        narrow(s, ds)
+                    reached = {fn[a] for a in ds}
+                    if len(reached) < len(dt):
+                        kept = [b for b in dt if b in reached]
+                        if len(kept) < len(dt):  # not when dt repeats what it keeps
+                            narrow(target, kept)
+                    continue
+                value = fn[ds[0]]  # a forward check
+            else:
+                args = [doms[s][0] for s in sources if len(doms[s]) == 1]
+                if len(args) < len(sources):
+                    continue
+                value = fn(*args)
+                if target is None:
+                    if not value:
+                        return False
+                    continue
+            dt = doms[target]
+            if len(dt) == 1:  # a fixed target: one comparison
+                if dt[0] != value:
                     return False
-                if len(ds) < len(doms[s]):
-                    narrow(s, ds)
-                reached = {fn[a] for a in ds}
-                if len(reached) < len(dt):
-                    narrow(target, [b for b in dt if b in reached])
                 continue
-            args = [doms[s][0] for s in sources if len(doms[s]) == 1]
-            if len(args) < len(sources):
-                continue
-            value = fn(*args)
-            if target is None:
-                if not value:
-                    return False
-            elif value not in doms[target]:
+            kept = [b for b in dt if b == value]
+            if not kept:
                 return False
-            elif len(doms[target]) > 1:
-                narrow(target, [value])
+            if len(kept) < len(dt):
+                narrow(target, kept)
         return True
 
     solutions: list[tuple] = []

@@ -11,10 +11,10 @@ from msat.diagram import (
     representable_diagram,
 )
 from msat.dsl import parse_theory
-from msat.errors import BudgetExhausted, HomEnumerationIncomplete
+from msat.errors import BudgetExhausted, HomEnumerationIncomplete, InvalidParameter
 from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
 from msat.models import AlgebraFunctor, as_functor, check_product_preservation
-from msat.presentations import homs_into
+from msat.presentations import free_presentation, homs_into
 from msat.rigidify import (
     ProjectionMap,
     check_strictly_local,
@@ -382,6 +382,15 @@ class TestPresentation:
         ok, report = verify_universal_property(X, rigidify_presentation(X), 3)
         assert ok
         assert [(r["homs"], r["nats"]) for r in report] == [(1, 1), (2, 2), (3, 3)]
+
+    def test_universal_property_at_object_bound_zero_is_refused(self, trivial):
+        """No size-one object holds the generators, so the check raises
+        the presentation's error rather than a `KeyError`."""
+        X = DiagramOnTruncation(trivial, 0, 2, {TERMINAL: ("pt",)}, {})
+        P = free_presentation(trivial, {trivial.sort("el"): ("g",)}, "hand-built")
+        with pytest.raises(InvalidParameter,
+                           match=r"^rigidify needs object bound >= 1, got 0$"):
+            verify_universal_property(X, P, 3)
 
     def test_universal_property_round_trip(self, group, ocat, monoid):
         for doc in (group, ocat, monoid):

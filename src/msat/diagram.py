@@ -25,8 +25,10 @@ without listing the product, for the strictness check, `verify_ktk`
 and `models.adjunction_check`.
 
 The elements of a representable Hom(T, -) are its morphisms, and an
-arrow acts on them by composition, so building one renders no term;
-`element_key` spells an element as text only on output.  A
+arrow acts on them as composition does; the tables are built on
+positions, from one value list per sort and mixed-radix arithmetic,
+so building one composes and renders nothing; `element_key` spells an
+element as text only on output.  A
 representable diagram and a composite met by the closure are pure
 functions of the doctrine and the bounds; both are built once and kept
 in `Doctrine.memo`, so a representable is shared and read-only.  The
@@ -49,13 +51,13 @@ again.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 
 from .errors import InvalidParameter, NotFunctorial
 from .numbering import first_positions
 from .search import UnionFind, solve
-from .signature import App, Doctrine, Var, print_term
+from .signature import App, Doctrine, Var, enumerate_values, print_term
 from .theory_cat import (
     TheoryMorphism,
     TheoryObject,
@@ -338,11 +340,15 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
     enumerated morphisms themselves (`hom_enumerate`), and an arrow w
     sends m to the composite w after m when that composite is
     enumerated; images outside the enumerated fragment are left
-    undefined.  Nothing is rendered: `element_key` prints a morphism
-    element as its term tuple on output.  Built once per (rep,
-    object_bound, term_bound) and kept in `doctrine.memo`, so every
-    caller shares one diagram and its closure cache: the result is
-    read-only, and nothing may write its `values` or `arrows`."""
+    undefined.  The tables are built on positions, not by composing:
+    Hom(rep, B) is the product of one value list per slot of B, so a
+    morphism stands for its tuple of slot positions, and the image of m
+    is read slot by slot (see `_representable_diagram`), equal to
+    `compose(w, m)` entry by entry.  Nothing is rendered: `element_key`
+    prints a morphism element as its term tuple on output.  Built once
+    per (rep, object_bound, term_bound) and kept in `doctrine.memo`, so
+    every caller shares one diagram and its closure cache: the result
+    is read-only, and nothing may write its `values` or `arrows`."""
     key = ("representable_diagram", rep, object_bound, term_bound)
     X = doctrine.memo.get(key)
     if X is None:
@@ -351,16 +357,47 @@ def representable_diagram(doctrine: Doctrine, rep: TheoryObject, object_bound: i
 
 
 def _representable_diagram(doctrine, rep, object_bound, term_bound):
-    values = {obj: tuple(hom_enumerate(rep, obj, doctrine, term_bound))
-              for obj in objects_up_to(doctrine, object_bound)}
-    members = {m for ms in values.values() for m in ms}
+    """Each sort's values over rep's context are listed once, with the
+    first position of each value.  A morphism into B is then a digit
+    per slot of B, and its position in Hom(rep, B) the mixed-radix
+    number of its digits, in `hom_enumerate`'s product order.  A
+    variable slot of an arrow w: A -> B takes the digit of the source
+    slot it names; any other slot binds its value in the environment of
+    m's values (`Engine.bind`, as `compose` does) and looks the result
+    up, and a value with no position leaves the entry undefined."""
+    ctx = rep.context()
+    per_sort = {s: enumerate_values(ctx, s, doctrine, term_bound) for s in doctrine.sorts}
+    position = {s: first_positions(vals) for s, vals in per_sort.items()}
+    objs = objects_up_to(doctrine, object_bound)
+    values = {obj: tuple(hom_enumerate(rep, obj, doctrine, term_bound)) for obj in objs}
+    digits = {obj: list(product(*[range(len(per_sort[s])) for s in obj.sorts]))
+              for obj in objs}
+    bind = doctrine.engine.bind
     arrows = {}
     for w in generating_morphisms(doctrine, object_bound):
+        source, target = w.source, w.target
+        slots = []  # (source slot or None, value, sort, stride), last slot first
+        stride = 1
+        for v, s in zip(reversed(w.values), reversed(target.sorts)):
+            slot = source.names.index(v.name) if v.__class__ is Var else None
+            slots.append((slot, v, s, stride))
+            stride *= len(per_sort[s])
+        images, names = values[target], source.names
         table = {}
-        for m in values[w.source]:
-            image = compose(doctrine, w, m)
-            if image in members:
-                table[m] = image
+        for m, ds in zip(values[source], digits[source]):
+            at, env = 0, None
+            for slot, v, s, stride in slots:
+                if slot is not None:
+                    at += ds[slot] * stride
+                    continue
+                if env is None:
+                    env = dict(zip(names, m.values))
+                p = position[s].get(bind(v, env, s))
+                if p is None:
+                    break
+                at += p * stride
+            else:
+                table[m] = images[at]
         arrows[w] = table
     return DiagramOnTruncation(doctrine, object_bound, term_bound, values, arrows)
 

@@ -324,16 +324,16 @@ def verify_universal_property(X: DiagramOnTruncation, P: AlgebraPresentation,
                               model_bound: int = 3, models=None):
     """For every catalog model A: generator assignments P -> A must
     biject with natural transformations X -> H_A under the canonical
-    transpose.  Returns (ok, per-model report)."""
+    transpose.  Returns (ok, per-model report).  A model over another
+    doctrine than P's raises `DoctrineMismatch` (`homs_into`)."""
     if models is None:
         models = models_for(X.doctrine, model_bound)
     names = _generator_names(X, _generator_table(X))
     report = []
     ok = True
     for A in models:
-        H = AlgebraFunctor(A, X.object_bound)
-        nats = natural_transformations(X, H)
-        homs = homs_into(P, A)
+        homs = homs_into(P, A)  # first: it checks A's doctrine
+        nats = natural_transformations(X, AlgebraFunctor(A, X.object_bound))
         transposed = [] if names is None else [
             frozenset((key, tuple(h[n] for n in ns)) for key, ns in names.items())
             for h in homs
@@ -359,7 +359,8 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
     bound that leaves a projection out of the representable raises
     `HomEnumerationIncomplete` naming it, and an object bound below 1,
     which leaves out the size-one objects that hold the generators,
-    raises `InvalidParameter`."""
+    raises `InvalidParameter`; a model over another doctrine raises
+    `DoctrineMismatch` (`homs_into`)."""
     if object_bound < 1:
         raise InvalidParameter(f"verify_ktk needs object bound >= 1, got {object_bound}")
     if models is None:
@@ -391,9 +392,9 @@ def verify_ktk(doctrine: Doctrine, p: ProjectionMap, model_bound: int = 3,
     report = []
     ok = True
     for A in models:
-        factors = [A.carriers[s] for s in p.target.sorts]
         big_keys = [tuple(h[n] for n in big_names) for h in homs_into(P_big, A)]
         sum_keys = [tuple(h[n] for n in sum_names) for h in homs_into(P_sum, A)]
+        factors = [A.carriers[s] for s in p.target.sorts]
         big_ok = is_product_bijection(big_keys, factors)
         sum_ok = is_product_bijection(sum_keys, factors)
         ok = ok and big_ok and sum_ok

@@ -451,13 +451,17 @@ def representable_by_compose(doctrine, rep, object_bound, term_bound):
         obj: tuple(m.terms for m in hom_enumerate(rep, obj, doctrine, term_bound))
         for obj in objects_up_to(doctrine, object_bound)
     }
+    # each element rebuilt from its terms once, not once per arrow; a
+    # composite is enumerated when it is the morphism of enumerated terms
+    elements = {obj: {make_morphism(doctrine, rep, obj, x): x for x in xs}
+                for obj, xs in values.items()}
     arrows = {}
     for w in generating_morphisms(doctrine, object_bound):
-        allowed = set(values[w.target])
+        allowed = elements[w.target]
         table = {}
-        for x in values[w.source]:
-            composite = compose(doctrine, w, make_morphism(doctrine, rep, w.source, x))
-            if composite.terms in allowed:
-                table[x] = composite.terms
+        for m, x in elements[w.source].items():
+            terms = allowed.get(compose(doctrine, w, m))
+            if terms is not None:
+                table[x] = terms
         arrows[w] = table
     return values, arrows

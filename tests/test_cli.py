@@ -890,3 +890,122 @@ def test_compound_face_image_or_negative_level_bound_is_a_parse_error(tmp_path, 
         assert code == 2 and report["verdict"] == "error"
         assert report["error"] == error
         assert capsys.readouterr().err == ""
+
+
+# -- the repeated-entry gate: every valid input, one entry repeated -------
+
+THEORIES = sorted((Path(__file__).parent / "data" / "theories").glob("*.msat"))
+
+
+def _theory_mutants(text):
+    """(text, expected error) for each sort and each op declaration of a
+    theory, that declaration repeated once: a sort named again at the
+    end of its `sorts` line, an `op` line given twice."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        head, _, rest = line.strip().partition(" ")
+        if head == "sorts":
+            for name in rest.split(","):
+                name = name.strip()
+                mutant = line.rstrip("\n") + f", {name}\n"
+                yield "".join(lines[:i] + [mutant] + lines[i + 1:]), f"duplicate sort '{name}'"
+        elif head == "op":
+            name = rest.split(":")[0].strip()
+            yield "".join(lines[:i + 1] + [line] + lines[i + 1:]), f"duplicate op '{name}'"
+
+
+@pytest.mark.parametrize("path", THEORIES, ids=[p.stem for p in THEORIES])
+def test_repeated_declaration_in_a_theory_is_a_parse_error(tmp_path, capsys, path):
+    mutants = list(_theory_mutants(path.read_text()))
+    assert any("sort" in error for _, error in mutants)
+    for text, error in mutants:
+        mutant = tmp_path / path.name
+        mutant.write_text(text)
+        report, code = run(["check-theory", "--theory", str(mutant)])
+        assert code == 2 and report["verdict"] == "error", (text, report)
+        line, col, message = report["error"].split(":", 2)
+        assert line.isdigit() and col.isdigit() and message == " " + error, text
+        assert capsys.readouterr().err == ""
+
+
+def _json_with_repeat(value, repeat, path=()):
+    """The JSON text of `value` with the entry at `repeat`, a (path of an
+    object, key) pair, written twice in a row."""
+    if isinstance(value, dict):
+        entries = []
+        for key, item in value.items():
+            entries.append(json.dumps(key) + ": " + _json_with_repeat(item, repeat, path + (key,)))
+            if (path, key) == repeat:
+                entries.append(entries[-1])
+        return "{" + ", ".join(entries) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(
+            _json_with_repeat(item, repeat, path + (i,)) for i, item in enumerate(value)
+        ) + "]"
+    return json.dumps(value)
+
+
+def _json_repeats(value, path=(), kinds=None):
+    """(object path, key) for every key of the first nonempty object of
+    each kind, a kind being an object path with its array indices
+    left out."""
+    kinds = set() if kinds is None else kinds
+    if isinstance(value, dict):
+        kind = tuple(p for p in path if not isinstance(p, int))
+        if value and kind not in kinds:
+            kinds.add(kind)
+            yield from ((path, key) for key in value)
+        for key, item in value.items():
+            yield from _json_repeats(item, path + (key,), kinds)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_repeats(item, path + (i,), kinds)
+
+
+def _toy_data(doctrines):
+    from test_rigidify import toy_diagram
+
+    return diagram_to_data(toy_diagram(doctrines["trivial"]))
+
+
+def _z3_data(doctrines):
+    from test_dsl import z3_functor_data
+
+    return z3_functor_data(doctrines["group"])[0]
+
+
+def _repeated_element_data(doctrines):
+    from test_rigidify import repeated_element_diagram
+
+    return diagram_to_data(repeated_element_diagram(doctrines["trivial"]))
+
+
+def _simplicial_data(doctrines):
+    from msat.fuzz import product_simplicial_diagram
+    from msat.simplicial import standard
+
+    return simplicial_to_data(product_simplicial_diagram(doctrines["trivial"],
+                                                         standard("delta", 1, cap=2)))
+
+
+@pytest.mark.parametrize("data, theory, verbs", [
+    (_toy_data, "trivial", [["rigidify"], ["localize"], ["strict-check"]]),
+    (_z3_data, "group", [["strict-check"]]),
+    (_repeated_element_data, "trivial", [["strict-check"]]),
+    (_simplicial_data, "trivial", [["strict-check", "--simplicial"]]),
+], ids=["toy", "z3", "repeated-element", "simplicial"])
+def test_repeated_key_in_a_diagram_is_a_parse_error(tmp_path, capsys, trivial, group,
+                                                    data, theory, verbs):
+    """The diagram JSON the tests above feed to rigidify, localize and
+    strict-check, each key of each kind of object repeated in turn."""
+    value = data({"trivial": trivial, "group": group})
+    repeats = list(_json_repeats(value))
+    assert len(repeats) >= 8
+    path = tmp_path / "diagram.json"
+    for repeat in repeats:
+        path.write_text(_json_with_repeat(value, repeat))
+        for verb in verbs:
+            report, code = run(verb + ["--theory", f"builtin:{theory}", "--diagram", str(path)])
+            assert code == 2 and report["verdict"] == "error", (repeat, verb, report)
+            assert report["error"] == f"repeated key {repeat[1]!r} in a JSON object"
+            assert capsys.readouterr().err == ""

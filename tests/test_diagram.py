@@ -151,14 +151,55 @@ def test_representable_matches_composites(request, fresh_doctrine, name):
         for sort in d.sorts:
             rep = TheoryObject.of(sort)
             X = diagram.representable_diagram(d, rep, 2, 2)
-            values, arrows = representable_by_compose(d, rep, 2, 2)
-            # the elements are morphisms; the oracle's are their terms
-            assert {obj: tuple(m.terms for m in ms) for obj, ms in X.values.items()} == values
-            assert list(X.arrows) == list(arrows)
-            for m, table in arrows.items():
-                got = [(x.terms, y.terms) for x, y in X.arrows[m].items()]
-                assert got == list(table.items()), m
+            assert_representable_is(X, *representable_by_compose(d, rep, 2, 2))
             assert diagram.representable_diagram(d, rep, 2, 2) is X
+
+
+def assert_representable_is(X, values, arrows):
+    """X against `representable_by_compose`'s values and tables, key
+    order included."""
+    # the elements are morphisms; the oracle's are their terms
+    terms = {m: m.terms for ms in X.values.values() for m in ms}
+    assert {obj: tuple(map(terms.get, ms)) for obj, ms in X.values.items()} == values
+    assert list(X.arrows) == list(arrows)
+    for m, table in arrows.items():
+        got = [(terms[x], terms[y]) for x, y in X.arrows[m].items()]
+        assert got == list(table.items()), m
+
+
+# (representable size, object bound) of the product representables that
+# `verify_ktk` and the surjectivity step build, and of larger truncations
+PRODUCT_SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+def product_representables(doctrine, size):
+    sorts = sorted(doctrine.sorts, key=lambda s: s.name)
+    return [TheoryObject(c) for c in itertools.combinations_with_replacement(sorts, size)]
+
+
+@pytest.mark.parametrize("size, object_bound", PRODUCT_SHAPES)
+@pytest.mark.parametrize("name", ["trivial", "monoid", "group", "action", "ocat"])
+def test_product_representable_matches_composites(fresh_doctrine, name, size, object_bound):
+    d = fresh_doctrine(name)
+    for rep in product_representables(d, size):
+        X = diagram.representable_diagram(d, rep, object_bound, 2)
+        assert_representable_is(X, *representable_by_compose(d, rep, object_bound, 2))
+
+
+@pytest.mark.parametrize("name", DOCTRINES)
+def test_representable_build_composes_nothing(fresh_doctrine, monkeypatch, name):
+    """A representable's tables are read off value positions: building
+    one calls no `compose`."""
+    def compose(*args):
+        raise AssertionError("a representable was built by composing")
+
+    monkeypatch.setattr(theory_cat, "compose", compose)
+    monkeypatch.setattr(diagram, "compose", compose)
+    d = fresh_doctrine(name)
+    for size, object_bound in [(1, 2), (2, 2)]:
+        for rep in product_representables(d, size):
+            X = diagram.representable_diagram(d, rep, object_bound, 2)
+            assert X.arrows
 
 
 @pytest.mark.parametrize("name", DOCTRINES)

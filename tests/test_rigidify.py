@@ -11,10 +11,15 @@ from msat.diagram import (
     representable_diagram,
 )
 from msat.dsl import parse_theory
-from msat.errors import BudgetExhausted, HomEnumerationIncomplete, InvalidParameter
+from msat.errors import (
+    BudgetExhausted,
+    DoctrineMismatch,
+    HomEnumerationIncomplete,
+    InvalidParameter,
+)
 from msat.fuzz import make_rng, random_trivial_diagram, twisted_algebra_diagram
-from msat.models import AlgebraFunctor, as_functor, check_product_preservation
-from msat.presentations import free_presentation, homs_into
+from msat.models import AlgebraFunctor, as_functor, check_product_preservation, evaluate
+from msat.presentations import AlgebraPresentation, free_presentation, homs_into
 from msat.rigidify import (
     ProjectionMap,
     check_strictly_local,
@@ -27,6 +32,7 @@ from msat.rigidify import (
     verify_ktk,
     verify_universal_property,
 )
+from msat.signature import App, Var
 from msat.theory_cat import TERMINAL, TheoryObject, generating_morphisms, projection
 
 from oracles import pushout_classes, trivial_homset
@@ -505,25 +511,93 @@ def test_nat_solver_matches_brute_force(trivial):
             assert natural_transformations(X, H) == _brute_force_nats(X, H)
 
 
-def test_presentation_homs_match_brute_force(group, monoid):
-    from msat.models import evaluate
+def brute_force_homs(P, alg):
+    """The generator tuples, in context order, of every assignment in
+    `itertools.product` of the carriers that satisfies each relation,
+    checked with `evaluate`."""
+    ctx = P.context()
+    out = []
+    for combo in itertools.product(*[alg.carriers[v.sort] for v in ctx.vars]):
+        env = {v.name: e for v, e in zip(ctx.vars, combo)}
+        if all(evaluate(alg, lhs, env) == evaluate(alg, rhs, env) for lhs, rhs in P.relations):
+            out.append(combo)
+    return out
 
-    for doc in (group, monoid):
-        X = representable_diagram(doc, TheoryObject.of(doc.sorts[0]), 2, 2)
-        P = rigidify_presentation(X)
-        ctx = P.context()
-        for alg in models_for(doc, 2):
-            fast = [tuple(h[v.name] for v in ctx.vars) for h in homs_into(P, alg)]
-            slow = []
-            spaces = [alg.carriers[v.sort] for v in ctx.vars]
-            for combo in itertools.product(*spaces):
-                env = {v.name: e for v, e in zip(ctx.vars, combo)}
-                if all(
-                    evaluate(alg, lhs, env) == evaluate(alg, rhs, env)
-                    for lhs, rhs in P.relations
-                ):
-                    slow.append(combo)
-            assert fast == slow
+
+def assert_homs_match_brute_force(P, alg):
+    ctx = P.context()
+    fast = [tuple(h[v.name] for v in ctx.vars) for h in homs_into(P, alg)]
+    assert fast == brute_force_homs(P, alg), (P.to_json(), alg.name)
+
+
+def test_presentation_homs_match_brute_force(group, monoid, ocat, ring_module):
+    for doc in (group, monoid, ocat, ring_module):
+        for sort in doc.sorts:
+            P = rigidify_presentation(representable_diagram(doc, TheoryObject.of(sort), 2, 2))
+            for alg in models_for(doc, 2):
+                assert_homs_match_brute_force(P, alg)
+
+
+def hand_presentations(group, action):
+    """One hand-built presentation per kind of relation `homs_into`
+    turns into a constraint."""
+    G, X = action.sort("G"), action.sort("X")
+    g0, g1, g2, g3 = (Var(f"g{i}", group.sorts[0]) for i in range(4))
+    mul, inv, e = group.op("mul"), group.op("inv"), group.op("e")
+
+    def pres(doctrine, gens, *relations):
+        return AlgebraPresentation(doctrine, gens, tuple(relations))
+
+    gens = {group.sorts[0]: ("g0", "g1", "g2")}
+    x0, x1, h0 = Var("x0", X), Var("x1", X), Var("h0", G)
+    return {
+        "generator=generator": pres(group, gens, (g0, g1)),
+        "generator-used-twice": pres(group, gens, (App(mul, (g0, g0)), g1)),
+        "bare-generator-on-both-sides": pres(group, gens, (App(mul, (g0, g1)), g0)),
+        "compound=compound": pres(group, gens, (App(mul, (g0, g1)), App(mul, (g1, g0)))),
+        "nullary": pres(group, gens, (App(e), g2), (App(mul, (g0, App(inv, (g0,)))), App(e))),
+        "one-shape-twice": pres(
+            group, {group.sorts[0]: ("g0", "g1", "g2", "g3")},
+            (App(mul, (g0, g1)), g2), (App(mul, (g2, g3)), g1), (App(inv, (g3,)), g0),
+            (App(inv, (g1,)), g3),
+        ),
+        "two-sorted": pres(
+            action, {G: ("h0",), X: ("x0", "x1")},
+            (App(action.op("act"), (h0, x0)), x1),
+            (App(action.op("act"), (App(action.op("inv"), (h0,)), x1)), x0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", [
+    "generator=generator", "generator-used-twice", "bare-generator-on-both-sides",
+    "compound=compound", "nullary", "one-shape-twice", "two-sorted",
+])
+def test_hand_built_presentation_homs_match_brute_force(group, action, kind):
+    P = hand_presentations(group, action)[kind]
+    for alg in models_for(P.doctrine, 3):
+        assert_homs_match_brute_force(P, alg)
+
+
+def test_homs_into_an_algebra_of_another_doctrine(group, monoid, action):
+    """Group's presentation into a monoid model used to end in a bare
+    KeyError on the sort G, and into a group-action model, whose
+    operations share group's names, to return assignments silently."""
+    P = rigidify_presentation(representable_diagram(group, TheoryObject.of(group.sorts[0]), 2, 2))
+    for other in (monoid, action):
+        with pytest.raises(DoctrineMismatch):
+            homs_into(P, models_for(other, 2)[-1])
+
+
+def test_verify_routes_into_models_of_another_doctrine(group, monoid, action):
+    X = representable_diagram(group, TheoryObject.of(group.sorts[0]), 2, 2)
+    P = rigidify_presentation(X)
+    for other in (monoid, action):
+        models = models_for(other, 2)[-1:]
+        with pytest.raises(DoctrineMismatch):
+            verify_universal_property(X, P, models=models)
+        with pytest.raises(DoctrineMismatch):
+            verify_ktk(group, projection_map_set(group, 2)[0], models=models)
 
 
 def two_sorted_diagram(rng, doctrine, repeated):

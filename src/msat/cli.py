@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model-bound", type=_bound, default=3)
         p.add_argument("--budget", type=_bound, default=8,
                        help="rounds of the generic engine's equality check, localization "
-                            "steps, and the depth cap of the structure-map laws (at most 3)")
+                            "steps, and the depth of the structure-map laws (capped at 3; "
+                            "below 2 the verdict is unknown)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None)
 
@@ -378,8 +379,16 @@ def _dispatch(ns, report, inputs) -> int:
 
     if verb == "monad-laws":
         alg = _load_model(ns.model, doctrine, inputs)
-        failures = check_monad_laws(alg, depth=min(ns.budget, 3) or 3)
+        depth = min(ns.budget, 3)
         data["model"] = alg.name
+        if depth < 2:
+            # outer terms of depth 1 are variables and constants, which no
+            # table can fail: a pass would be vacuous
+            report["verdict"] = "unknown"
+            data["note"] = (f"structure-map laws need depth 2 or more; "
+                            f"--budget {ns.budget} gives depth {depth}")
+            return EXIT_BUDGET
+        failures = check_monad_laws(alg, depth=depth)
         data["failures"] = len(failures)
         report["counterexamples"] = failures[:5]
         return _verdict(report, not failures)

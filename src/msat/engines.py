@@ -8,9 +8,11 @@ path) where equality is literal.  Beside it are four hooks of
 a value (concatenate and reduce words, substitute into polynomials,
 plug trees in for generator nodes, concatenate paths), `fold` walks a
 value along its canonical term (one `var` call per variable, one
-`node` call per operation), `value_size` measures it and
-`enumerate_values` lists the values below a size bound in a fixed
-order, so every hom-level API downstream is deterministic.
+`node` call per operation; the callbacks are pure, so the operad engine
+calls `node` for its unit once per fold and reuses it at every leaf),
+`value_size` measures it and `enumerate_values` lists the values below
+a size bound in a fixed order, so every hom-level API downstream is
+deterministic.
 `ExactEngine.value` is derived: a term op(t1, ..., tn) is the generic
 element of op bound to the values of t1, ..., tn.  Values are
 hashable, and the value of a lone variable is that `Var` itself: each
@@ -415,6 +417,10 @@ def _mono_deg(mono):
 
 
 def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     acc: dict = {}
     for v, e in (*m1, *m2):
         acc[v] = acc.get(v, 0) + e
@@ -423,15 +429,15 @@ def _mono_mul(m1, m2):
 
 def _mono_bind(mono, env):
     """The (monomial, coefficient) pairs of a monomial with env's ring
-    values for its variables."""
-    if len(mono) == 1 and mono[0][1] == 1:
-        return _ring_items(env[mono[0][0].name])
-    out = {(): 1}
+    values for its variables; the product starts from its first factor."""
+    if not mono:
+        return (((), 1),)
+    out = None
     for v, e in mono:
         p = _ring_items(env[v.name])
         for _ in range(e):
-            out = _poly_mul(out.items(), p)
-    return out.items()
+            out = p if out is None else _poly_mul(out, p).items()
+    return out
 
 
 def _poly_add_into(out, pairs, scale):
@@ -536,35 +542,51 @@ class OperadEngine(ExactEngine):
     def bind(self, value, env, sort: Sort):
         if value.__class__ is Var:
             return env[value.name]
+        if value.__class__ is int:
+            return value
         return _operad_value(_substitute(value, env))
 
     def fold(self, value, sort: Sort, var, node):
         if value.__class__ is Var:
             return var(value)
+        unit = node(self.unit, ())
+        if value.__class__ is int:
+            return unit
         labels = []
-        out, n = self._fold_tree(value, labels, var, node)
+        out, n = self._fold_tree(value, labels, var, node, unit)
         if labels != list(range(1, n + 1)):
             return node(self.perms[(n, tuple(labels))], (out,))
         return out
 
-    def _fold_tree(self, tree, labels, var, node):
-        """The fold of `tree` and its leaf count, from one planar walk
-        that appends the leaf labels to `labels`."""
-        if tree.__class__ is int:
-            labels.append(tree)
-            return node(self.unit, ()), 1
+    def _fold_tree(self, tree, labels, var, node, unit):
+        """The fold of the node `tree` and its leaf count, from one
+        planar walk that appends the leaf labels to `labels`; `unit` is
+        the fold of a leaf."""
         gen, children = tree
-        if all([c.__class__ is int for c in children]):
+        for c in children:
+            if c.__class__ is not int:
+                break
+        else:
             labels.extend(children)
             return var(gen), len(children)
-        folded = [self._fold_tree(c, labels, var, node) for c in children]
-        levels = tuple([n for _, n in folded])
+        args, levels = [None], []
+        for c in children:
+            if c.__class__ is int:
+                labels.append(c)
+                args.append(unit)
+                levels.append(1)
+            else:
+                f, n = self._fold_tree(c, labels, var, node, unit)
+                args.append(f)
+                levels.append(n)
+        levels = tuple(levels)
         gamma = self.gammas.get((len(children), levels))
         if gamma is None:
             raise UnsupportedDoctrine(
                 f"composition at levels {levels} exceeds level cap {self.level_cap}"
             )
-        return node(gamma, (var(gen), *[f for f, _ in folded])), sum(levels)
+        args[0] = var(gen)
+        return node(gamma, tuple(args)), sum(levels)
 
     def value_size(self, value, sort: Sort) -> int:
         return 1 if value.__class__ is Var else _tree_nodes(value)
@@ -592,11 +614,11 @@ def _gamma_element(p, *qs):
 
 
 def _substitute(tree, env):
-    """`tree` with env's value plugged in for each generator node."""
-    if tree.__class__ is int:
-        return tree
+    """The node `tree` with env's value plugged in for each generator
+    node."""
     gen, children = tree
-    return _plug(env[gen.name], [_substitute(c, env) for c in children])
+    return _plug(env[gen.name],
+                 [c if c.__class__ is int else _substitute(c, env) for c in children])
 
 
 def _plug(tree, kids):
@@ -607,7 +629,8 @@ def _plug(tree, kids):
     if tree.__class__ is Var:
         return (tree, tuple(kids))
     gen, children = tree
-    return (gen, tuple([_plug(c, kids) for c in children]))
+    return (gen, tuple([kids[c - 1] if c.__class__ is int else _plug(c, kids)
+                        for c in children]))
 
 
 def _operad_value(tree):

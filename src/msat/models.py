@@ -22,12 +22,17 @@ of an outer term's normal form to the values of the inner terms
 (`Engine.bind`), the substitution of the free-algebra monad, and
 evaluates the result by folding it with the tables (`Engine.fold`, a
 catamorphism over the canonical term that builds no term).  Its memos
-have three scopes: the values of outer subterms and the evaluation of
+have four scopes: the values of outer subterms and the evaluation of
 each distinct bound value (per target sort) last for one call; the
 composed values of outer subterms, one per evaluation class of the
 inner values, last for one slot shape; the flattenings of each distinct
-normal form last for one (slot shape, target sort).  No memo is kept on
-the algebra, whose tables may change between calls.
+normal form last for one (slot shape, target sort).  The outer terms
+themselves, with their normal forms and the slots each normal form
+uses, depend on neither the tables nor the carriers, so they last as
+long as the doctrine: `Doctrine.memo` holds one entry per (slot shape,
+target sort, depth), and the algebras of one doctrine enumerate them
+once.  No memo is kept on the algebra, whose tables may change between
+calls.
 """
 
 from __future__ import annotations
@@ -218,8 +223,11 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     bound once per assignment of inner values to the slots it uses
     (normalization never adds a variable; a fold that reads no table
     finds them), and each distinct bound value is folded once per call
-    and target.  The value of an outer term takes one bind per distinct
-    subterm per call.
+    and target.  The outer terms, their normal forms and used slots are
+    kept in `doctrine.memo` (`_outer_terms`), so on a doctrine that has
+    seen the (slot shape, target, depth) before, the check enumerates
+    no outer term and binds no outer subterm; otherwise the value of an
+    outer term takes one bind per distinct subterm per call.
 
     The composed side depends on the inner values only through their
     evaluations, so each outer subterm is evaluated once per slot shape
@@ -296,45 +304,49 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
                 composed[t] = r
             return r
 
-        # indices of some slots -> (their inner values per combo, distinct)
+        # indices of some slots -> their inner values per combo, the
+        # distinct ones with their environments, and the distinct pairs
+        # (class, their inner values) as two parallel lists
         keys_by_slots: dict[tuple, tuple] = {}
         for target in sorts:
-            outers = enumerate_raw_terms(slots, target, alg.doctrine, depth - 1, cap=OUTER_CAP)
             memo = folded[target]
-            by_nf = {}  # normal form -> (evaluations in combos order, per class)
-            for outer in outers:
-                nf = value(outer)
+            by_nf = {}  # normal form -> (evaluation per inner values, per class, keys)
+            for outer, nf, idx in _outer_terms(alg.doctrine, slots, target, depth, value):
                 lhs_of = by_nf.get(nf)
                 if lhs_of is None:
-                    used = fold(nf, target, _var_names, _union_names)  # reads no table
-                    idx = tuple([i for i, n in enumerate(names) if n in used])
                     keys = keys_by_slots.get(idx)
                     if keys is None:
                         per_combo = [tuple([vals[i] for i in idx]) for vals in combos]
-                        keys = keys_by_slots[idx] = (per_combo, list(dict.fromkeys(per_combo)))
-                    per_combo, distinct = keys
-                    used_names = [names[i] for i in idx]
+                        used_names = [names[i] for i in idx]
+                        pairs = dict.fromkeys(zip(class_of, per_combo))
+                        keys = keys_by_slots[idx] = (
+                            per_combo,
+                            [(key, dict(zip(used_names, key)))
+                             for key in dict.fromkeys(per_combo)],
+                            [c for c, _ in pairs],
+                            [key for _, key in pairs],
+                        )
+                    per_combo, distinct, pair_classes, pair_keys = keys
                     by_values = {}  # the used slots' inner values -> evaluated flattening
-                    for key in distinct:
-                        bound = bind(nf, dict(zip(used_names, key)), target)
+                    for key, slot_env in distinct:
+                        bound = bind(nf, slot_env, target)
                         lhs = memo.get(bound, _MISSING)
                         if lhs is _MISSING:
                             lhs = memo[bound] = fold(bound, target, var, node)
                         by_values[key] = lhs
-                    flat = [by_values[k] for k in per_combo]
-                    per_class = dict(zip(class_of, flat))  # keys in class order
-                    pairs = set(zip(class_of, flat))
-                    if len(pairs) > len(per_class):
-                        for c, lhs in pairs:
+                    flat = [by_values[k] for k in pair_keys]
+                    per_class = dict(zip(pair_classes, flat))  # keys in class order
+                    if len(set(zip(pair_classes, flat))) > len(per_class):
+                        for c, lhs in zip(pair_classes, flat):
                             if per_class[c] != lhs:
                                 per_class[c] = _MIXED
-                    lhs_of = by_nf[nf] = (flat, tuple(per_class.values()))
-                flat, per_class = lhs_of
+                    lhs_of = by_nf[nf] = (by_values, tuple(per_class.values()), per_combo)
+                by_values, per_class, per_combo = lhs_of
                 rhs_of = composed_of(outer)
                 if rhs_of == per_class:
                     continue  # no combination of inner values can fail
-                for vals, c, lhs in zip(combos, class_of, flat):
-                    rhs = rhs_of[c]
+                for vals, c, key in zip(combos, class_of, per_combo):
+                    lhs, rhs = by_values[key], rhs_of[c]
                     if lhs != rhs:
                         failures.append({
                             "law": "assoc",
@@ -348,6 +360,31 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
                         if len(failures) > 20:
                             return failures
     return failures
+
+
+def _outer_terms(doctrine: Doctrine, slots: Context, target: Sort, depth: int, value) -> tuple:
+    """The law check's outer terms of `target` over the slot variables,
+    each with its normal form and the indices of the slots that normal
+    form uses, as (outer, normal form, indices) in enumeration order.
+    None of it depends on an algebra, so it is kept in `doctrine.memo`,
+    one entry per (slot shape, target, depth); `value` gives the normal
+    forms on a miss."""
+    shape = tuple([v.sort for v in slots.vars])
+    key = ("monad_laws", shape, target, depth)
+    rows = doctrine.memo.get(key)
+    if rows is None:
+        names = [v.name for v in slots.vars]
+        fold, used_of = doctrine.engine.fold, {}
+        rows = []
+        for outer in enumerate_raw_terms(slots, target, doctrine, depth - 1, cap=OUTER_CAP):
+            nf = value(outer)
+            idx = used_of.get(nf)
+            if idx is None:
+                used = fold(nf, target, _var_names, _union_names)  # reads no table
+                idx = used_of[nf] = tuple([i for i, n in enumerate(names) if n in used])
+            rows.append((outer, nf, idx))
+        rows = doctrine.memo[key] = tuple(rows)
+    return rows
 
 
 def _var_names(v):

@@ -86,10 +86,14 @@ def solve(domains, constraints) -> list[tuple]:
                     continue
                 value = fn[ds[0]]  # a forward check
             else:
-                args = [doms[s][0] for s in sources if len(doms[s]) == 1]
-                if len(args) < len(sources):
+                fixed = True
+                for s in sources:
+                    if len(doms[s]) > 1:
+                        fixed = False
+                        break
+                if not fixed:
                     continue
-                value = fn(*args)
+                value = fn(*[doms[s][0] for s in sources])
                 if target is None:
                     if not value:
                         return False

@@ -330,8 +330,10 @@ class Doctrine:
     (representable, object bound, term bound)
     (`diagram.representable_diagram`, also read by
     `rigidify.surjectivity_step`, which glues copies of the product
-    object's representable), and per term bound the composites met by
-    `DiagramOnTruncation.arrow_closure`.  It is created with the
+    object's representable), per term bound the composites met by
+    `DiagramOnTruncation.arrow_closure`, and per (slot shape, target
+    sort, depth) the outer terms of `models.check_monad_laws` with their
+    normal forms and used slots.  It is created with the
     doctrine and freed with it, and each entry is bounded by the finite
     truncation asked for."""
 

@@ -223,6 +223,22 @@ def test_monad_laws_verb(z2_file, faulted_file):
     assert code == 1 and report["counterexamples"]
 
 
+@pytest.mark.parametrize("budget, code, depth", [("0", 3, 0), ("1", 3, 1), ("2", 1, 2)])
+def test_monad_laws_budget_below_depth_two_is_unknown(faulted_file, budget, code, depth):
+    """At depth 1 the outer terms are variables and constants, so even
+    a faulted model would pass: budgets 0 and 1 answer unknown and name
+    the depth, and budget 2 finds the fault."""
+    report, got = run(["monad-laws", "--theory", "builtin:group", "--model", faulted_file,
+                       "--budget", budget])
+    assert got == code
+    if code == 3:
+        assert report["verdict"] == "unknown" and not report["counterexamples"]
+        assert report["data"]["note"].endswith(f"--budget {budget} gives depth {depth}")
+    else:
+        assert report["verdict"] == "fail" and report["counterexamples"]
+        assert "note" not in report["data"]
+
+
 def test_monad_laws_on_dsl_theory_reports_error(tmp_path, monoid):
     """The associativity law needs free-algebra enumeration, which a
     DSL theory's generic engine does not support: the check must fail

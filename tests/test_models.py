@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
+import msat.models as models
 from msat.builtins import builtin_doctrine
 from msat.catalog import (
     action_model,
@@ -16,6 +18,7 @@ from msat.catalog import (
 )
 from msat.diagram import natural_transformations, representable_diagram
 from msat.dsl import parse_model, print_model
+from msat.engines import OperadEngine, RingModuleEngine
 from msat.errors import ElementNotInCarrier, InvalidParameter, UnboundVariable, UnsupportedDoctrine
 from msat.models import (
     AlgebraFunctor,
@@ -39,6 +42,7 @@ from msat.signature import (
     Var,
     enumerate_raw_terms,
     enumerate_terms,
+    enumerate_values,
     print_term,
     substitute,
     term_vars,
@@ -147,7 +151,7 @@ class TestMonadLaws:
         failures = check_monad_laws(alg, 3)
         assert failures and failures == reference_check_monad_laws(alg, 3)
 
-    def test_flattens_each_distinct_normal_form_once(self, group, monkeypatch):
+    def test_flattens_each_distinct_normal_form_once(self, fresh_doctrine, monkeypatch):
         """Each kind of work happens once.  Through the tables the check
         folds each inner value once and each distinct flattened value
         once per call.  It binds each distinct normal form of a (slot
@@ -155,11 +159,16 @@ class TestMonadLaws:
         to the slots that normal form uses, found by a fold that reads
         no table, plus one bind per distinct outer subterm for the
         values of the outer terms.  It renders nothing when no law
-        fails."""
+        fails.  The outer terms, their normal forms and used slots are
+        kept on the doctrine, one entry per (slot shape, target, depth),
+        so a second algebra of the doctrine enumerates no outer term and
+        binds no outer subterm again."""
+        group = fresh_doctrine("group")
         z3 = cyclic_group(group, 3)
         engine, G = group.engine, group.sort("G")
-        renders = table_folds = slot_folds = binds = 0
+        renders = table_folds = slot_folds = binds = raw_enumerations = 0
         real_render, real_fold, real_bind = engine.render, engine.fold, engine.bind
+        real_enumerate = models.enumerate_raw_terms
 
         def counting_render(value, sort):
             nonlocal renders
@@ -179,12 +188,18 @@ class TestMonadLaws:
             binds += 1
             return real_bind(value, env, sort)
 
+        def counting_enumerate(*args, **kwargs):
+            nonlocal raw_enumerations
+            raw_enumerations += 1
+            return real_enumerate(*args, **kwargs)
+
         ctx = Context(tuple(Var(f"c_G_{e}", G) for e in z3.carriers[G]))
         inner = enumerate_terms(ctx, G, group, 2)[:12]
         flattened = set()  # distinct flattened values over the call
         subterms = set()  # distinct operation nodes of the outer terms
         expected_slot_folds = expected_binds = 0
-        for shape in [(G,), (G, G)]:
+        shapes = [(G,), (G, G)]
+        for shape in shapes:
             slots = Context(tuple(Var(f"w{i+1}", s) for i, s in enumerate(shape)))
             outers = enumerate_raw_terms(slots, G, group, 2, cap=160)
             nfs = {engine.normalize(o) for o in outers}
@@ -203,11 +218,29 @@ class TestMonadLaws:
         monkeypatch.setattr(engine, "render", counting_render)
         monkeypatch.setattr(engine, "fold", counting_fold)
         monkeypatch.setattr(engine, "bind", counting_bind)
+        monkeypatch.setattr(models, "enumerate_raw_terms", counting_enumerate)
         assert check_monad_laws(z3, 3) == []
         assert table_folds == len(inner) + len(flattened)
         assert slot_folds == expected_slot_folds
         assert binds == expected_binds + len(subterms)
         assert renders == 0
+        assert raw_enumerations == len(shapes)
+        law_keys = [k for k in group.memo if k[0] == "monad_laws"]
+        assert sorted(law_keys, key=len) == [("monad_laws", shape, G, 3) for shape in shapes]
+
+        # warm: a second algebra of the doctrine, then a faulted one
+        table_folds = slot_folds = binds = raw_enumerations = 0
+        assert check_monad_laws(cyclic_group(group, 3), 3) == []
+        assert table_folds == len(inner) + len(flattened)
+        assert raw_enumerations == slot_folds == 0
+        assert binds == expected_binds
+        z3_bad = cyclic_group(group, 3)
+        z3_bad.tables["mul"][(1, 1)] = 0
+        failures = check_monad_laws(z3_bad, 3)
+        assert raw_enumerations == slot_folds == 0
+        monkeypatch.undo()
+        assert failures and failures == reference_check_monad_laws(z3_bad, 3)
+        assert [k for k in group.memo if k[0] == "monad_laws"] == law_keys
 
     def test_flattenings_differ_inside_one_evaluation_class(self, group):
         """With 1*1 = 1 in Z2, the inner pairs drawn from c_G_1 and
@@ -245,6 +278,17 @@ class TestMonadLaws:
         assert bad and bad == reference_check_equations(z2)
 
 
+def _edge_values(doc):
+    """The values the operad and ring-module kernels treat apart: the
+    bare leaf of P1 (the operad unit) and the constant polynomial 1,
+    whose one monomial is empty."""
+    if isinstance(doc.engine, OperadEngine):
+        return {doc.sort("P1"): 1}
+    if isinstance(doc.engine, RingModuleEngine):
+        return {doc.sort("R"): frozenset({((), 1)})}
+    return {}
+
+
 def _fold_models():
     """The valid and faulted catalog, plus the symmetric operad models
     (the only ones whose values carry a leaf permutation)."""
@@ -269,15 +313,16 @@ class TestFold:
         def node(op, args):
             return alg.tables[op.name][args]
 
-        seen = 0
+        seen = set()
         for s in doc.sorts:
             for t in enumerate_terms(ctx, s, doc, 3):
                 v = engine.value(t)
                 assert engine.fold(v, s, var, node) == _value(alg, engine.render(v, s), env), (
                     print_term(t)
                 )
-                seen += 1
+                seen.add((s, v))
         assert seen
+        assert set(_edge_values(doc).items()) <= seen
 
     def test_past_level_cap_raises_the_same_error(self):
         doc = builtin_doctrine("operad-nonsigma", level_cap=2)
@@ -290,6 +335,41 @@ class TestFold:
             engine.fold(deep, P2, lambda v: 0, lambda op, args: 0)
         assert str(folded.value) == str(rendered.value)
         assert "exceeds level cap 2" in str(folded.value)
+
+
+KERNEL_DOCTRINES = [
+    ("operad-nonsigma", {"level_cap": 3}),
+    ("operad-symmetric", {"level_cap": 3}),
+    ("ring-module", {}),
+]
+
+
+class TestKernels:
+    """The operad and ring-module `bind` against term substitution, on
+    every value of every sort at bound 3, the edge values included, in
+    seeded environments.  `TestFold` pins `fold` on the values of the
+    catalog models' carriers, the edge values included."""
+
+    @pytest.mark.parametrize("ident, kwargs", KERNEL_DOCTRINES,
+                             ids=[ident for ident, _ in KERNEL_DOCTRINES])
+    def test_bind_is_term_substitution(self, ident, kwargs):
+        doc = builtin_doctrine(ident, **kwargs)
+        engine = doc.engine
+        ctx = Context(tuple(Var(f"{s.name.lower()}_{i}", s) for s in doc.sorts for i in (1, 2)))
+        values = {s: enumerate_values(ctx, s, doc, 3) for s in doc.sorts}
+        edges = _edge_values(doc)
+        assert all(v in values[s] for s, v in edges.items())
+        rng = random.Random(29)
+        envs = [{x.name: edges.get(x.sort, x) for x in ctx.vars}]
+        envs += [{x.name: rng.choice(values[x.sort]) for x in ctx.vars} for _ in range(4)]
+        for s in doc.sorts:
+            for v in values[s]:
+                term = engine.render(v, s)
+                for env in envs:
+                    asg = {x.name: engine.render(env[x.name], x.sort) for x in ctx.vars}
+                    assert engine.bind(v, env, s) == engine.value(substitute(term, asg)), (
+                        print_term(term), {n: print_term(t) for n, t in asg.items()}
+                    )
 
 
 @pytest.mark.parametrize("check", [

@@ -145,13 +145,15 @@ def endomorphism_operad(doctrine: Doctrine, base=(0, 1)) -> FiniteAlgebra:
         table = dict(zip(inputs[k], p))
         return lambda xs: table[tuple(xs)]
 
+    engine = doctrine.engine
+    gammas = {op: key for key, op in engine.gammas.items()}  # op -> (k, js)
+    perms = {op: key for key, op in engine.perms.items()}  # op -> (k, sigma)
+
     def dispatch(op):
-        if op.name == "unit":
+        if op == engine.unit:
             return lambda: tuple(x for (x,) in inputs[1])
-        if op.name.startswith("g"):
-            head, *js = op.name[1:].split("__")[0], *op.name.split("__")[1].split("_")
-            k = int(head)
-            js = [int(j) for j in js]
+        if op in gammas:
+            k, js = gammas[op]
 
             def gamma(p, *qs):
                 pf = as_fn(k, p)
@@ -169,8 +171,7 @@ def endomorphism_operad(doctrine: Doctrine, base=(0, 1)) -> FiniteAlgebra:
 
             return gamma
         # permutation symbols: p |-> p . sigma, (p.sigma)(x) = p(x o sigma)
-        k = int(op.name[1:].split("_")[0])
-        sigma = tuple(int(d) for d in op.name.split("_")[1])
+        k, sigma = perms[op]
 
         def perm(p):
             pf = as_fn(k, p)
@@ -195,10 +196,12 @@ def operad_model(doctrine: Doctrine, kind: str) -> FiniteAlgebra:
     elif kind == "and":
         carriers = {s: (0, 1) for s in doctrine.sorts}
 
+        engine = doctrine.engine
+
         def dispatch(op):
-            if op.name == "unit":
+            if op == engine.unit:
                 return lambda: 1
-            if op.name.startswith("g"):
+            if op in engine.gammas.values():
                 return lambda p, *qs: min((p, *qs)) if qs else p
             return lambda p: p  # permutations act trivially
 

@@ -382,8 +382,8 @@ def _dispatch(ns, report, inputs) -> int:
         depth = min(ns.budget, 3)
         data["model"] = alg.name
         if depth < 2:
-            # outer terms of depth 1 are variables and constants, which no
-            # table can fail: a pass would be vacuous
+            # outer terms of depth 1 are the slot variables, which no table
+            # can fail: a pass would be vacuous
             report["verdict"] = "unknown"
             data["note"] = (f"structure-map laws need depth 2 or more; "
                             f"--budget {ns.budget} gives depth {depth}")

@@ -10,7 +10,10 @@ solutions of one constraint per defined table entry (`search.solve`).
 A diagram is numbered once, when it is built, as `msat.numbering`
 numbers a simplicial set: an element stands for the first position it
 takes in its object's values, and each table is also a list of
-positions, -1 where it is undefined, with one trailing -1.  The
+positions (`numbering.table_positions`), -1 where it is undefined, with
+one trailing -1; every copy of an element that a value list repeats
+reads that element's entry, so the copy changes no closure, comparison
+map or natural transformation, only the strictness check.  The
 closure, the comparison maps and the natural-transformation
 constraints work on those lists; an element is read only to build a
 result or to spell a message.  The closure is semi-naive (Bancilhon
@@ -51,11 +54,11 @@ again.
 from __future__ import annotations
 
 import math
-from itertools import product, repeat
+from itertools import product
 from operator import itemgetter
 
 from .errors import InvalidParameter, NotFunctorial
-from .numbering import first_positions
+from .numbering import first_positions, table_positions
 from .search import UnionFind, solve
 from .signature import App, Doctrine, Var, enumerate_values, print_term
 from .theory_cat import (
@@ -112,11 +115,12 @@ class DiagramOnTruncation:
 
     def _number(self):
         """(firsts, tables, problems): each object's elements -> their
-        first positions, and each arrow m -> (image, keys), where
-        image[k] is the position of the image of position k (-1 where
-        the table is undefined, and one trailing -1) and keys lists the
-        table's keys as positions, in table order; problems as in
-        `well_formed_problems`, for the arrows they leave out."""
+        first positions, and each arrow m -> (image, keys) of
+        `table_positions`, where image[k] is the position of the image
+        of position k (-1 where the table is undefined, and one trailing
+        -1) and keys lists the table's keys as positions, in table order;
+        problems as in `well_formed_problems`, for the arrows they leave
+        out."""
         firsts = {obj: first_positions(vals) for obj, vals in self.values.items()}
         tables, problems = {}, []
         for m, table in self.arrows.items():
@@ -124,24 +128,15 @@ class DiagramOnTruncation:
             if src is None or tgt is None:
                 problems.append(f"arrow {m} leaves the truncation")
                 continue
-            level = self.values[m.source]
-            try:
-                images = list(map(tgt.__getitem__, table.values()))
-                if len(table) == len(level) and tuple(table) == level:
-                    keys = range(len(level))  # every value once, in order
-                else:
-                    keys = list(map(src.__getitem__, table))
-                    images = list(map(dict(zip(keys, images)).get, range(len(level)),
-                                      repeat(-1)))
-            except KeyError:  # a key or an image with no position
-                for x, y in table.items():
-                    if x not in src:
-                        problems.append(f"arrow {m}: {x!r} not in source values")
-                    if y not in tgt:
-                        problems.append(f"arrow {m}: image {y!r} not in target values")
-                continue
-            images.append(-1)
-            tables[m] = (images, keys)
+            images, keys, bad = table_positions(table, self.values[m.source], src, tgt)
+            for x, y in bad:
+                if x not in src:
+                    problems.append(f"arrow {m}: {x!r} not in source values")
+                if y not in tgt:
+                    problems.append(f"arrow {m}: image {y!r} not in target values")
+            if not bad:
+                images.append(-1)
+                tables[m] = (images, keys)
         return firsts, tables, problems
 
     def morphism_size(self, m: TheoryMorphism) -> int:
@@ -204,11 +199,8 @@ class DiagramOnTruncation:
             grown.append(rnd)
 
         for obj in self._objects:
-            first = self._firsts[obj]
-            image = [-1] * (len(values[obj]) + 1)
-            for k in first.values():
-                image[k] = k
-            add(identity(obj), image, sorted(first.values()))
+            first = self._firsts[obj]  # every copy of an element reads its first position
+            add(identity(obj), [*map(first.__getitem__, values[obj]), -1], sorted(first.values()))
         for m, (image, order) in self._tables.items():
             i = index.get(m)
             if i is None:

@@ -115,12 +115,6 @@ class Homomorphism:
     target: FiniteAlgebra
     components: tuple  # tuple of (Sort, mapping-as-tuple-of-pairs)
 
-    def component(self, sort: Sort) -> dict:
-        for s, pairs in self.components:
-            if s == sort:
-                return dict(pairs)
-        raise KeyError(sort)
-
 
 def evaluate(alg: FiniteAlgebra, term: Term, env: dict):
     """The value of `term` in `alg`, with variables read from `env`.
@@ -175,16 +169,6 @@ def check_equations(alg: FiniteAlgebra) -> list:
     return bad
 
 
-def validated(alg: FiniteAlgebra) -> FiniteAlgebra:
-    bad = check_equations(alg)
-    if bad:
-        eq, env = bad[0]
-        raise InvalidParameter(
-            f"{alg.name}: violates {eq.name or eq} at {env!r} ({len(bad)} violations)"
-        )
-    return alg
-
-
 def _carrier_context(alg: FiniteAlgebra):
     """One variable per carrier element, with the element as its value."""
     vars_, env = [], {}
@@ -213,6 +197,11 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     tables are validated on entry, so an entry outside its carrier
     raises `ElementNotInCarrier` even when no term reaches it.
 
+    The outer terms have at most depth - 1 operation nodes, so depth 1
+    checks only the slot variables, which no table can fail (so the
+    `monad-laws` verb answers unknown below depth 2), and a depth below
+    1 raises `InvalidParameter`.
+
     The inner elements are the engine's values (normal forms) of each
     sort, each evaluated once per call by folding it with the tables,
     which walks its canonical term without building it; an inner term is
@@ -238,6 +227,8 @@ def check_monad_laws(alg: FiniteAlgebra, depth: int = 3) -> list:
     compared combination by combination, so the failures, their order
     and the stop after more than 20 are those of the memo-free check.
     """
+    if depth < 1:
+        raise InvalidParameter(f"monad-law depth must be at least 1, not {depth}")
     alg._validate()
     failures = []
     ctx, env = _carrier_context(alg)

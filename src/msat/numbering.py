@@ -6,7 +6,10 @@ on it, and `structure_kinds` pairs each kind of map with its keys.  A
 `Numbering` is such an object on positions: each level is numbered
 once, and every face and degeneracy table is a list of positions, so a
 simplicial identity is checked by comparing two composites of such
-lists as a whole (`Numbering.identity_failures`).  `number_parts`
+lists as a whole (`Numbering.identity_failures`).  `table_positions`
+is the one routine that puts a table on positions, for simplicial sets
+and set-level diagrams (`msat.diagram`) alike: every copy of an element
+that a level lists twice reads that element's image.  `number_parts`
 numbers the element tables of several simplicial sets at once, as one
 disjoint union with a block per part, and spells why each part is not a
 simplicial set: the tables that are missing, partial or leave their
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
-from operator import eq, ne, not_
+from operator import eq, ne, not_, sub
 
 from .search import UnionFind
 
@@ -61,39 +64,40 @@ def first_positions(level: tuple, start: int = 0) -> dict:
     return dict(zip(reversed(level), range(start + len(level) - 1, start - 1, -1)))
 
 
-def _table_positions(table, level: tuple, first: dict, image_first: dict):
-    """(positions, why): the positions (`image_first`) of the images of a
-    level's elements under a table, -1 where an element has no image or
-    its image is not in the image level, and why the table does not
-    number (`MISSING` or `LEAVES`), or None.  A table whose keys are the
-    elements of its level (`first`) is total; None is no table."""
-    if table is None:
-        return [-1] * len(level), MISSING
-    if len(table) == len(level) and tuple(table) == level:
-        images = table.values()  # keys in level order
-    elif table.keys() == first.keys():
-        images = map(table.__getitem__, level)
-    else:
-        return [image_first.get(table[x], -1) if x in table else -1 for x in level], MISSING
+def table_positions(table: dict, level: tuple, first: dict, image_first: dict):
+    """(images, keys, bad): a table on a level put on positions, the one
+    place where a table becomes a list.  images[k] is the position
+    (`image_first`) of the image of the element at position k, the same
+    for every copy of an element, and -1 where the table is undefined or
+    the image has no position; keys lists the positions (`first`) of the
+    table's keys that have one, in table order; bad lists the entries
+    (key, image) whose key or image has no position, in table order."""
     try:
-        return list(map(image_first.__getitem__, images)), None
-    except KeyError:  # an image outside the image level
-        return [image_first.get(table[x], -1) for x in level], LEAVES
+        images = list(map(image_first.__getitem__, table.values()))
+        if len(table) == len(level) and tuple(table) == level:  # every element once, in order
+            start = first[level[0]] if level else 0
+            return images, range(start, start + len(level)), ()
+        keys = list(map(first.__getitem__, table))
+    except KeyError:  # a key or an image with no position
+        bad = [(x, y) for x, y in table.items() if x not in first or y not in image_first]
+        at = {x: image_first.get(y, -1) for x, y in table.items()}
+        return list(map(at.get, level, repeat(-1))), [first[x] for x in table if x in first], bad
+    return list(map(dict(zip(table, images)).get, level, repeat(-1))), keys, ()
 
 
 def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
     """Number a disjoint union of parts at once, and check each part:
     levels[n] lists the parts' level-n tuples, and faces[(n, i)] and
     degeneracies[(n, j)] list their tables (or lack the key).  Part p's
-    block of level n starts at offsets[n][p], and firsts[n][p] sends
-    each of its elements to its first position there.  Returns
-    (numbering, offsets, firsts, problems) for any tables of hashable
-    images: problems[p] lists why part p is not a simplicial set, in
-    order.  These are its tables that do not number, as "{name}_{i} at
-    level {n} {why}" (`_table_positions`), up to the first `MISSING`;
-    or else each failed identity, spelt on the element where it fails.
-    Every table ends with an entry -1, so a composite through -1 stays
-    -1."""
+    block of level n starts at offsets[n][p].  Returns (numbering,
+    offsets, problems) for any tables of hashable images: problems[p]
+    lists why part p is not a simplicial set, in order.  These are its
+    tables that do not number (`table_positions`), as "{name}_{i} at
+    level {n} {why}", up to the first `MISSING`: a table that is absent,
+    or whose keys are not its level's elements, is `MISSING`, and else
+    one with an image off the image level `LEAVES`.  Or else they are
+    each failed identity, spelt on the element where it fails.  Every
+    table ends with an entry -1, so a composite through -1 stays -1."""
     offsets, firsts, canon = [], [], []
     for n in range(cap + 1):
         values = levels[n]
@@ -109,10 +113,12 @@ def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
         numbered = {}
         for n, i in keys:
             pieces = []
-            for p, args in enumerate(zip(maps.get((n, i)) or repeat(None), levels[n],
-                                         firsts[n], firsts[n + step])):
-                positions, why = _table_positions(*args)
+            for p, (table, level, first, image_first) in enumerate(zip(
+                    maps.get((n, i)) or repeat(None), levels[n], firsts[n], firsts[n + step])):
+                positions, known, bad = table_positions(table or {}, level, first, image_first)
                 pieces.append(positions)
+                total = table is not None and len(known) == len(table) == len(first)
+                why = MISSING if not total else LEAVES if bad else None
                 if why and p not in ended:
                     problems[p].append(f"{name}_{i} at level {n} {why}")
                     if why is MISSING:
@@ -125,7 +131,7 @@ def number_parts(cap: int, levels: dict, faces: dict, degeneracies: dict):
         p = bisect_right(offsets[n], g) - 1
         if tables_ok[p]:
             problems[p].append(f"{identity} at level {n} on {levels[n][p][g - offsets[n][p]]!r}")
-    return numbering, offsets, firsts, problems
+    return numbering, offsets, problems
 
 
 class Numbering:
@@ -193,7 +199,7 @@ class Numbering:
             piece, start = table[offsets[n][p]:offsets[n][p + 1]], offsets[image][p]
             if type(piece) is range:
                 return range(len(piece))
-            return [g - start for g in piece] if start else piece
+            return list(map(sub, piece, repeat(start))) if start else piece
 
         return Numbering(
             self.cap, [offsets[n][p + 1] - offsets[n][p] for n in range(self.cap + 1)],

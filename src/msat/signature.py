@@ -193,12 +193,6 @@ class Context:
                 return v
         return None
 
-    def sorts(self) -> tuple[Sort, ...]:
-        return tuple(v.sort for v in self.vars)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars)
-
     def __len__(self):
         return len(self.vars)
 
@@ -475,39 +469,42 @@ def enumerate_raw_terms(
     Unlike `enumerate_terms` this works for any doctrine and does not
     deduplicate modulo equations; used by law checks and fuzzing.
     """
-    by_sort_nodes: dict[tuple[Sort, int], list[Term]] = {}
+    # dedupe syntactically, keep deterministic order
+    unique = list(dict.fromkeys(_raw_terms(sort, nodes, context.vars, doctrine.ops, {})))
+    return unique if cap is None else unique[:cap]
 
-    def upto(s: Sort, n: int) -> list[Term]:
-        key = (s, n)
-        if key in by_sort_nodes:
-            return by_sort_nodes[key]
-        out: list[Term] = [v for v in context.vars if v.sort == s]
+
+def _raw_terms(s: Sort, n: int, variables, ops, memo: dict) -> list[Term]:
+    """The raw terms of sort s with at most n operation nodes, kept in
+    `memo` under (s, n).  A module-level function, so a call leaves no
+    reference cycle that would hold the doctrine until a gc pass."""
+    out = memo.get((s, n))
+    if out is None:
+        out = [v for v in variables if v.sort == s]
         if n >= 1:
-            for op in doctrine.ops:
+            for op in ops:
                 if op.codomain != s:
                     continue
-                budget = n - 1
                 if op.arity == 0:
                     out.append(App(op))
                     continue
-                for combo in _arg_combos(op.domain, budget, upto):
+                for combo in _raw_arg_combos(op.domain, n - 1, variables, ops, memo):
                     out.append(App(op, combo))
-        by_sort_nodes[key] = out
-        return out
+        memo[(s, n)] = out
+    return out
 
-    def _arg_combos(domain, budget, rec):
-        if not domain:
-            yield ()
-            return
-        head, rest = domain[0], domain[1:]
-        for h in rec(head, budget):
-            used = term_size(h)
-            for tail in _arg_combos(rest, budget - used, rec):
-                yield (h, *tail)
 
-    # dedupe syntactically, keep deterministic order
-    unique = list(dict.fromkeys(upto(sort, nodes)))
-    return unique if cap is None else unique[:cap]
+def _raw_arg_combos(domain, budget: int, variables, ops, memo: dict):
+    """Argument tuples of raw terms for the sorts of `domain`, sharing
+    at most `budget` operation nodes, in `_raw_terms` order."""
+    if not domain:
+        yield ()
+        return
+    head, rest = domain[0], domain[1:]
+    for h in _raw_terms(head, budget, variables, ops, memo):
+        used = term_size(h)
+        for tail in _raw_arg_combos(rest, budget - used, variables, ops, memo):
+            yield (h, *tail)
 
 
 def __getattr__(name):

@@ -17,9 +17,11 @@ once, every structure map table becomes a list of positions, and an
 identity or naturality square is checked by comparing two composites of
 such lists as a whole.  An element is read only where they differ, to
 spell the message.  A simplicial diagram (algebra) numbers the level
-sets of all its objects (sorts) together, as one disjoint union; the
-probe reads each object's block of it, and numbers a product by mixed
-radix without building its tuples.  `smith_normal_form` takes the unit
+sets of all its objects (sorts) together, as one disjoint union; its
+naturality check reads each level diagram's own numbering of its
+arrows, moved onto the union's positions, and the probe reads each
+object's block of the union, and numbers a product by mixed radix
+without building its tuples.  `smith_normal_form` takes the unit
 pivots on sparse rows before the dense reduction.
 """
 
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import add, ne
+from operator import getitem, ne
 
 from .diagram import DiagramOnTruncation
 from .errors import InvalidParameter, UnsupportedDoctrine
@@ -87,7 +90,7 @@ def _index_problem(cap: int, faces: dict, degeneracies: dict, parts, outside: st
 def _number_sset(cap: int, levels: dict, faces: dict, degeneracies: dict):
     """(numbering, problems) of one simplicial set: `number_parts` on a
     union of one part, whose level n is the tuple of `levels.get(n)`."""
-    numbering, _, _, (problems,) = number_parts(
+    numbering, _, (problems,) = number_parts(
         cap, {n: [tuple(levels.get(n, ()))] for n in range(cap + 1)},
         {k: [t] for k, t in faces.items()}, {k: [t] for k, t in degeneracies.items()})
     return numbering, problems
@@ -356,8 +359,9 @@ class SimplicialDiagram:
         """Why the tables, as they are now, are not a simplicial
         diagram: a key or table missing, the first problem of each
         object whose values are not a simplicial set (`number_parts`),
-        then every structure map entry that is not natural for a level
-        arrow.  Reads the tables afresh and changes nothing."""
+        every problem of a level diagram's arrow tables, then every
+        structure map entry that is not natural for a level arrow.
+        Reads the tables afresh and changes nothing."""
         return self._check()[0]
 
     def _check(self):
@@ -373,31 +377,23 @@ class SimplicialDiagram:
                                  "the truncation")
         if problem:
             return [problem], None
-        union, offsets, firsts, per_object = number_parts(
+        union, offsets, per_object = number_parts(
             self.cap, {n: [L.value(obj) for obj in objects] for n, L in enumerate(self.levels)},
             {k: [v[obj] for obj in objects] for k, v in self.faces.items()},
             {k: [v[obj] for obj in objects] for k, v in self.degeneracies.items()})
         problems = [f"at {obj}: not a simplicial set: {found[0]}"
                     for obj, found in zip(objects, per_object) if found]
-        differ = self._naturality_on_positions(union, offsets, firsts)
         # naturality of structure maps against the level diagrams: for an
         # entry x -> y of a level-n arrow m and the structure map t at
         # (n, i), t(y) = m(t(x)) at the level t maps to, where defined
-        entries = []  # per level: the arrow, key and image of each entry
-        for L in self.levels:
-            tables = L.arrows.values()
-            entries.append((list(chain.from_iterable(map(repeat, L.arrows, map(len, tables)))),
-                            list(chain.from_iterable(tables)),
-                            list(chain.from_iterable(map(dict.values, tables)))))
+        differ = self._naturality_on_positions(union, offsets, problems)
         for name, maps, keys, step in structure_kinds(self.cap, self.faces, self.degeneracies):
             for n, i in keys:
-                tables, image = maps[(n, i)], self.levels[n + step]
-                at, xs, ys = entries[n]
-                for k in differ(n, i, step):
-                    m, x = at[k], xs[k]
-                    itable = image.arrows.get(m, {})
+                tables, itables = maps[(n, i)], self.levels[n + step].arrows
+                for m, x, y in differ(n, i, step):
+                    itable = itables.get(m, {})
                     fx = tables[m.source].get(x)
-                    fy = tables[m.target].get(ys[k])
+                    fy = tables[m.target].get(y)
                     if fx is not None and fx in itable and fy is not None:
                         if itable[fx] != fy:
                             problems.append(
@@ -405,54 +401,60 @@ class SimplicialDiagram:
                             )
         return problems, (union, offsets)
 
-    def _naturality_on_positions(self, union: Numbering, offsets: list, firsts: list):
-        """A function (n, i, step) -> the level-n arrow entries, in order,
-        at which t(y) and m(t(x)) differ as positions of the levels'
-        numbering, with t the structure map at (n, i); every naturality
-        problem is among them.  A level's arrows are one run of entries,
-        and each arrow has a block of the level's lookup table (-1 where
-        the arrow is undefined), so a structure map is one composite over
-        the whole level.  Where t is -1 (no image) the element test never
-        fails, and the read stays in range: the table holds one -1 more."""
+    def _naturality_on_positions(self, union: Numbering, offsets: list, problems: list):
+        """A function (n, i, step) -> the level-n arrow entries (m, x, y),
+        in order, at which t(y) and m(t(x)) differ as positions of the
+        levels' numbering, with t the structure map at (n, i); every
+        naturality problem is among them.  Each level's arrow tables are
+        its own numbering (`DiagramOnTruncation._number`), made afresh:
+        an arrow with a key or image off its level is left out, and its
+        problems are added to `problems`, after "level {n}: ".  The rest
+        are moved onto the union's positions through their objects'
+        blocks of positions, each ending in -1.  A level's arrows are one
+        run of entries, and each arrow is a row on all the level's
+        positions, -1 off its source block and at the end, so a
+        structure map is one composite over the whole level, and where t
+        is -1 (no image) it reads a -1."""
         objects = self.objects()
-        sources, targets, lookups, bases = [], [], [], []
+        runs, rows = [], []
         for n, L in enumerate(self.levels):
-            off = dict(zip(objects, offsets[n]))
-            first = dict(zip(objects, firsts[n]))
-            src, tgt, look, base = [], [], [], {}
-            for m, table in L.arrows.items():  # well formed: keys and images are values
-                to = list(map(first[m.target].__getitem__, table.values()))
-                values = L.value(m.source)
-                start, size = off[m.source], len(values)
-                base[m] = len(look) - start
-                if len(table) == size and tuple(table) == values:
-                    src.extend(range(start, start + size))
-                    look.extend(to)
+            start = dict(zip(objects, offsets[n]))
+            block = {obj: [*range(start[obj], start[obj] + len(L.value(obj))), -1]
+                     for obj in objects}
+            _, tables, found = L._number()
+            problems += (f"level {n}: {problem}" for problem in found)
+            size = offsets[n][-1] + 1
+            starts, src, tgt, row = [], [], [], {}
+            for m, (image, keys) in tables.items():
+                moved = list(map(block[m.target].__getitem__, image))
+                before = start[m.source]
+                row[m] = [-1] * before + moved + [-1] * (size - before - len(moved))
+                starts.append(len(src))
+                if type(keys) is range:  # every value once, in order
+                    src += block[m.source][:-1]
+                    tgt += moved[:-1]
                 else:
-                    at = list(map(first[m.source].__getitem__, table))
-                    src.extend(at)
-                    look.extend(map(dict(zip(at, to)).get, range(start, start + size),
-                                    repeat(-1)))
-                tgt.extend(to)
-            missing = len(look)  # the block of an arrow this level lacks
-            look.extend(repeat(-1, offsets[n][-1] + 1))
-            sources.append(src)
-            targets.append(tgt)
-            lookups.append(look)
-            bases.append((base, missing))
-        shifts = {}  # (n, image level) -> per entry, where its arrow's block starts
+                    src += map(block[m.source].__getitem__, keys)
+                    tgt += map(moved.__getitem__, keys)
+            rows.append((row, [-1] * size))  # and the row of an arrow the level lacks
+            runs.append((L, list(tables), tables, starts, src, tgt))
+        at_rows = {}  # (n, step) -> per entry, the row of its arrow at level n + step
 
         def differ(n, i, step):
-            image = n + step
+            L, arrows, tables, starts, src, tgt = runs[n]
+            mapped = at_rows.get((n, step))
+            if mapped is None:
+                row, missing = rows[n + step]
+                mapped = at_rows[(n, step)] = list(chain.from_iterable(
+                    repeat(row.get(m, missing), len(keys)) for m, (_, keys) in tables.items()))
             t = (union.faces if step < 0 else union.degeneracies)[(n, i)]
-            shift = shifts.get((n, image))
-            if shift is None:
-                base, missing = bases[image]
-                shift = shifts[(n, image)] = list(chain.from_iterable(
-                    repeat(base.get(m, missing), len(table))
-                    for m, table in self.levels[n].arrows.items()))
-            lhs = map(lookups[image].__getitem__, map(add, shift, map(t.__getitem__, sources[n])))
-            return compress(count(), map(ne, lhs, map(t.__getitem__, targets[n])))
+            lhs = map(getitem, mapped, map(t.__getitem__, src))
+            for k in compress(count(), map(ne, lhs, map(t.__getitem__, tgt))):
+                j = bisect_right(starts, k) - 1
+                m = arrows[j]
+                image, keys = tables[m]
+                at = keys[k - starts[j]]
+                yield m, L.value(m.source)[at], L.value(m.target)[image[at]]
 
         return differ
 
@@ -544,7 +546,7 @@ class SimplicialAlgebra:
                 raise InvalidParameter(f"level algebra {alg.name} violates {bad[0][0].name}")
         # the sorts as the parts of one simplicial set, before the homomorphism check
         carriers = {n: [tuple(alg.carriers[s]) for s in sorts] for n, alg in enumerate(levels)}
-        _, _, _, problems = number_parts(
+        _, _, problems = number_parts(
             cap, carriers, *lifted_maps(cap, lambda n, comp: [comp[s] for s in sorts], self))
         for found in problems:
             if found:

@@ -19,7 +19,8 @@ from msat.fuzz import (
     random_trivial_diagram,
     twisted_algebra_diagram,
 )
-from msat.models import as_functor
+from msat.models import AlgebraFunctor, as_functor, check_product_preservation
+from msat.numbering import first_positions, table_positions
 from msat.search import UnionFind
 from msat.signature import Engine, Var
 from msat.theory_cat import (
@@ -369,6 +370,28 @@ def test_comparison_at_terminal_missing_and_partial_tables(trivial):
     assert Z.comparison(T2) is None
 
 
+@pytest.mark.parametrize("name", ["trivial", "monoid", "action"])
+def test_a_repeated_element_changes_nothing_but_strictness(request, name):
+    """A value list that names an element twice is the diagram without
+    the copy: every copy reads its element's entries, so the closure,
+    the comparison maps and the natural transformations are those of
+    the diagram without it; only the strictness check sees the copy."""
+    d = request.getfixturevalue(name)
+    alg = models_for(d, 3)[1]
+    X = as_functor(alg, 2)
+    obj = max(X.objects(), key=lambda o: len(X.value(o)))
+    vals = X.value(obj)
+    twice = diagram.DiagramOnTruncation(
+        d, 2, 2, {**X.values, obj: vals[:2] + (vals[1],) + vals[2:]}, X.arrows)
+    assert twice.arrow_closure() == X.arrow_closure()
+    assert all(twice.comparison(o) == X.comparison(o) for o in X.objects())
+    target = AlgebraFunctor(models_for(d, 3)[0], 2)
+    assert (diagram.natural_transformations(twice, target)
+            == diagram.natural_transformations(X, target))
+    assert check_product_preservation(X)[0]
+    assert not check_product_preservation(twice)[0]
+
+
 def test_comparison_of_a_two_sorted_functor(action):
     X = as_functor(action_model(action, "z2-swap"), 2)
     G, S = action.sort("G"), action.sort("X")
@@ -408,6 +431,25 @@ def test_well_formed_problems_in_order(trivial):
         f"arrow {first}: 'x' not in source values",
         f"arrow {second}: image 'q' not in target values",
     ]
+
+
+def test_table_positions_reads_every_copy():
+    """Every copy of an element reads its element's image, and a key's
+    position counts from where `first` starts; a key or an image with
+    no position is listed in table order."""
+    level = ("a", "b", "a")
+    first, image_first = first_positions(level), {"x": 0, "y": 1}
+    assert table_positions({"b": "y", "a": "x"}, level, first, image_first) == (
+        [0, 1, 0], [1, 0], ())
+    assert table_positions({"a": "y"}, level, first, image_first) == ([1, -1, 1], [0], ())
+    assert table_positions({"c": "x", "b": "z", "a": "x"}, level, first, image_first) == (
+        [0, -1, 0], [1, 0], [("c", "x"), ("b", "z")])
+    # a level whose positions count from 3, its table in order and reversed
+    first = first_positions(("p", "q"), 3)
+    assert table_positions({"p": "x", "q": "y"}, ("p", "q"), first, image_first) == (
+        [0, 1], range(3, 5), ())
+    assert table_positions({"q": "x", "p": "y"}, ("p", "q"), first, image_first) == (
+        [1, 0], [4, 3], ())
 
 
 @pytest.mark.parametrize("images, factors", [

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -138,6 +140,30 @@ class TestMonadLaws:
             assert check_monad_laws(alg, depth) == reference_check_monad_laws(alg, depth), (
                 alg.name
             )
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_refuses_a_depth_below_one(self, group, depth):
+        """Below depth 1 there is no outer term at all, so a pass would
+        check nothing; the refusal names the depth."""
+        with pytest.raises(InvalidParameter, match=f"not {depth}$"):
+            check_monad_laws(cyclic_group(group, 3), depth)
+
+    def test_frees_a_dropped_doctrine_without_a_gc_pass(self):
+        """The outer-term enumeration leaves no reference cycle holding
+        the doctrine, so dropping it and its model frees it at once."""
+        doctrine = builtin_doctrine("group")
+        alg = cyclic_group(doctrine, 3)
+        ref = weakref.ref(doctrine)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            check_monad_laws(alg, depth=2)
+            del doctrine, alg
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("name", ["Z4", "Z6", "S3"])
     def test_matches_reference_on_larger_groups(self, group, name):

@@ -135,6 +135,32 @@ class TestPi0AndHomology:
         assert homology_invariants(ss, 3) == [(1, ()), (0, (2,)), (0, ())]
 
 
+def _circle_everywhere(trivial, at_terminal):
+    """The diagram that is the boundary of the 2-simplex at both
+    nonterminal objects, every arrow between them acting as the
+    identity, and a point (or that boundary too) at the terminal
+    object."""
+    from msat.diagram import DiagramOnTruncation
+    from msat.theory_cat import TERMINAL, generating_morphisms
+
+    S = standard("boundary", 2, cap=3)
+    point = TruncSimplicialSet(3, {n: ("pt",) for n in range(4)},
+                               *lifted_maps(3, lambda n, t: {"pt": "pt"}, S))
+    el = trivial.sort("el")
+    of = {TERMINAL: S if at_terminal else point,
+          TheoryObject.of(el): S, TheoryObject.of(el, el): S}
+    levels = []
+    for n in range(4):
+        values = {obj: X.level(n) for obj, X in of.items()}
+        arrows = {m: ({x: "pt" for x in values[m.source]}
+                      if m.target == TERMINAL and not at_terminal
+                      else {x: x for x in values[m.source]})
+                  for m in generating_morphisms(trivial, 2)}
+        levels.append(DiagramOnTruncation(trivial, 2, 2, values, arrows))
+    return SimplicialDiagram(trivial, 3, levels, *lifted_maps(
+        3, lambda n, *tables: dict(zip(of, tables)), *of.values()))
+
+
 class TestSimplicialDiagrams:
     def test_constant_algebra_strict(self, group):
         sd = constant_simplicial_algebra(cyclic_group(group, 2), 3).as_diagram(2, 2)
@@ -172,6 +198,34 @@ class TestSimplicialDiagrams:
         assert res.refuted_at[1] == "pi0"
         # independent count: pi0(S^2 product) = 4 vs inflated 4+2
         assert res.refuted_at[2] == 6 and res.refuted_at[3] == 4
+
+    @pytest.mark.parametrize("at_terminal", [False, True])
+    def test_probe_refutes_on_homology(self, trivial, at_terminal):
+        """A circle at el has one 1-cycle and its square two, with one
+        component each: the probe refutes at H1.  A circle at the
+        terminal object also raises the terminal flag."""
+        result = homotopy_probe(_circle_everywhere(trivial, at_terminal))
+        assert not result.passed
+        assert result.refuted_at == ("el,el", "H1", (1, ()), (2, ()))
+        if at_terminal:
+            assert result.terminal_flag == (
+                "value at the terminal object is not point-like: "
+                "{'pi0': 1, 'homology': [(1, ()), (1, ()), (0, ())]}")
+        else:
+            assert result.terminal_flag is None
+
+    def test_tables_in_reverse_order_number_alike(self, trivial):
+        """Structure tables whose keys run against their level's order
+        number like the tables in order, at every object, the objects
+        after the first included."""
+        SD = product_simplicial_diagram(trivial, standard("boundary", 2, cap=3))
+        faces, degens = ({k: {obj: dict(reversed(t.items())) for obj, t in v.items()}
+                          for k, v in maps.items()} for maps in (SD.faces, SD.degeneracies))
+        reverse = SimplicialDiagram(trivial, 3, SD.levels, faces, degens)
+        for obj in SD.objects():
+            N, R = SD.object_numbering(obj), reverse.object_numbering(obj)
+            assert (R.faces, R.degeneracies) == (N.faces, N.degeneracies)
+        assert homotopy_probe(reverse).details == homotopy_probe(SD).details
 
     def test_probe_accepts_contractible_padding(self, trivial):
         """Replacing a point by an interval keeps the probe quiet: the
@@ -502,6 +556,19 @@ class TestProblemMessages:
     def test_mixed_mutant_problems_are_pinned(self, trivial, kind):
         messages = _diagram_mutant(trivial, kind).structure_problems()
         assert (len(messages), _messages_digest(messages)) == MIXED_DIGESTS[kind]
+
+    def test_a_level_arrow_off_its_level_is_a_problem(self, trivial):
+        """The entry is named, and the six structure maps into it (every
+        face of (0, 0, 0), d_2 of (0, 0, 1) and of (0, 0, 2), and s_0 of
+        (0,)) are not natural for its arrow."""
+        SD = _diagram_mutant(trivial, "none")
+        T1 = TheoryObject.of(trivial.sort("el"))
+        m = next(m for m in SD.levels[1].arrows if m.source == T1)
+        SD.levels[1].arrows[m][_pick(SD.levels[1].value(T1), 0)] = ("far", "away")
+        problems = SD.structure_problems()
+        assert problems[0] == f"level 1: arrow {m}: image ('far', 'away') not in target values"
+        assert len(problems) == 7
+        assert all(f"not natural for {m} at" in problem for problem in problems[1:])
 
     def test_level_empty_at_every_object_is_a_typed_error(self, trivial):
         """Level 2 holds no element at any object while the level-3 faces
